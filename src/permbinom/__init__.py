@@ -19,7 +19,6 @@ from .counts import (
 )
 from .curves import (
     KappaRecord,
-    TraceSequence,
     char2_cubic_sum,
     compute_kappa,
     count_points_extension,
@@ -40,7 +39,6 @@ from .fields import (
     FieldElement,
     FieldSpec,
     element_order,
-    enumerate_elements,
     make_field,
     parse_field,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "SweepConfig",
     "SweepFailure",
     "SweepResult",
-    "TraceSequence",
     "binomial_polynomial",
     "build_count_report",
     "char2_cubic_sum",
@@ -92,7 +89,6 @@ __all__ = [
     "cubic_roots_of_unity",
     "element_order",
     "emit_report",
-    "enumerate_elements",
     "enumerate_perm_binomials",
     "epsilons",
     "evaluate_poly",

@@ -11,7 +11,7 @@ and eta(u/v) = eta(u) - eta(v) without any field inversions.
 from __future__ import annotations
 
 from .errors import BadFieldForCubicError, EvenCharacteristicError
-from .fields import FieldElement, FieldSpec, ensure_enumerable
+from .fields import FieldElement, FieldSpec
 
 
 def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
@@ -32,8 +32,9 @@ def cubic_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement, F
     """(1, xi, xi^2) with xi = alpha^((q-1)/3)."""
     if spec.q % 3 != 1:
         raise BadFieldForCubicError(f"q = {spec.q} is not 1 mod 3")
-    xi = spec.alpha ** ((spec.q - 1) // 3)
-    return spec.one, xi, xi * xi
+    third = (spec.q - 1) // 3
+    alpha = spec.alpha
+    return spec.one, alpha**third, alpha ** (2 * third)
 
 
 def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
@@ -51,11 +52,6 @@ def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     raise AssertionError("eta landed outside the cube roots of unity")
 
 
-def cubic_pair_term(exponent: int) -> int:
-    """eta(y) + eta^2(y) as an integer: 2 on cubes, -1 otherwise."""
-    return 2 if exponent % 3 == 0 else -1
-
-
 def power_sum(spec: FieldSpec, m: int, force: bool = False) -> FieldElement:
     """Sum of a^m over every a in F_q, with 0^0 = 1.
 
@@ -64,7 +60,7 @@ def power_sum(spec: FieldSpec, m: int, force: bool = False) -> FieldElement:
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    ensure_enumerable(spec.q, force)
+    spec.scan_tables(force)
     total = spec.zero
     for a in spec.elements():
         total = total + a**m

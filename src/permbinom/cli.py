@@ -168,6 +168,7 @@ def _cmd_char(args) -> int:
         total = power_sum(spec, args.power_sum, force=args.force)
         payload = {"q": q, "m": args.power_sum, "power_sum": total.encode()}
     else:
+        spec.scan_tables(args.force)
         quad = None
         if spec.p != 2:
             vals = [quadratic_char(spec, x) for x in spec.elements() if not x.is_zero]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     SmallPrimeError,
     UnsupportedPrimeError,
 )
-from .fields import FieldElement, FieldSpec, ensure_enumerable, make_field
+from .fields import FieldElement, FieldSpec, make_field
 from .primes import is_prime
 
 
@@ -116,7 +116,6 @@ def compute_kappa(p: int) -> KappaRecord:
             kappa = -5
         else:
             # 4 sqrt(p) < p once p >= 17, so at most one class member fits
-            window = isqrt(4 * p)
             candidates = [c for c in (residue, residue - p) if c * c <= 4 * p]
             if len(candidates) != 1:
                 raise CrossCheckFailedError(f"kappa window not unique for p = {p}")
@@ -171,25 +170,11 @@ def pi_trace(p: int, j: int) -> int:
     return m[0] * -kappa + m[1] * 2
 
 
-class TraceSequence:
-    """Iterator-friendly view of the s_j sequence for one prime."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.kappa = compute_kappa(p).kappa
-
-    def value(self, j: int) -> int:
-        return pi_trace(self.p, j)
-
-    def prefix(self, count: int) -> list[int]:
-        return [pi_trace(self.p, j) for j in range(count)]
-
-
 def count_points_extension(spec: FieldSpec, a4: FieldElement, a6: FieldElement, force: bool = False) -> int:
     """|E(F_q)| by summing quadratic-character values over the extension."""
     if spec.p == 2:
         raise EvenCharacteristicError("no Weierstrass form y^2 = ... in characteristic 2")
-    ensure_enumerable(spec.q, force)
+    spec.scan_tables(force)
     a4 = spec.element(a4)
     a6 = spec.element(a6)
     count = 1
@@ -208,7 +193,7 @@ def char2_cubic_sum(k: int, force: bool = False) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = make_field(2, 2 * k)
-    ensure_enumerable(spec.q, force)
+    spec.scan_tables(force)
     one, xi, xi2 = cubic_roots_of_unity(spec)
     total = 0
     for a in spec.elements():

@@ -15,13 +15,32 @@ The distinguished generator alpha is the first element in enumeration
 order whose multiplicative order is q - 1.  For prime fields this is the
 least positive primitive root (alpha = 5 for F_73); for F_4 with modulus
 x^2 + x + 1 it is x itself.
+
+Full-field scans run on discrete-logarithm tables over alpha (Lidl and
+Niederreiter, Finite Fields, on Zech logarithms): exp[i] is the encoding
+of alpha^i, log inverts it, and zech[i] = log(1 + alpha^i), or NO_LOG
+where 1 + alpha^i = 0.  FieldSpec.scan_tables builds them on its first
+call, from q - 1 multiplications by alpha, and keeps them for the life
+of the FieldSpec: three arrays of C longs, about 3q of them (24q bytes
+where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration guard first, on
+every call, so no table is ever built for a field the guard refuses.
+Only the scans over a whole field call it: enumerate_perm_binomials,
+power_sum, count_points_extension, char2_cubic_sum and the CLI's class
+counts.  make_field, alpha and single-element arithmetic never do, so a
+lone character value on F_{2^20} stays one square-and-multiply.
+
+Once a field has tables, FieldElement.__pow__ is a lookup,
+exp[log(x) * e mod (q - 1)], and so are inverse, element_order and both
+characters, which are all written in terms of it.  Without tables it
+falls back to square-and-multiply, which is also how the tables are
+checked in the tests.
 """
 
 from __future__ import annotations
 
 import os
-from math import gcd
-from typing import Iterable, Iterator, Sequence
+from array import array
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DegreeMismatchError,
@@ -38,14 +57,21 @@ GUARD_ENV_VAR = "PERMBINOM_GUARD"
 
 
 def enumeration_guard() -> int:
-    """Current guard on how large a field full enumerations may sweep."""
+    """Current guard on how large a field full enumerations may sweep.
+
+    A set but malformed or non-positive value raises rather than falling
+    back to the default, so a typo cannot silently move the guard.
+    """
     raw = os.environ.get(GUARD_ENV_VAR)
     if raw is None:
         return ENUMERATION_GUARD_DEFAULT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        return ENUMERATION_GUARD_DEFAULT
+        limit = 0  # malformed: refused below like a non-positive value
+    if limit < 1:
+        raise EnumerationGuardError(f"{GUARD_ENV_VAR}={raw!r} is not a positive integer")
+    return limit
 
 
 def ensure_enumerable(q: int, force: bool = False) -> None:
@@ -143,6 +169,13 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+def _encode(coeffs: Sequence[int], p: int) -> int:
+    e = 0
+    for c in reversed(coeffs):
+        e = e * p + c
+    return e
+
+
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k in ascending encoding order."""
     if k == 1:
@@ -228,9 +261,14 @@ class FieldElement:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
+        spec = self.spec
+        tables = spec._tables
+        if tables is not None:
+            enc = self.encode()
+            if enc:
+                return spec.decode(tables.exp[tables.log[enc] * e % (spec.q - 1)])
         if e < 0:
             return self.inverse() ** (-e)
-        spec = self.spec
         result = spec.one
         base = self
         # 0**0 = 1 by convention, which square-and-multiply gives for free
@@ -252,10 +290,7 @@ class FieldElement:
 
     def encode(self) -> int:
         """Index of this element in the canonical enumeration order."""
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * self.spec.p + c
-        return e
+        return _encode(self.coeffs, self.spec.p)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -278,10 +313,21 @@ class FieldElement:
         return f"({' + '.join(terms) or '0'}):F{self.spec.q}"
 
 
+NO_LOG = -1  # log of zero, in FieldTables.log and FieldTables.zech
+
+
+class FieldTables(NamedTuple):
+    """Discrete-logarithm tables of one field over its generator alpha."""
+
+    exp: array  # exp[i] = encoding of alpha^i, 0 <= i < q - 1
+    log: array  # log[enc] = i with alpha^i = decode(enc); log[0] = NO_LOG
+    zech: array  # zech[i] = log(1 + alpha^i), NO_LOG where 1 + alpha^i = 0
+
+
 class FieldSpec:
     """Immutable description of F_{p^k} plus its arithmetic."""
 
-    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_reduction", "_alpha", "_q1_factors")
+    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_reduction", "_alpha", "_q1_factors", "_tables")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -302,6 +348,7 @@ class FieldSpec:
         self._reduction = rows
         self._alpha: FieldElement | None = None
         self._q1_factors: dict[int, int] | None = None
+        self._tables: FieldTables | None = None
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -349,6 +396,16 @@ class FieldSpec:
         for enc in range(self.q):
             yield self.decode(enc)
 
+    def scan_tables(self, force: bool = False) -> FieldTables:
+        """Check the enumeration guard, then return the tables, built on the first call.
+
+        For full-field scans only: the tables cost O(q) time and memory.
+        """
+        ensure_enumerable(self.q, force)
+        if self._tables is None:
+            self._tables = _build_tables(self)
+        return self._tables
+
     @property
     def q1_factors(self) -> dict[int, int]:
         if self._q1_factors is None:
@@ -381,6 +438,24 @@ class FieldSpec:
             return f"F_{self.p}"
         mod = ",".join(str(c) for c in self.modulus)
         return f"F_{self.p}^{self.k}(mod {mod})"
+
+
+def _build_tables(spec: FieldSpec) -> FieldTables:
+    p, q1 = spec.p, spec.q - 1
+    exp = array("l", [0]) * q1
+    log = array("l", [NO_LOG]) * spec.q
+    alpha = spec.alpha.coeffs
+    t = spec.one.coeffs
+    for i in range(q1):
+        enc = _encode(t, p)
+        exp[i] = enc
+        log[enc] = i
+        t = spec.mul_coeffs(t, alpha)
+    if t != spec.one.coeffs:
+        raise AssertionError("alpha^(q-1) != 1; broken field arithmetic")
+    # adding 1 changes only the constant coefficient, the lowest base-p digit
+    zech = array("l", (log[e - e % p + (e + 1) % p] for e in exp))
+    return FieldTables(exp, log, zech)
 
 
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FieldSpec] = {}
@@ -420,11 +495,6 @@ def element_order(el: FieldElement) -> int:
         while order % prime == 0 and (el ** (order // prime)) == el.spec.one:
             order //= prime
     return order
-
-
-def enumerate_elements(spec: FieldSpec) -> Iterator[FieldElement]:
-    """Canonical enumeration of F_q (constant coefficient fastest)."""
-    return spec.elements()
 
 
 def parse_field(text: str) -> tuple[int, int]:

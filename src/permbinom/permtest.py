@@ -2,7 +2,8 @@
 
 Routes:
   * bruteforce: evaluate the map on all of F_q and check bijectivity
-    with a bitset over canonical encodings;
+    with a bitset, over discrete logarithms when enumerating binomials
+    and over canonical encodings in is_permutation_bruteforce;
   * wanlidl: decompose into the index form x^r_low h(x^(q-1)/m) + b and
     apply the index-form permutation criterion;
   * criterion: the character conditions specific to r = 2 and r = 3.
@@ -25,7 +26,7 @@ from .errors import (
     NonMinimalIndexError,
     ZeroPolynomialError,
 )
-from .fields import FieldElement, FieldSpec, ensure_enumerable
+from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, ensure_enumerable
 
 Poly = Mapping[int, FieldElement]
 
@@ -216,52 +217,32 @@ def criterion_r3(spec: FieldSpec, n: int, a: FieldElement) -> bool:
     return t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
 
 
-def _enc_tables(spec: FieldSpec) -> tuple[list[list[int]], list[list[int]]]:
-    """Encoding-level add and mul tables for small extension fields."""
-    els = list(spec.elements())
-    q = spec.q
-    add = [[0] * q for _ in range(q)]
-    mul = [[0] * q for _ in range(q)]
-    for i, x in enumerate(els):
-        for j in range(i, q):
-            y = els[j]
-            s = (x + y).encode()
-            m = (x * y).encode()
-            add[i][j] = add[j][i] = s
-            mul[i][j] = mul[j][i] = m
-    return add, mul
+def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
+    """All a for which the binomial permutes F_q, by evaluating it at every x.
 
-
-def _brute_survivors(spec: FieldSpec, n: int, r: int) -> list[FieldElement]:
-    """All a for which the binomial permutes F_q, by direct evaluation."""
-    q = spec.q
-    d = (q - 1) // r
-    out = []
-    if spec.k == 1:
-        p = spec.p
-        pn = [pow(x, n, p) for x in range(p)]
-        pnd = [v * pow(x, d, p) % p for x, v in enumerate(pn)]
-        for a in range(p):
-            seen = bytearray(p)
-            for x in range(p):
-                v = (pnd[x] + a * pn[x]) % p
-                if seen[v]:
-                    break
-                seen[v] = 1
-            else:
-                out.append(spec.decode(a))
-        return out
-    add, mul = _enc_tables(spec)
-    pn = [(x**n).encode() for x in spec.elements()]
-    pnd = [mul[e][(x**d).encode()] for e, x in zip(pn, spec.elements())]
-    for a in range(q):
-        seen = bytearray(q)
-        mula = mul[a]
-        for x in range(q):
-            v = add[pnd[x]][mula[pn[x]]]
-            if seen[v]:
+    Values are handled as logarithms to base alpha. x = 0 maps to 0. At
+    x = alpha^i the terms x^(n+d) and a x^n are alpha^u and alpha^v with
+    u = (n+d) i and v = log(a) + n i, and alpha^u + alpha^v is
+    alpha^(u + zech[v - u]), or 0 where zech holds NO_LOG: a collision
+    with x = 0.
+    """
+    _, log, zech = tables
+    q1 = spec.q - 1
+    d = q1 // r
+    hi = [(n + d) * i % q1 for i in range(q1)]
+    lo = [n * i % q1 for i in range(q1)]
+    out = [spec.zero] if len(set(hi)) == q1 else []  # a = 0: the monomial x^(n+d)
+    for a in range(1, spec.q):
+        la = log[a]
+        seen = bytearray(q1)
+        for u, m in zip(hi, lo):
+            z = zech[(la + m - u) % q1]
+            if z == NO_LOG:
                 break
-            seen[v] = 1
+            w = (u + z) % q1
+            if seen[w]:
+                break
+            seen[w] = 1
         else:
             out.append(spec.decode(a))
     return out
@@ -287,12 +268,12 @@ def enumerate_perm_binomials(
     d = (q - 1) // r
     if gcd(n, d) != 1:
         raise GcdViolationError(f"gcd(n={n}, (q-1)/{r}={d}) != 1")
-    ensure_enumerable(q, force)
+    tables = spec.scan_tables(force)
     if method == "criterion":
         crit = criterion_r2 if r == 2 else criterion_r3
         return [a for a in spec.elements() if crit(spec, n, a)]
     if method == "bruteforce":
-        return _brute_survivors(spec, n, r)
+        return _brute_survivors(spec, tables, n, r)
     if method == "wanlidl":
         out = []
         for a in spec.elements():

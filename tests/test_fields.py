@@ -1,5 +1,7 @@
 """Field arithmetic against independent oracles and pinned constructions."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,6 @@ from permbinom.errors import (
 from permbinom.fields import (
     element_order,
     ensure_enumerable,
-    enumerate_elements,
     make_field,
     parse_field,
 )
@@ -73,7 +74,7 @@ def test_inverse_extension_fields():
 def test_encode_decode_roundtrip():
     spec = make_field(7, 2)
     seen = set()
-    for el in enumerate_elements(spec):
+    for el in spec.elements():
         enc = el.encode()
         assert spec.decode(enc) == el
         seen.add(enc)
@@ -178,6 +179,13 @@ def test_enumeration_guard(monkeypatch):
     ensure_enumerable(big, force=True)
     monkeypatch.setenv("PERMBINOM_GUARD", str(big))
     ensure_enumerable(big)
+
+
+@pytest.mark.parametrize("raw", ["1e1", "abc", "", "-5", "0"])
+def test_malformed_guard_rejected(monkeypatch, raw):
+    monkeypatch.setenv("PERMBINOM_GUARD", raw)
+    with pytest.raises(EnumerationGuardError, match=re.escape(f"PERMBINOM_GUARD={raw!r}")):
+        ensure_enumerable(7)
 
 
 def test_parse_field():

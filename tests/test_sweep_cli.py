@@ -211,6 +211,20 @@ def test_cli_char_modes(capsys):
     assert payload["cubic_classes"] == {"0": 4, "1": 4, "2": 4, "zero": 1}
 
 
+def test_cli_class_counts_respect_the_guard(capsys, monkeypatch):
+    monkeypatch.setenv("PERMBINOM_GUARD", "10")
+    assert cli.main(["char", "--field", "101"]) == 2
+    assert "q = 101 > guard 10" in capsys.readouterr().err
+    assert cli.main(["char", "--field", "101", "--force"]) == 0
+    assert json.loads(capsys.readouterr().out)["quadratic_classes"] == {"1": 50, "-1": 50, "zero": 1}
+
+
+def test_cli_malformed_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PERMBINOM_GUARD", "1e1")
+    assert cli.main(["enumerate", "--field", "7", "--n", "1", "--r", "3"]) == 2
+    assert "PERMBINOM_GUARD='1e1' is not a positive integer" in capsys.readouterr().err
+
+
 def test_cli_sharpness_supersingular(capsys):
     rc = cli.main(["sharpness", "--p", "5", "--n", "1", "--depth", "3"])
     assert rc == 0
