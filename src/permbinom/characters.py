@@ -11,7 +11,7 @@ and eta(u/v) = eta(u) - eta(v) without any field inversions.
 from __future__ import annotations
 
 from .errors import BadFieldForCubicError, EvenCharacteristicError
-from .fields import FieldElement, FieldSpec
+from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
 def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
@@ -41,6 +41,10 @@ def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0."""
     if el.is_zero:
         return None
+    tables = spec._tables
+    if tables is not None and spec.q % 3 == 1:
+        # el = alpha^i, so el^((q-1)/3) = xi^i
+        return tables.log[el.encode()] % 3
     one, xi, xi2 = cubic_roots_of_unity(spec)
     t = el ** ((spec.q - 1) // 3)
     if t == one:
@@ -60,8 +64,9 @@ def power_sum(spec: FieldSpec, m: int, force: bool = False) -> FieldElement:
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    spec.scan_tables(force)
-    total = spec.zero
-    for a in spec.elements():
-        total = total + a**m
-    return total
+    exp, _, zech = spec.scan_tables(force)
+    q1 = spec.q - 1
+    total = 0 if m == 0 else NO_LOG  # log of the running sum, starting from 0^m
+    for i in range(q1):
+        total = add_logs(zech, total, i * m % q1)  # (alpha^i)^m = alpha^(i m)
+    return spec.zero if total == NO_LOG else spec.decode(exp[total])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
+from .characters import cubic_char, cubic_roots_of_unity
 from .errors import (
     CrossCheckFailedError,
     EvenCharacteristicError,
@@ -31,7 +31,7 @@ from .errors import (
     SmallPrimeError,
     UnsupportedPrimeError,
 )
-from .fields import FieldElement, FieldSpec, make_field
+from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, make_field
 from .primes import is_prime
 
 
@@ -171,15 +171,26 @@ def pi_trace(p: int, j: int) -> int:
 
 
 def count_points_extension(spec: FieldSpec, a4: FieldElement, a6: FieldElement, force: bool = False) -> int:
-    """|E(F_q)| by summing quadratic-character values over the extension."""
+    """|E(F_q)| by summing quadratic-character values over the extension.
+
+    The cubic is evaluated on logarithms: at x = alpha^i its terms are
+    alpha^(3i), alpha^(log a4 + i) and a6, added through the Zech table,
+    and chi(alpha^j) = (-1)^j.
+    """
     if spec.p == 2:
         raise EvenCharacteristicError("no Weierstrass form y^2 = ... in characteristic 2")
-    spec.scan_tables(force)
-    a4 = spec.element(a4)
-    a6 = spec.element(a6)
-    count = 1
-    for x in spec.elements():
-        count += 1 + quadratic_char(spec, x * x * x + a4 * x + a6)
+    _, log, zech = spec.scan_tables(force)
+    q1 = spec.q - 1
+    la4 = log[spec.element(a4).encode()]
+    la6 = log[spec.element(a6).encode()]
+
+    def points_over(lf: int) -> int:  # 1 + chi(f(x)), given log f(x)
+        return 1 if lf == NO_LOG else 2 - 2 * (lf & 1)
+
+    count = 1 + points_over(la6)  # the point at infinity, then x = 0
+    for i in range(q1):
+        a4x = NO_LOG if la4 == NO_LOG else (la4 + i) % q1
+        count += points_over(add_logs(zech, add_logs(zech, 3 * i % q1, a4x), la6))
     return count
 
 

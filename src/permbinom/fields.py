@@ -34,6 +34,12 @@ exp[log(x) * e mod (q - 1)], and so are inverse, element_order and both
 characters, which are all written in terms of it.  Without tables it
 falls back to square-and-multiply, which is also how the tables are
 checked in the tests.
+
+The scans that add elements (brute force, Wan-Lidl enumeration, power_sum
+and count_points_extension) work on logarithms and never build a
+FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
+add_logs does that addition with NO_LOG allowed on either side, so sums
+that start from zero or meet a zero coefficient need no special case.
 """
 
 from __future__ import annotations
@@ -438,6 +444,17 @@ class FieldSpec:
             return f"F_{self.p}"
         mod = ",".join(str(c) for c in self.modulus)
         return f"F_{self.p}^{self.k}(mod {mod})"
+
+
+def add_logs(zech: array, u: int, v: int) -> int:
+    """log(alpha^u + alpha^v) by one Zech lookup; NO_LOG stands for zero on either side and in the result."""
+    if u == NO_LOG:
+        return v
+    if v == NO_LOG:
+        return u
+    q1 = len(zech)
+    z = zech[(v - u) % q1]
+    return NO_LOG if z == NO_LOG else (u + z) % q1
 
 
 def _build_tables(spec: FieldSpec) -> FieldTables:

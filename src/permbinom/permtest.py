@@ -5,7 +5,9 @@ Routes:
     with a bitset, over discrete logarithms when enumerating binomials
     and over canonical encodings in is_permutation_bruteforce;
   * wanlidl: decompose into the index form x^r_low h(x^(q-1)/m) + b and
-    apply the index-form permutation criterion;
+    apply the index-form permutation criterion; wan_lidl_check does so for
+    any polynomial, and enumeration builds the binomial's form once and
+    tests each a != 0 on logarithms;
   * criterion: the character conditions specific to r = 2 and r = 3.
 
 All three agree on every field this package enumerates; the test suite
@@ -26,7 +28,7 @@ from .errors import (
     NonMinimalIndexError,
     ZeroPolynomialError,
 )
-from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, ensure_enumerable
+from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, add_logs, ensure_enumerable
 
 Poly = Mapping[int, FieldElement]
 
@@ -129,6 +131,16 @@ def _recompose(spec: FieldSpec, form: IndexForm) -> dict[int, FieldElement]:
     return poly
 
 
+def _ensure_minimal(spec: FieldSpec, form: IndexForm) -> None:
+    """Raise NonMinimalIndexError unless the form's own polynomial gives back its r_low and m."""
+    recomputed = compute_index_form(spec, _recompose(spec, form))
+    if (recomputed.r_low, recomputed.m) != (form.r_low, form.m):
+        raise NonMinimalIndexError(
+            f"form with r_low={form.r_low}, m={form.m} is not minimal "
+            f"(recomputed m={recomputed.m})"
+        )
+
+
 def wan_lidl_check(spec: FieldSpec, form: IndexForm) -> bool:
     """Index-form permutation criterion.
 
@@ -137,12 +149,7 @@ def wan_lidl_check(spec: FieldSpec, form: IndexForm) -> bool:
     the values (f - b)(alpha^i)^s for 0 <= i < m are pairwise distinct.
     The constant b only shifts the image, so it takes no part in the test.
     """
-    recomputed = compute_index_form(spec, _recompose(spec, form))
-    if (recomputed.r_low, recomputed.m) != (form.r_low, form.m):
-        raise NonMinimalIndexError(
-            f"form with r_low={form.r_low}, m={form.m} is not minimal "
-            f"(recomputed m={recomputed.m})"
-        )
+    _ensure_minimal(spec, form)
     q = spec.q
     s = (q - 1) // form.m
     if gcd(form.r_low, s) != 1:
@@ -248,6 +255,46 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     return out
 
 
+def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
+    """All a != 0 for which the binomial permutes F_q, by the index-form criterion.
+
+    For every a != 0 the binomial has the same support, so its index form
+    x^r_low h(x^s) differs from the a = 1 form only in which coefficient
+    of h is a. That form's minimality and gcd(r_low, s) = 1 are checked
+    once. Then, on logarithms to base alpha with zeta = alpha^s, the two
+    terms of h(zeta^i) are alpha^(log a + s i j_a) and alpha^(s i j_1),
+    added by one Zech lookup (NO_LOG: h vanishes there), and
+    (x^r_low h(x^s))^s at x = alpha^i is alpha^(s (r_low i + log h(zeta^i))).
+    """
+    poly = binomial_polynomial(spec, n, r, spec.one)
+    form = compute_index_form(spec, poly)
+    _ensure_minimal(spec, form)
+    q1 = spec.q - 1
+    s = q1 // form.m
+    if gcd(form.r_low, s) != 1:
+        return []
+    (hi,) = set(poly) - {n}
+    j_a, j_1 = (n - form.r_low) // s, (hi - form.r_low) // s  # where a and 1 sit in h
+    # the parts of each log that do not depend on a, for i = 0 .. m-1
+    steps = [(s * i * j_a, s * i * j_1 % q1, s * form.r_low * i) for i in range(form.m)]
+    _, log, zech = tables
+    out = []
+    for a in range(1, spec.q):
+        la = log[a]
+        seen = set()
+        for a_term, one_term, x_term in steps:
+            lh = add_logs(zech, (la + a_term) % q1, one_term)
+            if lh == NO_LOG:
+                break
+            v = (x_term + s * lh) % q1
+            if v in seen:
+                break
+            seen.add(v)
+        else:
+            out.append(spec.decode(a))
+    return out
+
+
 def enumerate_perm_binomials(
     spec: FieldSpec, n: int, r: int, method: str = "criterion", force: bool = False
 ) -> list[FieldElement]:
@@ -275,10 +322,7 @@ def enumerate_perm_binomials(
     if method == "bruteforce":
         return _brute_survivors(spec, tables, n, r)
     if method == "wanlidl":
-        out = []
-        for a in spec.elements():
-            form = compute_index_form(spec, binomial_polynomial(spec, n, r, a))
-            if wan_lidl_check(spec, form):
-                out.append(a)
-        return out
+        monomial = compute_index_form(spec, binomial_polynomial(spec, n, r, spec.zero))
+        head = [spec.zero] if wan_lidl_check(spec, monomial) else []
+        return head + _wan_lidl_survivors(spec, tables, n, r)
     raise ValueError(f"unknown method {method!r}")

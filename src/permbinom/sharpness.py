@@ -148,15 +148,11 @@ def sharpness_probe(
             findings=findings,
         )
 
-    old_dps = mp.dps
-    try:
-        mp.dps = max(80, 60 + 6 * depth)
+    with mp.workdps(max(80, 60 + 6 * depth)):
         theta = mp.atan2(mp.sqrt(mpf(4 * p - kappa * kappa)) / 2, mpf(-kappa) / 2)
         theta_str = mp.nstr(theta, 40)
         conv2pi = _convergents(theta / (2 * mp.pi), depth)
         convpi = _convergents(theta / mp.pi, depth)
-    finally:
-        mp.dps = old_dps
 
     candidates = sorted(
         {den for _, den in conv2pi if den <= k_max}

@@ -88,6 +88,18 @@ def test_probe_convergents_satisfy_the_convergent_inequality():
                 assert abs(x - mpf(m) / den) < mpf(1) / (mpf(den) * den)
 
 
+def test_probe_keeps_the_callers_precision():
+    reference = sharpness.sharpness_probe(7, 1, k_max=60)
+    saved = mp.dps
+    try:
+        mp.dps = 23
+        probe = sharpness.sharpness_probe(7, 1, k_max=60)
+        assert mp.dps == 23
+    finally:
+        mp.dps = saved
+    assert probe == reference  # the probe picks its own precision
+
+
 def test_probe_k_max_caps_findings_but_not_tables():
     probe = sharpness.sharpness_probe(73, 35, k_max=500)
     assert max(f.k for f in probe.findings) <= 500

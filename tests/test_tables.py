@@ -10,9 +10,17 @@ from math import gcd
 import pytest
 
 from permbinom import cli
-from permbinom.characters import cubic_char, quadratic_char
+from permbinom.characters import cubic_char, power_sum, quadratic_char
+from permbinom.curves import count_points_extension
+from permbinom.errors import BadFieldForCubicError
 from permbinom.fields import NO_LOG, FieldSpec, element_order, make_field
-from permbinom.permtest import binomial_polynomial, enumerate_perm_binomials, is_permutation_bruteforce
+from permbinom.permtest import (
+    binomial_polynomial,
+    compute_index_form,
+    enumerate_perm_binomials,
+    is_permutation_bruteforce,
+    wan_lidl_check,
+)
 
 # (p, k, modulus); the last is F_16 under x^4 + x^3 + 1 instead of the default x^4 + x + 1
 FIELDS = [
@@ -23,7 +31,27 @@ FIELDS = [
     (5, 2, make_field(5, 2).modulus),
     (2, 4, (1, 0, 0, 1, 1)),
 ]
-IDS = [f"{p}^{k}-mod{''.join(map(str, m))}" for p, k, m in FIELDS]
+# the Wan-Lidl scan is cheap enough to check on a few more fields
+WANLIDL_FIELDS = FIELDS + [(19, 1, (0, 1)), (31, 1, (0, 1)), (7, 2, make_field(7, 2).modulus)]
+ODD_FIELDS = [f for f in FIELDS if f[0] != 2]
+
+
+def _ids(fields):
+    return [f"{p}^{k}-mod{''.join(map(str, m))}" for p, k, m in fields]
+
+
+IDS = _ids(FIELDS)
+
+
+def _admissible(p, k):
+    q = p**k
+    for r in (2, 3):
+        if (r == 2 and p == 2) or (r == 3 and q % 3 != 1):
+            continue
+        d = (q - 1) // r
+        for n in range(1, q):
+            if gcd(n, d) == 1:
+                yield n, r
 
 
 def _pair(p, k, modulus):
@@ -76,6 +104,9 @@ def test_table_characters_inverse_and_order(p, k, modulus):
             assert quadratic_char(tabled, x) == quadratic_char(plain, y)
         if q % 3 == 1:
             assert cubic_char(tabled, x) == cubic_char(plain, y)
+        elif enc:
+            with pytest.raises(BadFieldForCubicError):
+                cubic_char(tabled, x)
         if enc:
             assert x.inverse().coeffs == y.inverse().coeffs
             assert element_order(x) == element_order(y)
@@ -84,21 +115,53 @@ def test_table_characters_inverse_and_order(p, k, modulus):
 @pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
 def test_table_brute_force_matches_direct_evaluation(p, k, modulus):
     tabled, plain = _pair(p, k, modulus)
+    for n, r in _admissible(p, k):
+        got = [a.encode() for a in enumerate_perm_binomials(tabled, n, r, method="bruteforce")]
+        want = [
+            a.encode()
+            for a in plain.elements()
+            if is_permutation_bruteforce(plain, binomial_polynomial(plain, n, r, a))
+        ]
+        assert got == want, (n, r)
+    assert plain._tables is None
+
+
+@pytest.mark.parametrize("p,k,modulus", WANLIDL_FIELDS, ids=_ids(WANLIDL_FIELDS))
+def test_table_wan_lidl_matches_the_generic_check(p, k, modulus):
+    tabled, plain = _pair(p, k, modulus)
+    for n, r in _admissible(p, k):
+        got = [a.encode() for a in enumerate_perm_binomials(tabled, n, r, method="wanlidl")]
+        want = [
+            a.encode()
+            for a in plain.elements()
+            if wan_lidl_check(plain, compute_index_form(plain, binomial_polynomial(plain, n, r, a)))
+        ]
+        assert got == want, (n, r)
+    assert plain._tables is None
+
+
+@pytest.mark.parametrize("p,k,modulus", ODD_FIELDS, ids=_ids(ODD_FIELDS))
+def test_table_point_counts_match_character_sums(p, k, modulus):
+    tabled, plain = _pair(p, k, modulus)
     q = p**k
-    for r in (2, 3):
-        if (r == 2 and p == 2) or (r == 3 and q % 3 != 1):
-            continue
-        d = (q - 1) // r
-        for n in range(1, q):
-            if gcd(n, d) != 1:
-                continue
-            got = [a.encode() for a in enumerate_perm_binomials(tabled, n, r, method="bruteforce")]
-            want = [
-                a.encode()
-                for a in plain.elements()
-                if is_permutation_bruteforce(plain, binomial_polynomial(plain, n, r, a))
-            ]
-            assert got == want, (n, r)
+    for a4, a6 in ((0, 0), (0, 1), (1, 0), (2, 3), (q - 1, q // 2), (1, q - 1)):
+        x4, x6 = plain.decode(a4), plain.decode(a6)
+        want = 1 + sum(1 + quadratic_char(plain, x * x * x + x4 * x + x6) for x in plain.elements())
+        assert count_points_extension(tabled, tabled.decode(a4), tabled.decode(a6)) == want, (a4, a6)
+    assert plain._tables is None
+
+
+@pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
+def test_table_power_sums(p, k, modulus):
+    tabled, plain = _pair(p, k, modulus)
+    q = p**k
+    for m in (0, 1, q - 2, q - 1, 2 * (q - 1), 3 * q + 5):
+        closed = -tabled.one if m > 0 and m % (q - 1) == 0 else tabled.zero
+        direct = plain.zero
+        for x in plain.elements():
+            direct = direct + x**m  # 0^0 = 1
+        got = power_sum(tabled, m)
+        assert got == closed and got.coeffs == direct.coeffs, m
     assert plain._tables is None
 
 
