@@ -26,22 +26,29 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-def _write_out(args, payload: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_bytes(payload.encode())
+def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
+    """Write the output in args.format, to args.out or else stdout.
+
+    JSON is the payload; text is the given string, or else one `key: value`
+    line per payload key; CSV is the rows.
+    """
+    if args.format == "json":
+        out = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        out = buf.getvalue()
     else:
-        sys.stdout.write(payload)
-
-
-def _emit_json(args, obj) -> None:
-    _write_out(args, json.dumps(obj, indent=2) + "\n")
+        out = text if text is not None else "".join(f"{key}: {value}\n" for key, value in payload.items())
+    if args.out:
+        Path(args.out).write_bytes(out.encode())
+    else:
+        sys.stdout.write(out)
 
 
 def _field_spec(args) -> FieldSpec:
     p, k = parse_field(args.field)
-    modulus = None
-    if getattr(args, "modulus", None):
-        modulus = [int(c) for c in args.modulus.split(",")]
+    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     return make_field(p, k, modulus)
 
 
@@ -61,33 +68,26 @@ def _cmd_enumerate(args) -> int:
         a.encode()
         for a in enumerate_perm_binomials(spec, args.n, args.r, method=args.method, force=args.force)
     ]
-    if args.format == "json":
-        _emit_json(args, {
+    cell = (spec.q, spec.p, spec.k, args.n, args.r, args.method)
+    _emit(
+        args,
+        {
             "q": spec.q, "p": spec.p, "k": spec.k, "n": args.n, "r": args.r,
             "method": args.method, "count": len(a_values), "a_values": a_values,
-        })
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("q", "p", "k", "n", "r", "method", "a_enc"))
-        for enc in a_values:
-            writer.writerow((spec.q, spec.p, spec.k, args.n, args.r, args.method, enc))
-        _write_out(args, buf.getvalue())
-    else:
-        lines = [f"q={spec.q} n={args.n} r={args.r} method={args.method} count={len(a_values)}"]
-        lines.append("a: " + " ".join(str(enc) for enc in a_values))
-        _write_out(args, "\n".join(lines) + "\n")
+        },
+        text=(
+            f"q={spec.q} n={args.n} r={args.r} method={args.method} count={len(a_values)}\n"
+            f"a: {' '.join(map(str, a_values))}\n"
+        ),
+        rows=[("q", "p", "k", "n", "r", "method", "a_enc")] + [cell + (enc,) for enc in a_values],
+    )
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
     p, k = parse_field(args.field)
     report = build_count_report(p, k, args.n, args.r, verify=args.verify, force=args.force)
-    payload = report_to_dict(report)
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        _write_out(args, "".join(f"{key}: {value}\n" for key, value in payload.items()))
+    _emit(args, report_to_dict(report))
     if args.verify:
         if report.brute_count != report.closed_count or len(report.a_values) != report.closed_count:
             print(
@@ -106,34 +106,27 @@ def _cmd_bounds(args) -> int:
     cor_lo = cor_hi = None
     if args.r == 3:
         cor_lo, cor_hi = refined_bounds_r3(q)
-    payload = {
+    _emit(args, {
         "q": q, "r": args.r,
         "mz_lower": str(mz_lo), "mz_upper": str(mz_hi),
         "cor_lower": cor_lo, "cor_upper": cor_hi,
-    }
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        _write_out(args, "".join(f"{key}: {value}\n" for key, value in payload.items()))
+    })
     return EXIT_OK
 
 
 def _cmd_kappa(args) -> int:
     rec = compute_kappa(args.p)
-    payload = {"p": rec.p, "kappa": rec.kappa, "residue": rec.residue, "curve_count": rec.curve_count}
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        _write_out(args, f"kappa({rec.p}) = {rec.kappa} (residue {rec.residue}, |E| = {rec.curve_count})\n")
+    _emit(
+        args,
+        {"p": rec.p, "kappa": rec.kappa, "residue": rec.residue, "curve_count": rec.curve_count},
+        text=f"kappa({rec.p}) = {rec.kappa} (residue {rec.residue}, |E| = {rec.curve_count})\n",
+    )
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
     value = pi_trace(args.p, args.j)
-    if args.format == "json":
-        _emit_json(args, {"p": args.p, "j": args.j, "s_j": str(value)})
-    else:
-        _write_out(args, f"s_{args.j}(pi_{args.p}) = {value}\n")
+    _emit(args, {"p": args.p, "j": args.j, "s_j": str(value)}, text=f"s_{args.j}(pi_{args.p}) = {value}\n")
     return EXIT_OK
 
 
@@ -142,15 +135,12 @@ def _cmd_curve(args) -> int:
     a4 = _element(spec, args.A)
     a6 = _element(spec, args.B)
     count = count_points_extension(spec, a4, a6, force=args.force)
-    payload = {
-        "q": spec.q, "p": spec.p, "k": spec.k,
-        "a4": a4.encode(), "a6": a6.encode(),
-        "count": count, "trace": spec.q + 1 - count,
-    }
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        _write_out(args, f"|E(F_{spec.q})| = {count} for y^2 = x^3 + {a4!r} x + {a6!r} (trace {payload['trace']})\n")
+    trace = spec.q + 1 - count
+    _emit(
+        args,
+        {"q": spec.q, "p": spec.p, "k": spec.k, "a4": a4.encode(), "a6": a6.encode(), "count": count, "trace": trace},
+        text=f"|E(F_{spec.q})| = {count} for y^2 = x^3 + {a4!r} x + {a6!r} (trace {trace})\n",
+    )
     return EXIT_OK
 
 
@@ -178,10 +168,7 @@ def _cmd_char(args) -> int:
             exps = [cubic_char(spec, x) for x in spec.elements() if not x.is_zero]
             cubic = {"0": exps.count(0), "1": exps.count(1), "2": exps.count(2), "zero": 1}
         payload = {"q": q, "quadratic_classes": quad, "cubic_classes": cubic}
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        _write_out(args, "".join(f"{key}: {value}\n" for key, value in payload.items()))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -199,20 +186,21 @@ def _cmd_sharpness(args) -> int:
         }
         for f in probe.findings
     ]
-    if args.format == "json":
-        _emit_json(args, {
+    lines = [f"p={probe.p} n={probe.n} kappa={probe.kappa} theta={probe.theta}"]
+    for f in findings:
+        flag = "" if f["gcd_ok"] else "  [n shares a factor with (p^k-1)/3]"
+        lines.append(f"k={f['k']}: d_k = {f['deviation']}{flag}")
+    _emit(
+        args,
+        {
             "p": probe.p, "n": probe.n, "kappa": probe.kappa, "theta": probe.theta,
             "depth": probe.depth,
             "convergents_two_pi": [[str(num), str(den)] for num, den in probe.convergents_two_pi],
             "convergents_pi": [[str(num), str(den)] for num, den in probe.convergents_pi],
             "findings": findings,
-        })
-    else:
-        lines = [f"p={probe.p} n={probe.n} kappa={probe.kappa} theta={probe.theta}"]
-        for f in findings:
-            flag = "" if f["gcd_ok"] else "  [n shares a factor with (p^k-1)/3]"
-            lines.append(f"k={f['k']}: d_k = {f['deviation']}{flag}")
-        _write_out(args, "\n".join(lines) + "\n")
+        },
+        text="\n".join(lines) + "\n",
+    )
     return EXIT_OK
 
 
@@ -226,28 +214,21 @@ def _cmd_selftest(args) -> int:
     suite = AcceptanceSuite(**kwargs)
     names = args.only.split(",") if args.only else None
     results = suite.run(names)
-    if args.format == "json":
-        _emit_json(args, {
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.elapsed_ms / 1000:.1f}s): {r.detail}" for r in results]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    _emit(
+        args,
+        {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed_ms": r.elapsed_ms}
                 for r in results
             ],
             "passed": all(r.passed for r in results),
-        })
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("name", "passed", "elapsed_ms", "detail"))
-        for r in results:
-            writer.writerow((r.name, r.passed, r.elapsed_ms, r.detail))
-        _write_out(args, buf.getvalue())
-    else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.elapsed_ms / 1000:.1f}s): {r.detail}"
-            for r in results
-        ]
-        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-        _write_out(args, "\n".join(lines) + "\n")
+        },
+        text="\n".join(lines) + "\n",
+        rows=[("name", "passed", "elapsed_ms", "detail")]
+        + [(r.name, r.passed, r.elapsed_ms, r.detail) for r in results],
+    )
     if args.report:
         r2, r3 = suite.r2_sweep(), suite.r3_sweep()
         merged = SweepResult(
@@ -266,22 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
-
     fieldy = argparse.ArgumentParser(add_help=False)
     fieldy.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
     fieldy.add_argument("--modulus", help="irreducible modulus c0,c1,...,1 (constant first)")
     fieldy.add_argument("--force", action="store_true", help="override the enumeration size guard")
 
-    p_enum = sub.add_parser("enumerate", parents=[common, fieldy], help="list admissible a values")
+    p_enum = sub.add_parser("enumerate", parents=[fieldy], help="list admissible a values")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--r", type=int, choices=(2, 3), required=True)
     p_enum.add_argument("--method", choices=("criterion", "bruteforce", "wanlidl"), default="criterion")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
-    p_count = sub.add_parser("count", parents=[common], help="closed-form count with bounds")
+    p_count = sub.add_parser("count", help="closed-form count with bounds")
     p_count.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--r", type=int, choices=(2, 3), required=True)
@@ -289,49 +266,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--force", action="store_true", help="override the enumeration size guard")
     p_count.set_defaults(handler=_cmd_count)
 
-    p_bounds = sub.add_parser("bounds", parents=[common], help="Masuda-Zieve and refined count bounds")
+    p_bounds = sub.add_parser("bounds", help="Masuda-Zieve and refined count bounds")
     p_bounds.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
     p_bounds.add_argument("--r", type=int, choices=(2, 3), required=True)
     p_bounds.set_defaults(handler=_cmd_bounds)
 
-    p_kappa = sub.add_parser("kappa", parents=[common], help="Frobenius trace of y^2 = x^3 + 1/4 at p")
+    p_kappa = sub.add_parser("kappa", help="Frobenius trace of y^2 = x^3 + 1/4 at p")
     p_kappa.add_argument("--p", type=int, required=True)
     p_kappa.set_defaults(handler=_cmd_kappa)
 
-    p_trace = sub.add_parser("trace", parents=[common], help="trace s_j of the Frobenius power pi_p^j")
+    p_trace = sub.add_parser("trace", help="trace s_j of the Frobenius power pi_p^j")
     p_trace.add_argument("--p", type=int, required=True)
     p_trace.add_argument("--j", type=int, required=True)
     p_trace.set_defaults(handler=_cmd_trace)
 
-    p_curve = sub.add_parser("curve", parents=[common, fieldy], help="count points of y^2 = x^3 + A x + B")
+    p_curve = sub.add_parser("curve", parents=[fieldy], help="count points of y^2 = x^3 + A x + B")
     p_curve.add_argument("--A", required=True, help="element encoding, or inv4")
     p_curve.add_argument("--B", required=True, help="element encoding, or inv4")
     p_curve.set_defaults(handler=_cmd_curve)
 
-    p_char = sub.add_parser("char", parents=[common, fieldy], help="character values, class counts, power sums")
+    p_char = sub.add_parser("char", parents=[fieldy], help="character values, class counts, power sums")
     group = p_char.add_mutually_exclusive_group()
     group.add_argument("--x", help="element encoding to evaluate both characters at")
     group.add_argument("--power-sum", type=int, metavar="M", help="sum of x^M over the whole field")
     p_char.set_defaults(handler=_cmd_char)
 
-    p_sharp = sub.add_parser("sharpness", parents=[common], help="probe extensions where d_k approaches +-2")
+    p_sharp = sub.add_parser("sharpness", help="probe extensions where d_k approaches +-2")
     p_sharp.add_argument("--p", type=int, required=True)
     p_sharp.add_argument("--n", type=int, required=True)
     p_sharp.add_argument("--depth", type=int, default=30, help="continued-fraction depth")
     p_sharp.add_argument("--k-max", type=int, default=10_000, help="largest extension degree probed")
     p_sharp.set_defaults(handler=_cmd_sharpness)
 
-    # selftest defaults to text, so it gets its own --format rather than the
-    # shared action (set_defaults on a shared parent action leaks everywhere)
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    p_self.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
     p_self.add_argument("--jobs", type=int, default=1, help="worker processes for the sweeps")
     p_self.add_argument("--q-max", type=int, help="cap both sweeps at this q (default 343 / 400)")
     p_self.add_argument("--only", help="comma-separated subset of checks")
     p_self.add_argument("--report", metavar="PATH", help="also write the merged sweep report")
     p_self.add_argument("--report-format", choices=("json", "csv", "text"), default="json")
     p_self.set_defaults(handler=_cmd_selftest)
+
+    for name, cmd in sub.choices.items():
+        formats = ("json", "text", "csv") if name in ("enumerate", "selftest") else ("json", "text")
+        cmd.add_argument("--format", choices=formats, default="text" if name == "selftest" else "json")
+        cmd.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
     return parser
 
 

@@ -24,33 +24,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, isqrt
 
 from .curves import pi_trace
-from .errors import (
-    BadFieldForCubicError,
-    DivisibilityViolationError,
-    EvenCharacteristicError,
-    GcdViolationError,
-    NonPrimeError,
-)
+from .errors import BadFieldForCubicError, DivisibilityViolationError, NonPrimeError
 from .fields import make_field
-from .permtest import enumerate_perm_binomials
+from .permtest import check_cell, enumerate_perm_binomials
 from .primes import exact_sqrt, prime_power_decompose
 
 _SQRT_SCALE = 10**30  # denominator for outward rational brackets of sqrt(q)
 
 
 def closed_count_r2(q: int, n: int) -> int:
-    """(q - 2 + (-1)^n) / 2 under the gcd(n, (q-1)/2) = 1 precondition."""
-    pk = prime_power_decompose(q)
-    if pk is None:
+    """(q - 2 + (-1)^n) / 2 on a prime power q for an admissible cell (q, n, 2)."""
+    if prime_power_decompose(q) is None:
         raise NonPrimeError(f"q = {q} is not a prime power")
-    if q % 2 == 0:
-        raise EvenCharacteristicError("r = 2 counts need odd q")
-    half = (q - 1) // 2
-    if gcd(n, half) != 1:
-        raise GcdViolationError(f"gcd(n={n}, (q-1)/2={half}) != 1")
+    check_cell(q, n, 2)
     return (q - 2 + (-1) ** n) // 2
 
 
@@ -62,13 +51,9 @@ def epsilons(q: int, n: int) -> tuple[int, int]:
 
 
 def closed_count_r3(p: int, k: int, n: int) -> int:
-    """Exact r = 3 count over F_{p^k} from the trace of Frobenius."""
+    """Exact r = 3 count over F_{p^k} from the trace of Frobenius, on an admissible cell."""
     q = p**k
-    if q % 3 != 1:
-        raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
-    third = (q - 1) // 3
-    if gcd(n, third) != 1:
-        raise GcdViolationError(f"gcd(n={n}, (q-1)/3={third}) != 1")
+    check_cell(q, n, 3)
     e1, e2 = epsilons(q, n)
     numerator = 2 * q - 3 * (e1 + e2) - 10 - 2 * pi_trace(p, k)
     if numerator % 9 != 0:
@@ -156,17 +141,16 @@ def build_count_report(
 ) -> CountReport:
     """Closed-form count plus bounds; verify=True adds brute force and the a list."""
     q = p**k
+    check_cell(q, n, r)
     if r == 2:
         e1 = e2 = s_k = None
         closed = closed_count_r2(q, n)
         cor_lo = cor_hi = None
-    elif r == 3:
+    else:
         e1, e2 = epsilons(q, n)
         s_k = pi_trace(p, k)
         closed = closed_count_r3(p, k, n)
         cor_lo, cor_hi = refined_bounds_r3(q)
-    else:
-        raise ValueError("r must be 2 or 3")
     mz_lo, mz_hi = masuda_zieve_bounds(q, r)
     brute_count = None
     a_values = None

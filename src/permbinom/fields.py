@@ -299,8 +299,6 @@ class FieldElement:
         return _encode(self.coeffs, self.spec.p)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.spec.element(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self.spec == other.spec and self.coeffs == other.coeffs
@@ -515,13 +513,22 @@ def element_order(el: FieldElement) -> int:
 
 
 def parse_field(text: str) -> tuple[int, int]:
-    """Parse a CLI field string 'p^k', or a plain prime-power order q, into (p, k)."""
+    """Parse a CLI field string 'p^k', or a plain prime-power order q, into (p, k).
+
+    Raises NonPrimeError unless p is prime (or q a prime power) and
+    DegreeMismatchError unless k >= 1, the checks make_field makes.
+    """
     parts = text.split("^")
     if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
+        p, k = int(parts[0]), int(parts[1])
+        if not is_prime(p):
+            raise NonPrimeError(f"{p} is not prime")
+        if k < 1:
+            raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
+        return p, k
     if len(parts) == 1:
         decomposed = prime_power_decompose(int(parts[0]))
         if decomposed is None:
-            raise ValueError(f"{text} is not a prime power")
+            raise NonPrimeError(f"{text} is not a prime power")
         return decomposed
     raise ValueError(f"cannot parse field {text!r}; expected 'q' or 'p^k'")

@@ -10,6 +10,11 @@ Routes:
     tests each a != 0 on logarithms;
   * criterion: the character conditions specific to r = 2 and r = 3.
 
+The routes answer only on admissible cells (q, n, r), the ones the paper
+counts: r is 2 or 3, q is odd for r = 2 and q = 1 mod 3 for r = 3,
+1 <= n <= q - 1, and gcd(n, (q-1)/r) = 1. check_cell is the one place that
+rule is written; field_admits is its field half.
+
 All three agree on every field this package enumerates; the test suite
 checks that, which is what makes the fast criterion trustworthy.
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from .errors import (
@@ -185,33 +190,45 @@ def wan_lidl_check(spec: FieldSpec, form: IndexForm) -> bool:
     return True
 
 
-def criterion_r2(spec: FieldSpec, n: int, a: FieldElement) -> bool:
+def field_admits(q: int, r: int) -> bool:
+    """Whether the counts cover F_q at r: q odd for r = 2, q = 1 mod 3 for r = 3."""
+    return (r == 2 and q % 2 == 1) or (r == 3 and q % 3 == 1)
+
+
+def check_cell(q: int, n: int, r: int) -> None:
+    """Raise unless (q, n, r) is an admissible cell.
+
+    Works on q alone and never factors it, so it costs nothing at huge q.
+    """
+    if r not in (2, 3):
+        raise ValueError(f"r must be 2 or 3, got {r}")
+    if not field_admits(q, r):
+        if r == 2:
+            raise EvenCharacteristicError(f"r = 2 needs odd q, got q = {q}")
+        raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
+    if not 1 <= n <= q - 1:
+        raise ValueError(f"n must lie in [1, q-1], got {n}")
+    d = (q - 1) // r
+    if gcd(n, d) != 1:
+        raise GcdViolationError(f"gcd(n={n}, (q-1)/{r}={d}) != 1")
+
+
+def _criterion_r2(spec: FieldSpec, n: int, a: FieldElement) -> bool:
     """Character test for r = 2: chi(a^2 - 1) must equal (-1)^(n+1).
 
     chi(0) matches neither sign, so a = +-1 always fails.
     """
-    if spec.p == 2:
-        raise EvenCharacteristicError("r = 2 needs odd q")
-    half = (spec.q - 1) // 2
-    if gcd(n, half) != 1:
-        raise GcdViolationError(f"gcd(n={n}, (q-1)/2={half}) != 1")
     target = 1 if n % 2 == 1 else -1
     return quadratic_char(spec, a * a - 1) == target
 
 
-def criterion_r3(spec: FieldSpec, n: int, a: FieldElement) -> bool:
+def _criterion_r3(spec: FieldSpec, n: int, a: FieldElement) -> bool:
     """Character test for r = 3 on the cross-ratios of a against 1, xi, xi^2.
 
     With xi a primitive cube root of unity, a passes iff a is none of
     -1, -xi, -xi^2 and none of the cubic-character exponents of
     (xi+a)/(1+a), (1+a)/(xi^2+a), (xi^2+a)/(xi+a) equals 2n mod 3.
     """
-    q = spec.q
-    if q % 3 != 1:
-        raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
-    third = (q - 1) // 3
-    if gcd(n, third) != 1:
-        raise GcdViolationError(f"gcd(n={n}, (q-1)/3={third}) != 1")
     one, xi, xi2 = cubic_roots_of_unity(spec)
     if a == -one or a == -xi or a == -xi2:
         return False
@@ -303,21 +320,10 @@ def enumerate_perm_binomials(
     a = 0 is included; the binomial degenerates to the monomial
     x^(n + (q-1)/r) and every route handles it consistently.
     """
-    q = spec.q
-    if r not in (2, 3):
-        raise ValueError("r must be 2 or 3")
-    if r == 2 and spec.p == 2:
-        raise EvenCharacteristicError("r = 2 needs odd q")
-    if r == 3 and q % 3 != 1:
-        raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
-    if not 1 <= n <= q - 1:
-        raise ValueError(f"n must lie in [1, q-1], got {n}")
-    d = (q - 1) // r
-    if gcd(n, d) != 1:
-        raise GcdViolationError(f"gcd(n={n}, (q-1)/{r}={d}) != 1")
+    check_cell(spec.q, n, r)
     tables = spec.scan_tables(force)
     if method == "criterion":
-        crit = criterion_r2 if r == 2 else criterion_r3
+        crit = _criterion_r2 if r == 2 else _criterion_r3
         return [a for a in spec.elements() if crit(spec, n, a)]
     if method == "bruteforce":
         return _brute_survivors(spec, tables, n, r)

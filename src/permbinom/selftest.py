@@ -22,7 +22,7 @@ from .curves import (
     point_count_residue,
 )
 from .fields import make_field
-from .permtest import enumerate_perm_binomials
+from .permtest import enumerate_perm_binomials, field_admits
 from .primes import is_prime, prime_power_decompose, prime_powers_upto
 from .sweep import SweepConfig, SweepResult, run_verify_sweep, valid_exponents
 
@@ -110,10 +110,7 @@ class AcceptanceSuite:
         if result.failures:
             first = result.failures[0]
             return False, f"{len(result.failures)} failures, first: q={first.q} n={first.n} {first.route_a} vs {first.route_b}: {first.diff}"
-        fields = [
-            q for q in prime_powers_upto(q_max)
-            if (q % 2 == 1 if r == 2 else q % 3 == 1)
-        ]
+        fields = [q for q in prime_powers_upto(q_max) if field_admits(q, r)]
         expected = sum(len(valid_exponents(q, r)) for q in fields)
         if len(result.cells) != expected:
             return False, f"coverage gap: {len(result.cells)} cells, expected {expected}"

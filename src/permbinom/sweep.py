@@ -29,7 +29,7 @@ from .counts import closed_count_r3, closed_count_r2, epsilons, masuda_zieve_bou
 from .curves import pi_trace
 from .errors import DivisibilityViolationError
 from .fields import ensure_enumerable, make_field
-from .permtest import enumerate_perm_binomials
+from .permtest import enumerate_perm_binomials, field_admits
 from .primes import prime_power_decompose, prime_powers_upto
 
 KNOWN_METHODS = ("criterion", "bruteforce", "wanlidl")
@@ -86,9 +86,8 @@ def _set_diff(a: frozenset, b: frozenset) -> str:
     return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
 
 
-def _field_task(args: tuple) -> tuple[list[dict], list[tuple]]:
+def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict], list[tuple]]:
     """All cells and failures for one (q, r) block. Top level so it pickles."""
-    p, k, r, methods, brute_full_max, rate, seed, force = args
     q = p**k
     spec = make_field(p, k)
     cells: list[dict] = []
@@ -101,12 +100,12 @@ def _field_task(args: tuple) -> tuple[list[dict], list[tuple]]:
         if key in class_sets:
             continue
         crit = frozenset(
-            a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion", force=force)
+            a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion", force=config.force)
         )
         class_sets[key] = crit
-        if "wanlidl" in methods:
+        if "wanlidl" in config.methods:
             wl = frozenset(
-                a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl", force=force)
+                a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl", force=config.force)
             )
             if wl != crit:
                 failures.append((q, n, r, "criterion", "wanlidl", _set_diff(crit, wl)))
@@ -114,8 +113,8 @@ def _field_task(args: tuple) -> tuple[list[dict], list[tuple]]:
     mz_lo, mz_hi = masuda_zieve_bounds(q, r)
     cor_lo, cor_hi = refined_bounds_r3(q) if r == 3 else (None, None)
     s_k = pi_trace(p, k) if r == 3 else None
-    brute_wanted = "bruteforce" in methods
-    rng = random.Random(f"{seed}:{q}:{r}")
+    brute_wanted = "bruteforce" in config.methods
+    rng = random.Random(f"{config.seed}:{q}:{r}")
 
     for n in ns:
         crit_set = class_sets[_class_key(n, r)]
@@ -138,9 +137,9 @@ def _field_task(args: tuple) -> tuple[list[dict], list[tuple]]:
             ok = False
 
         brute_count = None
-        if brute_wanted and (q <= brute_full_max or rng.random() < rate):
+        if brute_wanted and (q <= config.brute_full_max or rng.random() < config.brute_sample_rate):
             brute = frozenset(
-                a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce", force=force)
+                a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce", force=config.force)
             )
             brute_count = len(brute)
             if brute != crit_set:
@@ -200,20 +199,12 @@ def run_verify_sweep(config: SweepConfig) -> SweepResult:
     tasks = []
     for q in prime_powers_upto(config.q_max):
         p, k = prime_power_decompose(q)
-        for r in sorted(set(config.r_set)):
-            if r == 2 and p == 2:
-                continue
-            if r == 3 and q % 3 != 1:
-                continue
-            tasks.append(
-                (p, k, r, tuple(config.methods), config.brute_full_max,
-                 config.brute_sample_rate, config.seed, config.force)
-            )
+        tasks += [(config, p, k, r) for r in sorted(set(config.r_set)) if field_admits(q, r)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            parts = list(pool.map(_field_task, tasks))
+            parts = list(pool.map(_field_task, *zip(*tasks)))  # one iterable per parameter
     else:
-        parts = [_field_task(t) for t in tasks]
+        parts = [_field_task(*t) for t in tasks]
     cells: list[dict] = []
     failures: list[SweepFailure] = []
     for cell_part, fail_part in parts:

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import permbinom.counts as counts
+import permbinom.primes as primes
 from permbinom.counts import (
     build_count_report,
     closed_count_r2,
@@ -23,8 +24,9 @@ from permbinom.errors import (
     GcdViolationError,
     NonPrimeError,
 )
+from permbinom.curves import pi_trace
 from permbinom.fields import make_field
-from permbinom.permtest import enumerate_perm_binomials
+from permbinom.permtest import check_cell, enumerate_perm_binomials, field_admits
 
 F73_SET = [0, 2, 4, 16, 18, 21, 22, 30, 32, 33, 37, 45, 55, 57, 68, 71]
 
@@ -67,6 +69,53 @@ def test_closed_count_r3_pins():
     assert closed_count_r3(2, 2, 1) == 1
     assert closed_count_r3(7, 1, 1) == 0
     assert closed_count_r3(13, 1, 1) == 1
+
+
+# (p, k, n, r, error): one failure of each clause of the admissibility rule
+INADMISSIBLE = [
+    (13, 1, 1, 4, ValueError),  # r outside {2, 3}
+    (2, 3, 1, 2, EvenCharacteristicError),  # even q at r = 2
+    (11, 1, 1, 3, BadFieldForCubicError),  # q = 11 is 2 mod 3
+    *[(13, 1, n, r, ValueError) for r in (2, 3) for n in (0, 13, -1)],  # n outside [1, q-1]
+    (13, 1, 2, 2, GcdViolationError),  # gcd(2, 6) = 2
+    (13, 1, 2, 3, GcdViolationError),  # gcd(2, 4) = 2
+    (7, 2, 3, 2, GcdViolationError),  # gcd(3, 24) = 3 on an extension field
+]
+
+
+def _error_type(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value)
+
+
+@pytest.mark.parametrize("p,k,n,r,error", INADMISSIBLE)
+def test_every_entry_point_rejects_an_inadmissible_cell_alike(p, k, n, r, error):
+    q = p**k
+    raised = {
+        "check_cell": _error_type(check_cell, q, n, r),
+        "enumerate": _error_type(enumerate_perm_binomials, make_field(p, k), n, r),
+        "build_count_report": _error_type(build_count_report, p, k, n, r),
+    }
+    if r == 2:
+        raised["closed_count_r2"] = _error_type(closed_count_r2, q, n)
+    if r == 3:
+        raised["closed_count_r3"] = _error_type(closed_count_r3, p, k, n)
+    assert raised == dict.fromkeys(raised, error)
+
+
+def test_check_cell_never_factors_q(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(primes, "factorize", no_factoring)
+    q = 7**1000
+    check_cell(q, 1, 3)
+    check_cell(13, 5, 2)
+    assert closed_count_r3(7, 1000, 1) == (2 * q - 3 * sum(epsilons(q, 1)) - 10 - 2 * pi_trace(7, 1000)) // 9
+    assert [q for q in range(2, 50) if field_admits(q, 2)] == list(range(3, 50, 2))
+    assert [q for q in range(2, 50) if field_admits(q, 3)] == list(range(4, 50, 3))
+    assert not any(field_admits(q, r) for q in (7, 13, 25) for r in (1, 4, 6))
 
 
 def test_closed_count_r3_validation():

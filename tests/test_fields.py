@@ -149,7 +149,12 @@ def test_elements_hashable():
     table = {el: el.encode() for el in spec.elements()}
     assert len(table) == 5
     assert table[spec.element(3)] == 3
-    assert spec.element(3) == 3  # int comparison uses the encoding
+    # equal elements compare and hash equal; an element never equals an int,
+    # whose hash could not agree with it (3 and 8 are the same element of F_5)
+    assert spec.element(8) == spec.element(3) and hash(spec.element(8)) == hash(spec.element(3))
+    assert spec.element(3) != 3 and spec.element(3) != 8
+    f7 = make_field(7)
+    assert f7.element(5) != 5 and 5 not in {f7.element(5)}
 
 
 def test_make_field_validation():
@@ -197,3 +202,9 @@ def test_parse_field():
         parse_field("12")
     with pytest.raises(ValueError):
         parse_field("x")
+    for text in ("10^1", "9^1", "1^3", "12"):
+        with pytest.raises(NonPrimeError):
+            parse_field(text)
+    for text in ("7^0", "7^-1"):
+        with pytest.raises(DegreeMismatchError):
+            parse_field(text)

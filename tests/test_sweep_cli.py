@@ -247,6 +247,53 @@ def test_cli_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--field", "7", "--n", "-1", "--r", "2"],  # n below [1, q-1]
+        ["count", "--field", "7", "--n", "7", "--r", "2"],  # n = q
+        ["bounds", "--field", "10^1", "--r", "3"],  # base not prime
+        ["bounds", "--field", "7^0", "--r", "2"],  # k < 1
+        ["bounds", "--field", "7^-1", "--r", "2"],
+        ["count", "--field", "7^0", "--n", "1", "--r", "3"],
+        ["count", "--field", "9^1", "--n", "1", "--r", "2"],  # 9 is a prime power, not a prime
+    ],
+)
+def test_cli_rejects_bad_cells_and_fields(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--field", "7", "--n", "1", "--r", "2"],
+        ["bounds", "--field", "7", "--r", "2"],
+        ["kappa", "--p", "73"],
+        ["trace", "--p", "73", "--j", "2"],
+        ["curve", "--field", "5", "--A", "0", "--B", "1"],
+        ["char", "--field", "13"],
+        ["sharpness", "--p", "5", "--n", "1"],
+    ],
+)
+def test_cli_csv_only_where_the_output_is_a_table(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert cli.main(argv + ["--format", "text"]) == 0
+
+
+def test_cli_selftest_csv(capsys):
+    rc = cli.main(["selftest", "--only", "char2-sums,kappa-table", "--format", "csv"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "name,passed,elapsed_ms,detail"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["char2-sums", "True"], ["kappa-table", "True"]]
+
+
 def test_cli_cross_check_mismatch_exits_1(capsys, monkeypatch):
     fake = SimpleNamespace(
         q=13, p=13, k=1, n=1, r=2, epsilon1=None, epsilon2=None, s_k=None,
