@@ -43,7 +43,6 @@ from .fields import (
     parse_field,
 )
 from .permtest import (
-    BinomialCase,
     IndexForm,
     binomial_polynomial,
     compute_index_form,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcceptanceSuite",
     "BadFieldForCubicError",
-    "BinomialCase",
     "CheckResult",
     "CountReport",
     "CrossCheckFailedError",

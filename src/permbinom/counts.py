@@ -30,7 +30,7 @@ from .curves import pi_trace
 from .errors import BadFieldForCubicError, DivisibilityViolationError, NonPrimeError
 from .fields import make_field
 from .permtest import check_cell, enumerate_perm_binomials
-from .primes import exact_sqrt, prime_power_decompose
+from .primes import exact_sqrt, is_prime, prime_power_decompose
 
 _SQRT_SCALE = 10**30  # denominator for outward rational brackets of sqrt(q)
 
@@ -140,6 +140,8 @@ def build_count_report(
     p: int, k: int, n: int, r: int, verify: bool = False, force: bool = False
 ) -> CountReport:
     """Closed-form count plus bounds; verify=True adds brute force and the a list."""
+    if not is_prime(p):
+        raise NonPrimeError(f"{p} is not prime")
     q = p**k
     check_cell(q, n, r)
     if r == 2:

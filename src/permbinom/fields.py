@@ -40,6 +40,7 @@ and count_points_extension) work on logarithms and never build a
 FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
 add_logs does that addition with NO_LOG allowed on either side, so sums
 that start from zero or meet a zero coefficient need no special case.
+Brute force takes r such sums per a and shifts a bitmask of logs by each.
 """
 
 from __future__ import annotations

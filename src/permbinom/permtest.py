@@ -1,9 +1,9 @@
 """Permutation tests for binomials x^n (x^((q-1)/r) + a), three ways.
 
 Routes:
-  * bruteforce: evaluate the map on all of F_q and check bijectivity
-    with a bitset, over discrete logarithms when enumerating binomials
-    and over canonical encodings in is_permutation_bruteforce;
+  * bruteforce: evaluate the map on all of F_q and check bijectivity,
+    pointwise on encodings in is_permutation_bruteforce and, enumerating,
+    at every x at once as r shifted bitmasks of logarithms per a;
   * wanlidl: decompose into the index form x^r_low h(x^(q-1)/m) + b and
     apply the index-form permutation criterion; wan_lidl_check does so for
     any polynomial, and enumeration builds the binomial's form once and
@@ -36,15 +36,6 @@ from .errors import (
 from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, add_logs, ensure_enumerable
 
 Poly = Mapping[int, FieldElement]
-
-
-@dataclass(frozen=True)
-class BinomialCase:
-    """One candidate x^n (x^((q-1)/r) + a)."""
-
-    n: int
-    r: int
-    a: FieldElement
 
 
 @dataclass(frozen=True)
@@ -241,34 +232,42 @@ def _criterion_r3(spec: FieldSpec, n: int, a: FieldElement) -> bool:
     return t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
 
 
+def _bitmask(positions, width: int) -> int:
+    """The width-bit int with exactly the given bits set, built in O(width)."""
+    buf = bytearray((width + 7) >> 3)
+    for e in positions:
+        buf[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
     """All a for which the binomial permutes F_q, by evaluating it at every x.
 
-    Values are handled as logarithms to base alpha. x = 0 maps to 0. At
-    x = alpha^i the terms x^(n+d) and a x^n are alpha^u and alpha^v with
-    u = (n+d) i and v = log(a) + n i, and alpha^u + alpha^v is
-    alpha^(u + zech[v - u]), or 0 where zech holds NO_LOG: a collision
-    with x = 0.
+    Values are logarithms to base alpha; x = 0 maps to 0. At x = alpha^i
+    with t = i mod r, x^d = alpha^(d t) as r d = q - 1, so log f(x) is
+    n i + L_t with L_t = log(alpha^(d t) + a). Mask M_t has bit n i mod (q-1)
+    for each i = t mod r, and a passes iff no L_t is NO_LOG (another root of
+    f) and the M_t rotated by L_t cover all q - 1 bits: r shifts of
+    O(q / 64) machine words per a.
     """
     _, log, zech = tables
     q1 = spec.q - 1
     d = q1 // r
-    hi = [(n + d) * i % q1 for i in range(q1)]
-    lo = [n * i % q1 for i in range(q1)]
-    out = [spec.zero] if len(set(hi)) == q1 else []  # a = 0: the monomial x^(n+d)
+    full = (1 << q1) - 1
+    rows = [(d * t, _bitmask((n * i % q1 for i in range(t, q1, r)), q1)) for t in range(r)]
+    # a = 0: the monomial x^(n+d)
+    out = [spec.zero] if _bitmask(((n + d) * i % q1 for i in range(q1)), q1) == full else []
     for a in range(1, spec.q):
         la = log[a]
-        seen = bytearray(q1)
-        for u, m in zip(hi, lo):
-            z = zech[(la + m - u) % q1]
-            if z == NO_LOG:
+        image = 0
+        for dt, mask in rows:
+            shift = add_logs(zech, dt, la)
+            if shift == NO_LOG:
                 break
-            w = (u + z) % q1
-            if seen[w]:
-                break
-            seen[w] = 1
+            image |= mask << shift
         else:
-            out.append(spec.decode(a))
+            if (image | image >> q1) & full == full:  # fold the 2(q-1) bits: a rotation
+                out.append(spec.decode(a))
     return out
 
 

@@ -1,6 +1,6 @@
 """Small deterministic number-theory helpers on plain integers."""
 
-from math import gcd, isqrt
+from math import isqrt
 
 # Witness set proven sufficient for every n < 3.3 * 10^24, far beyond any
 # modulus this package touches.
@@ -68,7 +68,3 @@ def exact_sqrt(n: int) -> int | None:
     """Integer square root when n is a perfect square, else None."""
     r = isqrt(n)
     return r if r * r == n else None
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

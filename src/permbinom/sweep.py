@@ -5,7 +5,7 @@ to (q-1)/r. The admissible-a set depends on n only through n mod 2 (r = 2)
 or 2n mod 3 (r = 3), so the criterion enumeration runs once per residue
 class of n and every cell is compared against its class set; the closed
 form is evaluated per cell. Brute force confirms every cell for small q
-and a fixed-seed sample above that (O(q^2) per cell dominates runtime).
+and a fixed-seed sample above that, at r q shifts of q-bit masks per cell.
 
 Disagreements are recorded as failures, never raised, so one bad cell
 cannot mask others. Cells are merged in (q, n, r) order, which makes

@@ -201,6 +201,13 @@ def test_build_count_report_r2_leaves_cubic_fields_none():
     assert rep.closed_count == 5
 
 
+@pytest.mark.parametrize("p,k,n,r", [(9, 1, 1, 2), (4, 1, 1, 3), (1, 3, 1, 2), (15, 2, 1, 2)])
+def test_build_count_report_rejects_a_non_prime_base(p, k, n, r):
+    # 9^1 at r = 2 would otherwise pass as an admissible cell of "F_9" with p = 9
+    with pytest.raises(NonPrimeError):
+        build_count_report(p, k, n, r)
+
+
 def test_report_dict_layout():
     d = report_to_dict(build_count_report(73, 1, 35, 3, verify=True))
     assert list(d) == [

@@ -33,6 +33,13 @@ FIELDS = [
 ]
 # the Wan-Lidl scan is cheap enough to check on a few more fields
 WANLIDL_FIELDS = FIELDS + [(19, 1, (0, 1)), (31, 1, (0, 1)), (7, 2, make_field(7, 2).modulus)]
+# brute force also on F_3 (r = 2) and F_4 (r = 3), where d = 1 and some rotations are by 0
+BRUTE_FIELDS = FIELDS + [
+    (3, 1, (0, 1)),
+    (2, 2, make_field(2, 2).modulus),
+    (19, 1, (0, 1)),
+    (7, 2, make_field(7, 2).modulus),
+]
 ODD_FIELDS = [f for f in FIELDS if f[0] != 2]
 
 
@@ -112,7 +119,7 @@ def test_table_characters_inverse_and_order(p, k, modulus):
             assert element_order(x) == element_order(y)
 
 
-@pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
+@pytest.mark.parametrize("p,k,modulus", BRUTE_FIELDS, ids=_ids(BRUTE_FIELDS))
 def test_table_brute_force_matches_direct_evaluation(p, k, modulus):
     tabled, plain = _pair(p, k, modulus)
     for n, r in _admissible(p, k):
