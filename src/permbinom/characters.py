@@ -6,6 +6,9 @@ returns an exponent e in {0, 1, 2} meaning "value xi^e" for the fixed
 primitive cube root of unity xi = alpha^((q-1)/3), or None on the zero
 element.  Exponents compose additively mod 3, so eta(uv) = eta(u) + eta(v)
 and eta(u/v) = eta(u) - eta(v) without any field inversions.
+
+Only here are characters read off a field's scan tables: el = alpha^i has
+chi(el) = (-1)^i and eta(el) = i mod 3. Without tables each is one power.
 """
 
 from __future__ import annotations
@@ -14,12 +17,20 @@ from .errors import BadFieldForCubicError, EvenCharacteristicError
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
+def _table_log(spec: FieldSpec, el: FieldElement) -> int | None:
+    """log_alpha(el) of a nonzero el when the field has its scan tables, else None."""
+    return None if spec._tables is None else spec._tables.log[el.encode()]
+
+
 def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
     """chi(el) = el^((q-1)/2) read as -1, 0, or +1."""
     if spec.p == 2:
         raise EvenCharacteristicError("quadratic character needs odd q")
     if el.is_zero:
         return 0
+    i = _table_log(spec, el)
+    if i is not None:
+        return 1 - 2 * (i & 1)  # alpha^((q-1)/2) = -1
     t = el ** ((spec.q - 1) // 2)
     if t == spec.one:
         return 1
@@ -41,10 +52,9 @@ def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0."""
     if el.is_zero:
         return None
-    tables = spec._tables
-    if tables is not None and spec.q % 3 == 1:
-        # el = alpha^i, so el^((q-1)/3) = xi^i
-        return tables.log[el.encode()] % 3
+    i = _table_log(spec, el)
+    if i is not None and spec.q % 3 == 1:
+        return i % 3  # el^((q-1)/3) = xi^i
     one, xi, xi2 = cubic_roots_of_unity(spec)
     t = el ** ((spec.q - 1) // 3)
     if t == one:

@@ -27,9 +27,9 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from .curves import pi_trace
-from .errors import BadFieldForCubicError, DivisibilityViolationError, NonPrimeError
+from .errors import BadFieldForCubicError, CrossCheckFailedError, DegreeMismatchError, DivisibilityViolationError, NonPrimeError
 from .fields import make_field
-from .permtest import check_cell, enumerate_perm_binomials
+from .permtest import check_cell, enumerate_perm_binomials, set_diff
 from .primes import exact_sqrt, is_prime, prime_power_decompose
 
 _SQRT_SCALE = 10**30  # denominator for outward rational brackets of sqrt(q)
@@ -139,9 +139,14 @@ class CountReport:
 def build_count_report(
     p: int, k: int, n: int, r: int, verify: bool = False, force: bool = False
 ) -> CountReport:
-    """Closed-form count plus bounds; verify=True adds brute force and the a list."""
+    """Closed-form count plus bounds; verify=True adds brute force and the a list.
+
+    verify=True raises CrossCheckFailedError when brute force and the criterion find different a.
+    """
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
+    if k < 1:
+        raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
     q = p**k
     check_cell(q, n, r)
     if r == 2:
@@ -158,10 +163,14 @@ def build_count_report(
     a_values = None
     if verify:
         spec = make_field(p, k)
-        brute_count = len(enumerate_perm_binomials(spec, n, r, method="bruteforce", force=force))
+        brute = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce", force=force))
         a_values = tuple(
             a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion", force=force)
         )
+        if brute != frozenset(a_values):
+            diff = set_diff(frozenset(a_values), brute)
+            raise CrossCheckFailedError(f"criterion and bruteforce a-sets differ at (q={q}, n={n}, r={r}): {diff}")
+        brute_count = len(brute)
     return CountReport(
         q=q,
         p=p,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .characters import cubic_char, cubic_roots_of_unity
 from .errors import (
     CrossCheckFailedError,
     EvenCharacteristicError,
@@ -199,19 +198,21 @@ def char2_cubic_sum(k: int, force: bool = False) -> int:
 
     Comes out to -2 + (-2)^(k+1): each term is 2 when the argument is a
     nonzero cube and -1 otherwise, and in characteristic 2 the excluded
-    set {-1, -xi, -xi^2} is exactly {1, xi, xi^2}.
+    set {-1, -xi, -xi^2} is exactly {1, xi, xi^2}, the a = alpha^i with
+    i = 0 mod (q-1)/3. At a = alpha^i both sides are summed on logarithms
+    through the Zech table, and eta(alpha^j) = j mod 3.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = make_field(2, 2 * k)
-    spec.scan_tables(force)
-    one, xi, xi2 = cubic_roots_of_unity(spec)
-    total = 0
-    for a in spec.elements():
-        if a == one or a == xi or a == xi2:
+    _, _, zech = spec.scan_tables(force)
+    q1 = spec.q - 1
+    third = q1 // 3
+    total = 2  # a = 0: the quotient is 1
+    for i in range(q1):
+        if i % third == 0:
             continue
-        num = a * a + a + 1
-        den = a * a + 1
-        e = (cubic_char(spec, num) - cubic_char(spec, den)) % 3
-        total += 2 if e == 0 else -1
+        num = add_logs(zech, add_logs(zech, 2 * i % q1, i), 0)
+        den = add_logs(zech, 2 * i % q1, 0)
+        total += 2 if (num - den) % 3 == 0 else -1
     return total

@@ -22,21 +22,19 @@ of alpha^i, log inverts it, and zech[i] = log(1 + alpha^i), or NO_LOG
 where 1 + alpha^i = 0.  FieldSpec.scan_tables builds them on its first
 call, from q - 1 multiplications by alpha, and keeps them for the life
 of the FieldSpec: three arrays of C longs, about 3q of them (24q bytes
-where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration guard first, on
-every call, so no table is ever built for a field the guard refuses.
-Only the scans over a whole field call it: enumerate_perm_binomials,
-power_sum, count_points_extension, char2_cubic_sum and the CLI's class
-counts.  make_field, alpha and single-element arithmetic never do, so a
-lone character value on F_{2^20} stays one square-and-multiply.
+where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration
+guard first, on every call, so no table is built for a field the guard
+refuses.  Only the scans over a whole field call it:
+enumerate_perm_binomials, power_sum, count_points_extension,
+char2_cubic_sum and the CLI's class counts.
 
-Once a field has tables, FieldElement.__pow__ is a lookup,
-exp[log(x) * e mod (q - 1)], and so are inverse, element_order and both
-characters, which are all written in terms of it.  Without tables it
-falls back to square-and-multiply, which is also how the tables are
-checked in the tests.
+FieldElement never reads the tables.  Its powers, inverse and
+element_order are square-and-multiply whatever scans have run, and are
+the table-free reference the tables are checked against in the tests.
+Of the single-element functions only the characters read them: on a
+scanned field chi(alpha^i) is the parity of i and eta(alpha^i) is i mod 3.
 
-The scans that add elements (brute force, Wan-Lidl enumeration, power_sum
-and count_points_extension) work on logarithms and never build a
+The scans that add elements work on logarithms and never build a
 FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
 add_logs does that addition with NO_LOG allowed on either side, so sums
 that start from zero or meet a zero coefficient need no special case.
@@ -268,15 +266,9 @@ class FieldElement:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        spec = self.spec
-        tables = spec._tables
-        if tables is not None:
-            enc = self.encode()
-            if enc:
-                return spec.decode(tables.exp[tables.log[enc] * e % (spec.q - 1)])
         if e < 0:
             return self.inverse() ** (-e)
-        result = spec.one
+        result = self.spec.one
         base = self
         # 0**0 = 1 by convention, which square-and-multiply gives for free
         while e:

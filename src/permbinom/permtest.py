@@ -204,32 +204,39 @@ def check_cell(q: int, n: int, r: int) -> None:
         raise GcdViolationError(f"gcd(n={n}, (q-1)/{r}={d}) != 1")
 
 
-def _criterion_r2(spec: FieldSpec, n: int, a: FieldElement) -> bool:
-    """Character test for r = 2: chi(a^2 - 1) must equal (-1)^(n+1).
+def _criterion_survivors(spec: FieldSpec, n: int, r: int) -> list[FieldElement]:
+    """All a passing the character test for r = 2 or r = 3.
 
-    chi(0) matches neither sign, so a = +-1 always fails.
-    """
-    target = 1 if n % 2 == 1 else -1
-    return quadratic_char(spec, a * a - 1) == target
+    r = 2: chi(a^2 - 1) must equal (-1)^(n+1); chi(0) matches neither sign,
+    so a = +-1 always fails.
 
-
-def _criterion_r3(spec: FieldSpec, n: int, a: FieldElement) -> bool:
-    """Character test for r = 3 on the cross-ratios of a against 1, xi, xi^2.
-
-    With xi a primitive cube root of unity, a passes iff a is none of
+    r = 3: with xi a primitive cube root of unity, a passes iff a is none of
     -1, -xi, -xi^2 and none of the cubic-character exponents of
     (xi+a)/(1+a), (1+a)/(xi^2+a), (xi^2+a)/(xi+a) equals 2n mod 3.
     """
+    if r == 2:
+        target = 1 if n % 2 == 1 else -1
+        return [a for a in spec.elements() if quadratic_char(spec, a * a - 1) == target]
     one, xi, xi2 = cubic_roots_of_unity(spec)
-    if a == -one or a == -xi or a == -xi2:
-        return False
-    e1 = cubic_char(spec, xi + a)
-    e2 = cubic_char(spec, one + a)
-    e3 = cubic_char(spec, xi2 + a)
+    excluded = {-one, -xi, -xi2}
     t = (2 * n) % 3
-    # quotients never vanish once the three excluded a are gone, so the
-    # exponents subtract cleanly
-    return t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
+    out = []
+    for a in spec.elements():
+        if a in excluded:
+            continue
+        e1, e2, e3 = (cubic_char(spec, c + a) for c in (xi, one, xi2))
+        # quotients never vanish once the three excluded a are gone, so the
+        # exponents subtract cleanly
+        if t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3):
+            out.append(a)
+    return out
+
+
+def set_diff(a: frozenset, b: frozenset) -> str:
+    """How two routes' a-sets (as encodings) differ: both sizes and up to 8 members only in each."""
+    only_a = sorted(a - b)[:8]
+    only_b = sorted(b - a)[:8]
+    return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
 
 
 def _bitmask(positions, width: int) -> int:
@@ -322,8 +329,7 @@ def enumerate_perm_binomials(
     check_cell(spec.q, n, r)
     tables = spec.scan_tables(force)
     if method == "criterion":
-        crit = _criterion_r2 if r == 2 else _criterion_r3
-        return [a for a in spec.elements() if crit(spec, n, a)]
+        return _criterion_survivors(spec, n, r)
     if method == "bruteforce":
         return _brute_survivors(spec, tables, n, r)
     if method == "wanlidl":

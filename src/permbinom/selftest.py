@@ -24,7 +24,7 @@ from .curves import (
 from .fields import make_field
 from .permtest import enumerate_perm_binomials, field_admits
 from .primes import is_prime, prime_power_decompose, prime_powers_upto
-from .sweep import SweepConfig, SweepResult, run_verify_sweep, valid_exponents
+from .sweep import BRUTE_FULL_MAX, SweepConfig, SweepResult, run_verify_sweep, valid_exponents
 
 F73_ADMISSIBLE = frozenset({0, 2, 4, 16, 18, 21, 22, 30, 32, 33, 37, 45, 55, 57, 68, 71})
 
@@ -114,12 +114,12 @@ class AcceptanceSuite:
         expected = sum(len(valid_exponents(q, r)) for q in fields)
         if len(result.cells) != expected:
             return False, f"coverage gap: {len(result.cells)} cells, expected {expected}"
-        unbruted = [c for c in result.cells if c["q"] <= 100 and c["brute_count"] is None]
+        unbruted = [c for c in result.cells if c["q"] <= BRUTE_FULL_MAX and c["brute_count"] is None]
         if unbruted:
-            return False, f"{len(unbruted)} cells with q <= 100 missing brute-force confirmation"
+            return False, f"{len(unbruted)} cells with q <= {BRUTE_FULL_MAX} missing brute-force confirmation"
         brute_total = sum(1 for c in result.cells if c["brute_count"] is not None)
         return True, (
-            f"{len(result.cells)} cells over {len(fields)} fields, closed form = criterion everywhere, "
+            f"{len(result.cells)} cells over {len(fields)} fields, closed form = criterion = Wan-Lidl everywhere, "
             f"brute force agrees on {brute_total} cells"
         )
 

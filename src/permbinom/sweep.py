@@ -1,11 +1,12 @@
-"""Cross-validation sweep: closed form vs criterion vs brute force.
+"""Cross-validation sweep: closed form vs criterion vs Wan-Lidl vs brute force.
 
 One cell per (q, n, r) with q a prime power admissible for r and n coprime
 to (q-1)/r. The admissible-a set depends on n only through n mod 2 (r = 2)
-or 2n mod 3 (r = 3), so the criterion enumeration runs once per residue
-class of n and every cell is compared against its class set; the closed
-form is evaluated per cell. Brute force confirms every cell for small q
-and a fixed-seed sample above that, at r q shifts of q-bit masks per cell.
+or 2n mod 3 (r = 3), so the criterion and Wan-Lidl enumerations run once
+per residue class of n and every cell is compared against its class set;
+the closed form is evaluated per cell. Brute force confirms every cell
+with q <= BRUTE_FULL_MAX and a fixed-seed BRUTE_SAMPLE_RATE share above
+that, at r q shifts of q-bit masks per cell. Every sweep runs all four routes.
 
 Disagreements are recorded as failures, never raised, so one bad cell
 cannot mask others. Cells are merged in (q, n, r) order, which makes
@@ -29,29 +30,27 @@ from .counts import closed_count_r3, closed_count_r2, epsilons, masuda_zieve_bou
 from .curves import pi_trace
 from .errors import DivisibilityViolationError
 from .fields import ensure_enumerable, make_field
-from .permtest import enumerate_perm_binomials, field_admits
+from .permtest import enumerate_perm_binomials, field_admits, set_diff
 from .primes import prime_power_decompose, prime_powers_upto
 
-KNOWN_METHODS = ("criterion", "bruteforce", "wanlidl")
+BRUTE_FULL_MAX = 100  # brute force confirms every cell with q up to this
+BRUTE_SAMPLE_RATE = 0.1  # and this seeded share of the cells above it
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Knobs for one verification sweep.
+    """Which cells one verification sweep covers, and how it runs.
 
-    The criterion route always runs; methods only selects the extra
-    routes checked against it. jobs > 1 distributes whole (q, r) blocks
-    across processes.
+    Every admissible (q, n, r) with q <= q_max and r in r_set is checked
+    by all four routes. seed picks the brute-force sample above
+    BRUTE_FULL_MAX; jobs > 1 distributes whole (q, r) blocks across
+    processes.
     """
 
     q_max: int = 343
     r_set: tuple[int, ...] = (2, 3)
-    methods: tuple[str, ...] = ("criterion", "bruteforce")
-    brute_full_max: int = 100
-    brute_sample_rate: float = 0.1
     seed: int = 0
     jobs: int = 1
-    force: bool = False
 
 
 class SweepFailure(NamedTuple):
@@ -80,12 +79,6 @@ def _class_key(n: int, r: int) -> int:
     return n % 2 if r == 2 else n % 3
 
 
-def _set_diff(a: frozenset, b: frozenset) -> str:
-    only_a = sorted(a - b)[:8]
-    only_b = sorted(b - a)[:8]
-    return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
-
-
 def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict], list[tuple]]:
     """All cells and failures for one (q, r) block. Top level so it pickles."""
     q = p**k
@@ -99,21 +92,15 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
         key = _class_key(n, r)
         if key in class_sets:
             continue
-        crit = frozenset(
-            a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion", force=config.force)
-        )
+        crit = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
         class_sets[key] = crit
-        if "wanlidl" in config.methods:
-            wl = frozenset(
-                a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl", force=config.force)
-            )
-            if wl != crit:
-                failures.append((q, n, r, "criterion", "wanlidl", _set_diff(crit, wl)))
+        wl = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl"))
+        if wl != crit:
+            failures.append((q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
 
     mz_lo, mz_hi = masuda_zieve_bounds(q, r)
     cor_lo, cor_hi = refined_bounds_r3(q) if r == 3 else (None, None)
     s_k = pi_trace(p, k) if r == 3 else None
-    brute_wanted = "bruteforce" in config.methods
     rng = random.Random(f"{config.seed}:{q}:{r}")
 
     for n in ns:
@@ -137,13 +124,11 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
             ok = False
 
         brute_count = None
-        if brute_wanted and (q <= config.brute_full_max or rng.random() < config.brute_sample_rate):
-            brute = frozenset(
-                a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce", force=config.force)
-            )
+        if q <= BRUTE_FULL_MAX or rng.random() < BRUTE_SAMPLE_RATE:
+            brute = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce"))
             brute_count = len(brute)
             if brute != crit_set:
-                failures.append((q, n, r, "criterion", "bruteforce", _set_diff(crit_set, brute)))
+                failures.append((q, n, r, "criterion", "bruteforce", set_diff(crit_set, brute)))
                 ok = False
 
         if closed is not None:
@@ -180,14 +165,9 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
 def _validate_config(config: SweepConfig) -> None:
     if config.q_max < 2:
         raise ValueError("q_max must be at least 2")
-    ensure_enumerable(config.q_max, config.force)
+    ensure_enumerable(config.q_max)
     if not set(config.r_set) <= {2, 3}:
         raise ValueError(f"r_set must be a subset of {{2, 3}}, got {config.r_set}")
-    unknown = set(config.methods) - set(KNOWN_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods {sorted(unknown)}")
-    if not 0.0 <= config.brute_sample_rate <= 1.0:
-        raise ValueError("brute_sample_rate must lie in [0, 1]")
     if config.jobs < 1:
         raise ValueError("jobs must be positive")
 

@@ -19,6 +19,7 @@ from permbinom.counts import (
 )
 from permbinom.errors import (
     BadFieldForCubicError,
+    DegreeMismatchError,
     DivisibilityViolationError,
     EvenCharacteristicError,
     GcdViolationError,
@@ -206,6 +207,13 @@ def test_build_count_report_rejects_a_non_prime_base(p, k, n, r):
     # 9^1 at r = 2 would otherwise pass as an admissible cell of "F_9" with p = 9
     with pytest.raises(NonPrimeError):
         build_count_report(p, k, n, r)
+
+
+@pytest.mark.parametrize("p,k", [(7, 0), (7, -1)])
+def test_build_count_report_rejects_a_degree_below_one(p, k):
+    # k = -1 would otherwise form the float q = 1/7
+    with pytest.raises(DegreeMismatchError):
+        build_count_report(p, k, 1, 2)
 
 
 def test_report_dict_layout():

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permbinom.permtest as permtest
 from permbinom.errors import (
     BadFieldForCubicError,
     EvenCharacteristicError,
@@ -33,6 +34,20 @@ def _raw_binomial_survivors(q, n, r):
         if len(image) == q:
             out.append(a)
     return out
+
+
+def test_r3_criterion_finds_the_cube_roots_once(monkeypatch):
+    calls = []
+    real = permtest.cubic_roots_of_unity
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(permtest, "cubic_roots_of_unity", counted)
+    found = enumerate_perm_binomials(make_field(73), 35, 3)
+    assert [a.encode() for a in found] == [0, 2, 4, 16, 18, 21, 22, 30, 32, 33, 37, 45, 55, 57, 68, 71]
+    assert len(calls) == 1
 
 
 def test_binomial_polynomial_reduces_high_exponent():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from permbinom import cli
+from permbinom import cli, counts, sweep
 from permbinom.errors import EnumerationGuardError
 from permbinom.sweep import (
     CSV_COLUMNS,
@@ -75,9 +75,31 @@ def test_sweep_deterministic_across_runs_and_jobs():
 
 
 def test_wanlidl_route_agrees_in_sweep():
-    cfg = SweepConfig(q_max=13, methods=("criterion", "bruteforce", "wanlidl"))
-    result = run_verify_sweep(cfg)
+    result = run_verify_sweep(SweepConfig(q_max=13))
     assert result.cells and result.failures == ()
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["drop", "swap"])
+def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
+    real = sweep.enumerate_perm_binomials
+
+    def wanlidl_loses_one(spec, n, r, method="criterion", force=False):
+        found = real(spec, n, r, method=method, force=force)
+        if method != "wanlidl" or not found:
+            return found
+        # drop the last a, or trade it for one outside the set (same count)
+        outside = [next(x for x in spec.elements() if x not in found)] if swap else []
+        return found[:-1] + outside
+
+    # one failure per (q, r, class of n) whose a-set is not empty
+    cells = run_verify_sweep(SweepConfig(q_max=13)).cells
+    want = {(c["q"], c["r"], c["n"] % c["r"]) for c in cells if c["criterion_count"]}
+    monkeypatch.setattr(sweep, "enumerate_perm_binomials", wanlidl_loses_one)
+    result = run_verify_sweep(SweepConfig(q_max=13))
+    assert {(f.q, f.r, f.n % f.r) for f in result.failures} == want
+    assert len(result.failures) == len(want)
+    assert {(f.route_a, f.route_b) for f in result.failures} == {("criterion", "wanlidl")}
+    assert all(("b-only=[]" in f.diff) != swap for f in result.failures)
 
 
 def test_valid_exponents_oracle():
@@ -91,8 +113,6 @@ def test_valid_exponents_oracle():
     [
         SweepConfig(q_max=1),
         SweepConfig(r_set=(4,)),
-        SweepConfig(methods=("criterion", "magic")),
-        SweepConfig(brute_sample_rate=1.5),
         SweepConfig(jobs=0),
     ],
 )
@@ -257,6 +277,8 @@ def test_cli_usage_errors_exit_2(capsys):
         ["bounds", "--field", "7^-1", "--r", "2"],
         ["count", "--field", "7^0", "--n", "1", "--r", "3"],
         ["count", "--field", "9^1", "--n", "1", "--r", "2"],  # 9 is a prime power, not a prime
+        ["char", "--field", "2^2", "--x", "inv4"],  # 4 = 0 in characteristic 2
+        ["curve", "--field", "2^2", "--A", "inv4", "--B", "0"],
     ],
 )
 def test_cli_rejects_bad_cells_and_fields(argv, capsys):
@@ -304,6 +326,26 @@ def test_cli_cross_check_mismatch_exits_1(capsys, monkeypatch):
     rc = cli.main(["count", "--field", "13", "--n", "1", "--r", "2", "--verify"])
     assert rc == 1
     assert "routes disagree" in capsys.readouterr().err
+
+
+def test_cli_count_verify_compares_a_sets(capsys, monkeypatch):
+    real = counts.enumerate_perm_binomials
+
+    def brute_swaps_one(spec, n, r, method="criterion", force=False):
+        found = real(spec, n, r, method=method, force=force)
+        if method == "bruteforce":  # same count, one a traded for another
+            outside = next(x for x in spec.elements() if x not in found)
+            found = found[1:] + [outside]
+        return found
+
+    monkeypatch.setattr(counts, "enumerate_perm_binomials", brute_swaps_one)
+    rc = cli.main(["count", "--field", "73", "--n", "35", "--r", "3", "--verify"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(q=73, n=35, r=3)" in captured.err
+    assert "criterion and bruteforce" in captured.err
+    assert "a-only=[0] b-only=[1]" in captured.err
 
 
 def test_cli_out_writes_file(tmp_path, capsys):

@@ -119,6 +119,20 @@ def test_table_characters_inverse_and_order(p, k, modulus):
             assert element_order(x) == element_order(y)
 
 
+@pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
+def test_element_arithmetic_never_reads_the_tables(p, k, modulus):
+    tabled, plain = _pair(p, k, modulus)
+    exp = tabled.scan_tables().exp
+    exp[:] = exp[1:] + exp[:1]  # every entry now one power of alpha too high
+    q = p**k
+    for enc in range(1, q):
+        x, y = tabled.decode(enc), plain.decode(enc)
+        for e in (2, q - 2, -1):
+            assert (x**e).coeffs == (y**e).coeffs, (enc, e)
+        assert x.inverse().coeffs == y.inverse().coeffs
+        assert element_order(x) == element_order(y)
+
+
 @pytest.mark.parametrize("p,k,modulus", BRUTE_FIELDS, ids=_ids(BRUTE_FIELDS))
 def test_table_brute_force_matches_direct_evaluation(p, k, modulus):
     tabled, plain = _pair(p, k, modulus)
