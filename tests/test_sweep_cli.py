@@ -113,6 +113,8 @@ def test_valid_exponents_oracle():
     [
         SweepConfig(q_max=1),
         SweepConfig(r_set=(4,)),
+        SweepConfig(r_set=(2, 5)),
+        SweepConfig(jobs=-1),
         SweepConfig(jobs=0),
     ],
 )
