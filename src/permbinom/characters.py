@@ -66,7 +66,7 @@ def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     raise AssertionError("eta landed outside the cube roots of unity")
 
 
-def power_sum(spec: FieldSpec, m: int, force: bool = False) -> FieldElement:
+def power_sum(spec: FieldSpec, m: int) -> FieldElement:
     """Sum of a^m over every a in F_q, with 0^0 = 1.
 
     Equals -1 when (q-1) | m and m > 0, and 0 otherwise (for m = 0 the
@@ -74,7 +74,7 @@ def power_sum(spec: FieldSpec, m: int, force: bool = False) -> FieldElement:
     """
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    exp, _, zech = spec.scan_tables(force)
+    exp, _, zech = spec.scan_tables()
     q1 = spec.q - 1
     total = 0 if m == 0 else NO_LOG  # log of the running sum, starting from 0^m
     for i in range(q1):

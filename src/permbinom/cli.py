@@ -66,10 +66,7 @@ def _element(spec: FieldSpec, text: str):
 
 def _cmd_enumerate(args) -> int:
     spec = _field_spec(args)
-    a_values = [
-        a.encode()
-        for a in enumerate_perm_binomials(spec, args.n, args.r, method=args.method, force=args.force)
-    ]
+    a_values = [a.encode() for a in enumerate_perm_binomials(spec, args.n, args.r, method=args.method)]
     cell = (spec.q, spec.p, spec.k, args.n, args.r, args.method)
     _emit(
         args,
@@ -88,16 +85,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     p, k = parse_field(args.field)
-    report = build_count_report(p, k, args.n, args.r, verify=args.verify, force=args.force)
-    _emit(args, report_to_dict(report))
-    if args.verify:
-        if len(report.a_values) != report.closed_count:  # brute force already matched the criterion
-            print(
-                f"error: routes disagree: closed={report.closed_count} "
-                f"criterion={len(report.a_values)} brute={report.brute_count}",
-                file=sys.stderr,
-            )
-            return EXIT_MATH
+    _emit(args, report_to_dict(build_count_report(p, k, args.n, args.r, verify=args.verify)))
     return EXIT_OK
 
 
@@ -136,7 +124,7 @@ def _cmd_curve(args) -> int:
     spec = _field_spec(args)
     a4 = _element(spec, args.A)
     a6 = _element(spec, args.B)
-    count = count_points_extension(spec, a4, a6, force=args.force)
+    count = count_points_extension(spec, a4, a6)
     trace = spec.q + 1 - count
     _emit(
         args,
@@ -157,10 +145,10 @@ def _cmd_char(args) -> int:
             "cubic": cubic_char(spec, x) if q % 3 == 1 else None,
         }
     elif args.power_sum is not None:
-        total = power_sum(spec, args.power_sum, force=args.force)
+        total = power_sum(spec, args.power_sum)
         payload = {"q": q, "m": args.power_sum, "power_sum": total.encode()}
     else:
-        spec.scan_tables(args.force)
+        spec.scan_tables()
         quad = None
         if spec.p != 2:
             vals = [quadratic_char(spec, x) for x in spec.elements() if not x.is_zero]
@@ -252,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     fieldy = argparse.ArgumentParser(add_help=False)
     fieldy.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
     fieldy.add_argument("--modulus", help="irreducible modulus c0,c1,...,1 (constant first)")
-    fieldy.add_argument("--force", action="store_true", help="override the enumeration size guard")
 
     p_enum = sub.add_parser("enumerate", parents=[fieldy], help="list admissible a values")
     p_enum.add_argument("--n", type=int, required=True)
@@ -265,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--r", type=int, choices=(2, 3), required=True)
     p_count.add_argument("--verify", action="store_true", help="add brute-force and criterion confirmation")
-    p_count.add_argument("--force", action="store_true", help="override the enumeration size guard")
     p_count.set_defaults(handler=_cmd_count)
 
     p_bounds = sub.add_parser("bounds", help="Masuda-Zieve and refined count bounds")

@@ -136,12 +136,11 @@ class CountReport:
     a_values: tuple[int, ...] | None  # canonical encodings, enumeration order
 
 
-def build_count_report(
-    p: int, k: int, n: int, r: int, verify: bool = False, force: bool = False
-) -> CountReport:
+def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> CountReport:
     """Closed-form count plus bounds; verify=True adds brute force and the a list.
 
-    verify=True raises CrossCheckFailedError when brute force and the criterion find different a.
+    verify=True raises CrossCheckFailedError when brute force and the criterion
+    find different a, or the criterion finds other than the closed count of them.
     """
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
@@ -163,13 +162,15 @@ def build_count_report(
     a_values = None
     if verify:
         spec = make_field(p, k)
-        brute = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce", force=force))
-        a_values = tuple(
-            a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion", force=force)
-        )
+        brute = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce"))
+        a_values = tuple(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
         if brute != frozenset(a_values):
             diff = set_diff(frozenset(a_values), brute)
             raise CrossCheckFailedError(f"criterion and bruteforce a-sets differ at (q={q}, n={n}, r={r}): {diff}")
+        if len(a_values) != closed:
+            raise CrossCheckFailedError(
+                f"closed form and criterion counts differ at (q={q}, n={n}, r={r}): closed={closed} criterion={len(a_values)}"
+            )
         brute_count = len(brute)
     return CountReport(
         q=q,

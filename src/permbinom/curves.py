@@ -169,7 +169,7 @@ def pi_trace(p: int, j: int) -> int:
     return m[0] * -kappa + m[1] * 2
 
 
-def count_points_extension(spec: FieldSpec, a4: FieldElement, a6: FieldElement, force: bool = False) -> int:
+def count_points_extension(spec: FieldSpec, a4: FieldElement, a6: FieldElement) -> int:
     """|E(F_q)| by summing quadratic-character values over the extension.
 
     The cubic is evaluated on logarithms: at x = alpha^i its terms are
@@ -178,7 +178,7 @@ def count_points_extension(spec: FieldSpec, a4: FieldElement, a6: FieldElement, 
     """
     if spec.p == 2:
         raise EvenCharacteristicError("no Weierstrass form y^2 = ... in characteristic 2")
-    _, log, zech = spec.scan_tables(force)
+    _, log, zech = spec.scan_tables()
     q1 = spec.q - 1
     la4 = log[spec.element(a4).encode()]
     la6 = log[spec.element(a6).encode()]
@@ -193,7 +193,7 @@ def count_points_extension(spec: FieldSpec, a4: FieldElement, a6: FieldElement, 
     return count
 
 
-def char2_cubic_sum(k: int, force: bool = False) -> int:
+def char2_cubic_sum(k: int) -> int:
     """Sum of eta + eta^2 over (a^2+a+1)/(a^2+1) for a in F_{4^k} minus the cube roots of 1.
 
     Comes out to -2 + (-2)^(k+1): each term is 2 when the argument is a
@@ -205,7 +205,7 @@ def char2_cubic_sum(k: int, force: bool = False) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = make_field(2, 2 * k)
-    _, _, zech = spec.scan_tables(force)
+    _, _, zech = spec.scan_tables()
     q1 = spec.q - 1
     third = q1 // 3
     total = 2  # a = 0: the quotient is 1

@@ -72,3 +72,7 @@ class DivisibilityViolationError(PermBinomError, ArithmeticError):
 
 class EnumerationGuardError(PermBinomError, ValueError):
     """Refused to enumerate a field larger than the configured guard."""
+
+
+class SweepConfigError(PermBinomError, ValueError):
+    """A sweep's q_max, r_set or jobs is out of range."""

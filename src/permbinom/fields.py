@@ -26,7 +26,9 @@ where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration
 guard first, on every call, so no table is built for a field the guard
 refuses.  Only the scans over a whole field call it:
 enumerate_perm_binomials, power_sum, count_points_extension,
-char2_cubic_sum and the CLI's class counts.
+char2_cubic_sum and the CLI's class counts.  The guard is q <= 2^20, and
+the PERMBINOM_GUARD environment variable, read only here, is the one way
+to move it: no function takes an argument that skips it.
 
 FieldElement never reads the tables.  Its powers, inverse and
 element_order are square-and-multiply whatever scans have run, and are
@@ -61,34 +63,21 @@ ENUMERATION_GUARD_DEFAULT = 1 << 20
 GUARD_ENV_VAR = "PERMBINOM_GUARD"
 
 
-def enumeration_guard() -> int:
-    """Current guard on how large a field full enumerations may sweep.
+def ensure_enumerable(q: int) -> None:
+    """Raise unless a full scan over F_q is within the guard.
 
-    A set but malformed or non-positive value raises rather than falling
-    back to the default, so a typo cannot silently move the guard.
+    A set but malformed or non-positive PERMBINOM_GUARD raises rather than
+    falling back to the default, so a typo cannot silently move the guard.
     """
     raw = os.environ.get(GUARD_ENV_VAR)
-    if raw is None:
-        return ENUMERATION_GUARD_DEFAULT
     try:
-        limit = int(raw)
+        limit = ENUMERATION_GUARD_DEFAULT if raw is None else int(raw)
     except ValueError:
         limit = 0  # malformed: refused below like a non-positive value
     if limit < 1:
         raise EnumerationGuardError(f"{GUARD_ENV_VAR}={raw!r} is not a positive integer")
-    return limit
-
-
-def ensure_enumerable(q: int, force: bool = False) -> None:
-    """Raise unless a full sweep over F_q is within the guard (or forced)."""
-    if force:
-        return
-    limit = enumeration_guard()
     if q > limit:
-        raise EnumerationGuardError(
-            f"refusing to enumerate F_q with q = {q} > guard {limit}; "
-            f"pass force=True or set {GUARD_ENV_VAR}"
-        )
+        raise EnumerationGuardError(f"refusing to enumerate F_q with q = {q} > guard {limit}; set {GUARD_ENV_VAR} to at least {q}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +382,12 @@ class FieldSpec:
         for enc in range(self.q):
             yield self.decode(enc)
 
-    def scan_tables(self, force: bool = False) -> FieldTables:
+    def scan_tables(self) -> FieldTables:
         """Check the enumeration guard, then return the tables, built on the first call.
 
         For full-field scans only: the tables cost O(q) time and memory.
         """
-        ensure_enumerable(self.q, force)
+        ensure_enumerable(self.q)
         if self._tables is None:
             self._tables = _build_tables(self)
         return self._tables

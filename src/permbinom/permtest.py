@@ -81,9 +81,9 @@ def binomial_polynomial(spec: FieldSpec, n: int, r: int, a: FieldElement) -> dic
     return poly
 
 
-def is_permutation_bruteforce(spec: FieldSpec, f, force: bool = False) -> bool:
+def is_permutation_bruteforce(spec: FieldSpec, f) -> bool:
     """Evaluate f everywhere; True iff the image has no collisions."""
-    ensure_enumerable(spec.q, force)
+    ensure_enumerable(spec.q)
     poly = _as_sparse(spec, f)
     seen = bytearray(spec.q)
     for x in spec.elements():
@@ -318,16 +318,14 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
     return out
 
 
-def enumerate_perm_binomials(
-    spec: FieldSpec, n: int, r: int, method: str = "criterion", force: bool = False
-) -> list[FieldElement]:
+def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "criterion") -> list[FieldElement]:
     """All a in F_q (enumeration order) making x^n (x^((q-1)/r) + a) a permutation.
 
     a = 0 is included; the binomial degenerates to the monomial
     x^(n + (q-1)/r) and every route handles it consistently.
     """
     check_cell(spec.q, n, r)
-    tables = spec.scan_tables(force)
+    tables = spec.scan_tables()
     if method == "criterion":
         return _criterion_survivors(spec, n, r)
     if method == "bruteforce":

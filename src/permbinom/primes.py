@@ -11,9 +11,11 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for the integer sizes used here."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True  # no prime factor up to 37, so none below sqrt(n)
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -48,20 +50,33 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _iroot(n: int, k: int) -> int:
+    """Largest x with x^k <= n, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_decompose(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p^k and p prime, or None."""
+    """Return (p, k) with q = p^k and p prime, or None.
+
+    Tries each k <= log2(q): an integer k-th root and a primality test, no factoring.
+    """
     if q < 2:
         return None
-    f = factorize(q)
-    if len(f) != 1:
-        return None
-    [(p, k)] = f.items()
-    return p, k
+    for k in range(1, q.bit_length()):
+        p = _iroot(q, k)
+        if p**k == q and is_prime(p):
+            return p, k
+    return None
 
 
 def prime_powers_upto(limit: int) -> list[int]:
-    """All prime powers q with 2 <= q <= limit, ascending."""
-    return [q for q in range(2, limit + 1) if prime_power_decompose(q)]
+    """All prime powers q with 2 <= q <= limit, ascending; trial division, cheapest for a small limit."""
+    return [q for q in range(2, limit + 1) if len(factorize(q)) == 1]
 
 
 def exact_sqrt(n: int) -> int | None:

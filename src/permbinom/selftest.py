@@ -24,7 +24,7 @@ from .curves import (
 from .fields import make_field
 from .permtest import enumerate_perm_binomials, field_admits
 from .primes import is_prime, prime_power_decompose, prime_powers_upto
-from .sweep import BRUTE_FULL_MAX, SweepConfig, SweepResult, run_verify_sweep, valid_exponents
+from .sweep import BRUTE_FULL_MAX, SweepConfig, SweepResult, run_verify_sweep, valid_exponents, validate_config
 
 F73_ADMISSIBLE = frozenset({0, 2, 4, 16, 18, 21, 22, 30, 32, 33, 37, 45, 55, 57, 68, 71})
 
@@ -62,23 +62,27 @@ class CheckResult:
 
 
 class AcceptanceSuite:
-    """Runs the ten checks; construct once and reuse so sweeps are shared."""
+    """Runs the ten checks; construct once and reuse so sweeps are shared.
+
+    Both sweep configs are validated here, so a bad one raises before any check runs.
+    """
 
     def __init__(self, jobs: int = 1, r2_q_max: int = 343, r3_q_max: int = 400):
-        self.jobs = jobs
-        self.r2_q_max = r2_q_max
-        self.r3_q_max = r3_q_max
+        self._r2_config = SweepConfig(q_max=r2_q_max, r_set=(2,), jobs=jobs)
+        self._r3_config = SweepConfig(q_max=r3_q_max, r_set=(3,), jobs=jobs)
+        validate_config(self._r2_config)
+        validate_config(self._r3_config)
         self._r2: SweepResult | None = None
         self._r3: SweepResult | None = None
 
     def r2_sweep(self) -> SweepResult:
         if self._r2 is None:
-            self._r2 = run_verify_sweep(SweepConfig(q_max=self.r2_q_max, r_set=(2,), jobs=self.jobs))
+            self._r2 = run_verify_sweep(self._r2_config)
         return self._r2
 
     def r3_sweep(self) -> SweepResult:
         if self._r3 is None:
-            self._r3 = run_verify_sweep(SweepConfig(q_max=self.r3_q_max, r_set=(3,), jobs=self.jobs))
+            self._r3 = run_verify_sweep(self._r3_config)
         return self._r3
 
     def check_exact_case_f73(self) -> tuple[bool, str]:
@@ -106,11 +110,12 @@ class AcceptanceSuite:
             checked += 1
         return True, f"kappa(7,13,73) = 1,-5,7; curve count cross-check held for {checked} primes p = 1 mod 3 below 500"
 
-    def _sweep_summary(self, result: SweepResult, r: int, q_max: int) -> tuple[bool, str]:
+    def _sweep_summary(self, result: SweepResult, config: SweepConfig) -> tuple[bool, str]:
+        (r,) = config.r_set
         if result.failures:
             first = result.failures[0]
             return False, f"{len(result.failures)} failures, first: q={first.q} n={first.n} {first.route_a} vs {first.route_b}: {first.diff}"
-        fields = [q for q in prime_powers_upto(q_max) if field_admits(q, r)]
+        fields = [q for q in prime_powers_upto(config.q_max) if field_admits(q, r)]
         expected = sum(len(valid_exponents(q, r)) for q in fields)
         if len(result.cells) != expected:
             return False, f"coverage gap: {len(result.cells)} cells, expected {expected}"
@@ -125,7 +130,7 @@ class AcceptanceSuite:
 
     def check_r2_sweep(self) -> tuple[bool, str]:
         result = self.r2_sweep()
-        ok, detail = self._sweep_summary(result, 2, self.r2_q_max)
+        ok, detail = self._sweep_summary(result, self._r2_config)
         if not ok:
             return ok, detail
         bad = [c for c in result.cells if c["closed_count"] != (c["q"] - 2 + (-1) ** c["n"]) // 2]
@@ -139,7 +144,7 @@ class AcceptanceSuite:
         div = [f for f in result.failures if f.route_b == "divisibility"]
         if div:
             return False, f"divisibility-by-9 assertion fired {len(div)} times, first at q={div[0].q} n={div[0].n}"
-        return self._sweep_summary(result, 3, self.r3_q_max)
+        return self._sweep_summary(result, self._r3_config)
 
     def check_point_congruence(self) -> tuple[bool, str]:
         triples = 0

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .counts import closed_count_r3, closed_count_r2, epsilons, masuda_zieve_bounds, refined_bounds_r3
 from .curves import pi_trace
-from .errors import DivisibilityViolationError
+from .errors import DivisibilityViolationError, SweepConfigError
 from .fields import ensure_enumerable, make_field
 from .permtest import enumerate_perm_binomials, field_admits, set_diff
 from .primes import prime_power_decompose, prime_powers_upto
@@ -98,6 +98,7 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
         if wl != crit:
             failures.append((q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
 
+    disputed = {_class_key(f[1], r) for f in failures}  # classes where Wan-Lidl disagrees
     mz_lo, mz_hi = masuda_zieve_bounds(q, r)
     cor_lo, cor_hi = refined_bounds_r3(q) if r == 3 else (None, None)
     s_k = pi_trace(p, k) if r == 3 else None
@@ -106,7 +107,7 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
     for n in ns:
         crit_set = class_sets[_class_key(n, r)]
         crit_count = len(crit_set)
-        ok = True
+        recorded = len(failures)
         e1 = e2 = None
         closed: int | None
         if r == 2:
@@ -118,10 +119,8 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
             except DivisibilityViolationError as exc:
                 failures.append((q, n, r, "closed", "divisibility", str(exc)))
                 closed = None
-                ok = False
         if closed is not None and closed != crit_count:
             failures.append((q, n, r, "closed", "criterion", f"{closed} != {crit_count}"))
-            ok = False
 
         brute_count = None
         if q <= BRUTE_FULL_MAX or rng.random() < BRUTE_SAMPLE_RATE:
@@ -129,15 +128,12 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
             brute_count = len(brute)
             if brute != crit_set:
                 failures.append((q, n, r, "criterion", "bruteforce", set_diff(crit_set, brute)))
-                ok = False
 
         if closed is not None:
             if not max(mz_lo, 0) <= closed <= mz_hi:
                 failures.append((q, n, r, "closed", "mz-bounds", f"{closed} outside [{max(mz_lo, 0)}, {mz_hi}]"))
-                ok = False
             if r == 3 and not cor_lo <= closed <= cor_hi:
                 failures.append((q, n, r, "closed", "refined-bounds", f"{closed} outside [{cor_lo}, {cor_hi}]"))
-                ok = False
 
         cells.append(
             {
@@ -156,26 +152,27 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
                 "mz_upper": str(mz_hi),
                 "cor_lower": cor_lo,
                 "cor_upper": cor_hi,
-                "ok": ok,
+                "ok": len(failures) == recorded and _class_key(n, r) not in disputed,
             }
         )
     return cells, failures
 
 
-def _validate_config(config: SweepConfig) -> None:
+def validate_config(config: SweepConfig) -> None:
+    """Raise SweepConfigError, or EnumerationGuardError above the guard, before any work starts."""
     if config.q_max < 2:
-        raise ValueError("q_max must be at least 2")
+        raise SweepConfigError("q_max must be at least 2")
     ensure_enumerable(config.q_max)
-    if not set(config.r_set) <= {2, 3}:
-        raise ValueError(f"r_set must be a subset of {{2, 3}}, got {config.r_set}")
+    if not config.r_set or not set(config.r_set) <= {2, 3}:
+        raise SweepConfigError(f"r_set must be a non-empty subset of {{2, 3}}, got {config.r_set}")
     if config.jobs < 1:
-        raise ValueError("jobs must be positive")
+        raise SweepConfigError("jobs must be positive")
 
 
 def run_verify_sweep(config: SweepConfig) -> SweepResult:
     """Sweep all admissible (q, n, r) cells up to config.q_max."""
     started = time.monotonic()
-    _validate_config(config)
+    validate_config(config)
     tasks = []
     for q in prime_powers_upto(config.q_max):
         p, k = prime_power_decompose(q)

@@ -1,5 +1,6 @@
 """Closed-form counts and both bound families against enumeration."""
 
+import json
 import math
 from fractions import Fraction
 from math import gcd
@@ -8,6 +9,7 @@ import pytest
 
 import permbinom.counts as counts
 import permbinom.primes as primes
+from permbinom import cli
 from permbinom.counts import (
     build_count_report,
     closed_count_r2,
@@ -26,8 +28,9 @@ from permbinom.errors import (
     NonPrimeError,
 )
 from permbinom.curves import pi_trace
-from permbinom.fields import make_field
+from permbinom.fields import make_field, parse_field
 from permbinom.permtest import check_cell, enumerate_perm_binomials, field_admits
+from permbinom.primes import prime_power_decompose
 
 F73_SET = [0, 2, 4, 16, 18, 21, 22, 30, 32, 33, 37, 45, 55, 57, 68, 71]
 
@@ -117,6 +120,32 @@ def test_check_cell_never_factors_q(monkeypatch):
     assert [q for q in range(2, 50) if field_admits(q, 2)] == list(range(3, 50, 2))
     assert [q for q in range(2, 50) if field_admits(q, 3)] == list(range(4, 50, 3))
     assert not any(field_admits(q, r) for q in (7, 13, 25) for r in (1, 4, 6))
+
+
+def test_prime_powers_are_found_without_factoring(monkeypatch, capsys):
+    # trial-division oracles, taken before factorize is barred
+    def oracle(q):
+        f = primes.factorize(q)
+        return next(iter(f.items())) if len(f) == 1 else None
+
+    want = {q: oracle(q) for q in range(2, 3000)}
+    want_primes = [n for n in range(2, 3000) if primes.factorize(n) == {n: 1}]
+
+    def no_factoring(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(primes, "factorize", no_factoring)
+    assert {q: prime_power_decompose(q) for q in range(2, 3000)} == want
+    assert [n for n in range(-3, 3000) if primes.is_prime(n)] == want_primes
+    assert [prime_power_decompose(q) for q in (-7, 0, 1)] == [None, None, None]
+    m61 = 2**61 - 1
+    assert prime_power_decompose(m61**2) == (m61, 2)
+    assert prime_power_decompose(3**40) == (3, 40)
+    assert prime_power_decompose(6**10) is None
+    assert closed_count_r2(m61, 1) == (m61 - 3) // 2
+    assert parse_field(str(m61)) == (m61, 1)
+    assert cli.main(["count", "--field", str(m61), "--n", "1", "--r", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["closed_count"] == (m61 - 3) // 2
 
 
 def test_closed_count_r3_validation():

@@ -181,7 +181,6 @@ def test_enumeration_guard(monkeypatch):
     big = (1 << 20) + 7
     with pytest.raises(EnumerationGuardError):
         ensure_enumerable(big)
-    ensure_enumerable(big, force=True)
     monkeypatch.setenv("PERMBINOM_GUARD", str(big))
     ensure_enumerable(big)
 

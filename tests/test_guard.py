@@ -1,0 +1,60 @@
+"""The enumeration guard: one rule, PERMBINOM_GUARD, for every full-field scan."""
+
+import pytest
+
+from permbinom import cli, fields
+from permbinom.characters import power_sum
+from permbinom.counts import build_count_report
+from permbinom.curves import char2_cubic_sum, count_points_extension
+from permbinom.errors import EnumerationGuardError
+from permbinom.fields import make_field
+from permbinom.permtest import enumerate_perm_binomials, is_permutation_bruteforce
+from permbinom.sweep import SweepConfig, run_verify_sweep
+
+# Every entry point that scans a whole field, each on F_13 or F_16.
+LIBRARY_SCANS = {
+    "enumerate-criterion": lambda: enumerate_perm_binomials(make_field(13), 1, 2, "criterion"),
+    "enumerate-bruteforce": lambda: enumerate_perm_binomials(make_field(13), 1, 2, "bruteforce"),
+    "enumerate-wanlidl": lambda: enumerate_perm_binomials(make_field(13), 1, 2, "wanlidl"),
+    "power_sum": lambda: power_sum(make_field(13), 12),
+    "count_points_extension": lambda: count_points_extension(make_field(13), make_field(13).zero, make_field(13).one),
+    "char2_cubic_sum": lambda: char2_cubic_sum(2),
+    "is_permutation_bruteforce": lambda: is_permutation_bruteforce(make_field(13), {5: 1}),
+    "build_count_report": lambda: build_count_report(13, 1, 1, 2, verify=True),
+    "run_verify_sweep": lambda: run_verify_sweep(SweepConfig(q_max=13)),
+}
+CLI_SCANS = {
+    "cli-enumerate": ["enumerate", "--field", "13", "--n", "1", "--r", "2"],
+    "cli-count-verify": ["count", "--field", "13", "--n", "1", "--r", "2", "--verify"],
+    "cli-curve": ["curve", "--field", "13", "--A", "0", "--B", "1"],
+    "cli-char": ["char", "--field", "13"],
+}
+
+
+@pytest.fixture
+def fresh_fields(monkeypatch):
+    """An empty field cache, so each FieldSpec starts without tables."""
+    cache = {}
+    monkeypatch.setattr(fields, "_FIELD_CACHE", cache)
+    return cache
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_SCANS) + sorted(CLI_SCANS))
+def test_every_full_field_scan_obeys_the_guard(name, fresh_fields, monkeypatch, capsys):
+    monkeypatch.setenv("PERMBINOM_GUARD", "10")
+    if name in CLI_SCANS:
+        assert cli.main(CLI_SCANS[name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "> guard 10; set PERMBINOM_GUARD" in captured.err
+    else:
+        with pytest.raises(EnumerationGuardError, match="> guard 10; set PERMBINOM_GUARD"):
+            LIBRARY_SCANS[name]()
+    assert all(spec._tables is None for spec in fresh_fields.values())
+
+    monkeypatch.setenv("PERMBINOM_GUARD", "16")
+    if name in CLI_SCANS:
+        assert cli.main(CLI_SCANS[name]) == 0
+        assert capsys.readouterr().out
+    else:
+        LIBRARY_SCANS[name]()

@@ -2,12 +2,13 @@
 
 import json
 import math
-from types import SimpleNamespace
+import re
 
 import pytest
 
 from permbinom import cli, counts, sweep
-from permbinom.errors import EnumerationGuardError
+from permbinom.errors import EnumerationGuardError, SweepConfigError
+from permbinom.selftest import AcceptanceSuite
 from permbinom.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -83,8 +84,8 @@ def test_wanlidl_route_agrees_in_sweep():
 def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
     real = sweep.enumerate_perm_binomials
 
-    def wanlidl_loses_one(spec, n, r, method="criterion", force=False):
-        found = real(spec, n, r, method=method, force=force)
+    def wanlidl_loses_one(spec, n, r, method="criterion"):
+        found = real(spec, n, r, method=method)
         if method != "wanlidl" or not found:
             return found
         # drop the last a, or trade it for one outside the set (same count)
@@ -92,14 +93,21 @@ def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
         return found[:-1] + outside
 
     # one failure per (q, r, class of n) whose a-set is not empty
-    cells = run_verify_sweep(SweepConfig(q_max=13)).cells
-    want = {(c["q"], c["r"], c["n"] % c["r"]) for c in cells if c["criterion_count"]}
+    clean = run_verify_sweep(SweepConfig(q_max=13))
+    want = {(c["q"], c["r"], c["n"] % c["r"]) for c in clean.cells if c["criterion_count"]}
     monkeypatch.setattr(sweep, "enumerate_perm_binomials", wanlidl_loses_one)
     result = run_verify_sweep(SweepConfig(q_max=13))
     assert {(f.q, f.r, f.n % f.r) for f in result.failures} == want
     assert len(result.failures) == len(want)
     assert {(f.route_a, f.route_b) for f in result.failures} == {("criterion", "wanlidl")}
     assert all(("b-only=[]" in f.diff) != swap for f in result.failures)
+    # every cell of a disputed class is marked bad, and only those
+    assert [c["ok"] for c in result.cells] == [(c["q"], c["r"], c["n"] % c["r"]) not in want for c in result.cells]
+
+    def ok_total(res):
+        return sum(int(m) for m in re.findall(r" ok=(\d+) ", emit_report(res, "text").decode()))
+
+    assert ok_total(result) == ok_total(clean) - sum(c["criterion_count"] > 0 for c in clean.cells)
 
 
 def test_valid_exponents_oracle():
@@ -121,6 +129,27 @@ def test_valid_exponents_oracle():
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         run_verify_sweep(bad)
+
+
+@pytest.mark.parametrize("bad", [SweepConfig(q_max=1), SweepConfig(r_set=()), SweepConfig(r_set=(2, 5)), SweepConfig(jobs=0)])
+def test_config_errors_are_typed(bad):
+    with pytest.raises(SweepConfigError):
+        run_verify_sweep(bad)
+
+
+@pytest.mark.parametrize("kwargs", [{"r2_q_max": 1}, {"r3_q_max": 1}, {"jobs": 0}])
+def test_acceptance_suite_validates_both_sweep_configs(kwargs):
+    with pytest.raises(SweepConfigError):
+        AcceptanceSuite(**kwargs)
+
+
+@pytest.mark.parametrize("flags", [["--q-max", "1"], ["--jobs", "0"], ["--jobs", "-1"]])
+def test_cli_selftest_config_errors_exit_2_before_any_check(flags, capsys, monkeypatch):
+    monkeypatch.setattr(AcceptanceSuite, "run_check", lambda self, name: pytest.fail(f"check {name} ran"))
+    assert cli.main(["selftest", "--only", "r2-sweep"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_config_respects_enumeration_guard():
@@ -236,8 +265,9 @@ def test_cli_char_modes(capsys):
 def test_cli_class_counts_respect_the_guard(capsys, monkeypatch):
     monkeypatch.setenv("PERMBINOM_GUARD", "10")
     assert cli.main(["char", "--field", "101"]) == 2
-    assert "q = 101 > guard 10" in capsys.readouterr().err
-    assert cli.main(["char", "--field", "101", "--force"]) == 0
+    assert "q = 101 > guard 10; set PERMBINOM_GUARD" in capsys.readouterr().err
+    monkeypatch.setenv("PERMBINOM_GUARD", "101")
+    assert cli.main(["char", "--field", "101"]) == 0
     assert json.loads(capsys.readouterr().out)["quadratic_classes"] == {"1": 50, "-1": 50, "zero": 1}
 
 
@@ -319,22 +349,21 @@ def test_cli_selftest_csv(capsys):
 
 
 def test_cli_cross_check_mismatch_exits_1(capsys, monkeypatch):
-    fake = SimpleNamespace(
-        q=13, p=13, k=1, n=1, r=2, epsilon1=None, epsilon2=None, s_k=None,
-        closed_count=5, brute_count=4, mz_lower="9/2", mz_upper="15/2",
-        cor_lower=None, cor_upper=None, a_values=(0, 1, 2, 3),
-    )
-    monkeypatch.setattr(cli, "build_count_report", lambda *a, **k: fake)
+    # the closed form is off by one; brute force and the criterion find the true 5
+    monkeypatch.setattr(counts, "closed_count_r2", lambda q, n: 6)
     rc = cli.main(["count", "--field", "13", "--n", "1", "--r", "2", "--verify"])
     assert rc == 1
-    assert "routes disagree" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(q=13, n=1, r=2)" in captured.err
+    assert "closed=6 criterion=5" in captured.err
 
 
 def test_cli_count_verify_compares_a_sets(capsys, monkeypatch):
     real = counts.enumerate_perm_binomials
 
-    def brute_swaps_one(spec, n, r, method="criterion", force=False):
-        found = real(spec, n, r, method=method, force=force)
+    def brute_swaps_one(spec, n, r, method="criterion"):
+        found = real(spec, n, r, method=method)
         if method == "bruteforce":  # same count, one a traded for another
             outside = next(x for x in spec.elements() if x not in found)
             found = found[1:] + [outside]
