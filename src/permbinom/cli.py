@@ -11,13 +11,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 from .characters import cubic_char, power_sum, quadratic_char
 from .counts import build_count_report, masuda_zieve_bounds, refined_bounds_r3, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
-from .errors import CrossCheckFailedError, DivisibilityViolationError, EvenCharacteristicError, PermBinomError
+from .errors import CrossCheckFailedError, DivisibilityViolationError, EvenCharacteristicError, PermBinomError, TraceTooLargeError
 from .fields import FieldSpec, make_field, parse_field
 from .permtest import enumerate_perm_binomials
 
@@ -115,8 +116,15 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    value = pi_trace(args.p, args.j)
-    _emit(args, {"p": args.p, "j": args.j, "s_j": str(value)}, text=f"s_{args.j}(pi_{args.p}) = {value}\n")
+    p, j, limit = args.p, args.j, sys.get_int_max_str_digits()  # limit 0: none
+    compute_kappa(p)  # a bad p fails here, before the size check
+    # |s_j| <= 2 p^(j/2), which has more than `limit` digits iff 4 p^j >= 10^(2 limit);
+    # the logarithms decide unless they land within 1 of the edge
+    excess = j * math.log10(p) + math.log10(4) - 2 * limit
+    if limit and (excess > 1 or (excess > -1 and 4 * p**j >= 10 ** (2 * limit))):
+        raise TraceTooLargeError(f"s_{j} for p = {p} may have more than {limit} digits, the interpreter's int-to-str limit")
+    value = pi_trace(p, j)
+    _emit(args, {"p": p, "j": j, "s_j": str(value)}, text=f"s_{j}(pi_{p}) = {value}\n")
     return EXIT_OK
 
 

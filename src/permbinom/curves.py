@@ -11,9 +11,9 @@ kappa is cross-checked against an honest point count before use.
 From kappa the Frobenius eigenvalue pi_p = -kappa/2 + i sqrt(p - kappa^2/4)
 is never materialized as a float; the integer traces
 s_j = pi_p^j + conj(pi_p)^j follow the linear recurrence
-s_j = -kappa s_{j-1} - p s_{j-2}, evaluated exactly (matrix powers once
-j is large).  The sign convention has s_1 = -kappa, so the extension
-counts are |E(F_{p^j})| = p^j + 1 - s_j and |E(F_p)| = p + 1 + kappa.
+s_j = -kappa s_{j-1} - p s_{j-2}, evaluated exactly by Lucas doubling over
+the bits of j (see pi_trace).  The sign convention has s_1 = -kappa, so the
+extension counts are |E(F_{p^j})| = p^j + 1 - s_j and |E(F_p)| = p + 1 + kappa.
 """
 
 from __future__ import annotations
@@ -129,44 +129,23 @@ def compute_kappa(p: int) -> KappaRecord:
     return KappaRecord(p=p, kappa=kappa, residue=kappa % p, curve_count=count)
 
 
-_MATRIX_CUTOFF = 64
-
-
-def _mat_mul(a, b):
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
-
-
-def _mat_pow(m, e):
-    r = (1, 0, 0, 1)
-    while e:
-        if e & 1:
-            r = _mat_mul(r, m)
-        m = _mat_mul(m, m)
-        e >>= 1
-    return r
-
-
 def pi_trace(p: int, j: int) -> int:
-    """s_j = pi_p^j + conj(pi_p)^j as an exact integer."""
+    """s_j = pi_p^j + conj(pi_p)^j as an exact integer, by Lucas doubling.
+
+    Walks the bits of j from the top carrying (s_m, s_{m+1}, p^m) from m = 0,
+    with s_{2m} = s_m^2 - 2 p^m and s_{2m+1} = s_m s_{m+1} + kappa p^m: three
+    big products per bit, one for the last bit, where only s_j is needed.
+    """
     if j < 0:
         raise ValueError("trace index must be nonnegative")
     kappa = compute_kappa(p).kappa
-    if j == 0:
-        return 2
-    if j == 1:
-        return -kappa
-    if j <= _MATRIX_CUTOFF:
-        s_prev, s_cur = 2, -kappa
-        for _ in range(j - 1):
-            s_prev, s_cur = s_cur, -kappa * s_cur - p * s_prev
-        return s_cur
-    m = _mat_pow((-kappa, -p, 1, 0), j - 1)
-    return m[0] * -kappa + m[1] * 2
+    s, t, pm = 2, -kappa, 1
+    for bit in bin(j)[2:-1]:
+        if bit == "1":
+            s, t, pm = s * t + kappa * pm, t * t - 2 * p * pm, pm * pm * p
+        else:
+            s, t, pm = s * s - 2 * pm, s * t + kappa * pm, pm * pm
+    return s * t + kappa * pm if j & 1 else s * s - 2 * pm
 
 
 def count_points_extension(spec: FieldSpec, a4: FieldElement, a6: FieldElement) -> int:

@@ -76,3 +76,7 @@ class EnumerationGuardError(PermBinomError, ValueError):
 
 class SweepConfigError(PermBinomError, ValueError):
     """A sweep's q_max, r_set or jobs is out of range."""
+
+
+class TraceTooLargeError(PermBinomError, ValueError):
+    """A trace s_j could have more digits than the interpreter prints."""

@@ -35,15 +35,18 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; n stays small here."""
+    """Prime factorization by trial division, stopped once the cofactor left is prime."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            if is_prime(n):
+                break
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1

@@ -49,7 +49,7 @@ BUDGET_MS = {
     "r3-sweep": 4_000,
     "point-congruence": 3_000,
     "extension-counts": 1_000,
-    "sharpness-witnesses": 10_000,
+    "sharpness-witnesses": 1_000,
 }
 
 

@@ -12,10 +12,12 @@ but that only *selects* candidate k.  Each reported deviation
 
     d_k = ((3 (e1 + e2) + 10) / 2 + s_k) / p^(k/2)
 
-is computed from exact integers: the trace s_k by the integer
-recurrence, p^(k/2) bracketed by a scaled integer square root, yielding
-a rational enclosure [lo, hi] of width around 10^-digits.  Nothing about
-a reported deviation depends on float rounding.
+is computed from exact integers: the trace s_k by Lucas doubling,
+p^(k/2) bracketed by a scaled integer square root, yielding a rational
+enclosure [lo, hi] of width around 10^-digits.  The reported decimal is
+(lo + hi) / 2 truncated at 42 places, never reduced: it is the shared
+truncation of lo and hi when they agree, else that of (ad + cb) / 2bd
+for lo = a/b, hi = c/d.  Nothing about it depends on float rounding.
 """
 
 from __future__ import annotations
@@ -106,11 +108,13 @@ def deviation_bounds(p: int, k: int, n: int, digits: int = 50) -> tuple[Fraction
 
 def decimal_string(value: Fraction, places: int = 42) -> str:
     """Fixed-point decimal rendering, truncated toward zero."""
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    scaled = value.numerator * 10**places // value.denominator
-    whole, frac = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    return _truncated_decimal(value.numerator, value.denominator, places)
+
+
+def _truncated_decimal(num: int, den: int, places: int = 42) -> str:
+    """decimal_string of num / den for den > 0, with no gcd taken."""
+    whole, frac = divmod(abs(num) * 10**places // den, 10**places)
+    return f"{'-' if num < 0 else ''}{whole}.{str(frac).zfill(places)}"
 
 
 def sharpness_probe(
@@ -129,36 +133,20 @@ def sharpness_probe(
     """
     if p in (2, 3):
         raise UnsupportedPrimeError("probe needs p >= 5")
-    record = compute_kappa(p)
-    kappa = record.kappa
+    kappa = compute_kappa(p).kappa
 
     if p % 3 == 2:
         # pi_p = i sqrt(p): the angle is exactly pi/2 and k theta hits a
         # multiple of pi at every even k, so report those directly.
+        theta_str, conv2pi, convpi = "pi/2", [], []
         candidates = range(2, min(2 * depth, k_max) + 1, 2)
-        findings = tuple(_finding(p, k, n, digits) for k in candidates)
-        return SharpnessProbe(
-            p=p,
-            n=n,
-            kappa=0,
-            theta="pi/2",
-            depth=depth,
-            convergents_two_pi=(),
-            convergents_pi=(),
-            findings=findings,
-        )
-
-    with mp.workdps(max(80, 60 + 6 * depth)):
-        theta = mp.atan2(mp.sqrt(mpf(4 * p - kappa * kappa)) / 2, mpf(-kappa) / 2)
-        theta_str = mp.nstr(theta, 40)
-        conv2pi = _convergents(theta / (2 * mp.pi), depth)
-        convpi = _convergents(theta / mp.pi, depth)
-
-    candidates = sorted(
-        {den for _, den in conv2pi if den <= k_max}
-        | {den for _, den in convpi if den <= k_max}
-    )
-    findings = tuple(_finding(p, k, n, digits) for k in candidates)
+    else:
+        with mp.workdps(max(80, 60 + 6 * depth)):
+            theta = mp.atan2(mp.sqrt(mpf(4 * p - kappa * kappa)) / 2, mpf(-kappa) / 2)
+            theta_str = mp.nstr(theta, 40)
+            conv2pi = _convergents(theta / (2 * mp.pi), depth)
+            convpi = _convergents(theta / mp.pi, depth)
+        candidates = sorted({den for _, den in conv2pi + convpi if den <= k_max})
     return SharpnessProbe(
         p=p,
         n=n,
@@ -167,16 +155,21 @@ def sharpness_probe(
         depth=depth,
         convergents_two_pi=tuple(conv2pi),
         convergents_pi=tuple(convpi),
-        findings=findings,
+        findings=tuple(_finding(p, k, n, digits) for k in candidates),
     )
 
 
 def _finding(p: int, k: int, n: int, digits: int) -> ProbeFinding:
     lo, hi = deviation_bounds(p, k, n, digits)
+    # ends that truncate alike pin the midpoint; else (ad + cb) / 2bd, unreduced
+    deviation = decimal_string(lo)
+    if deviation != decimal_string(hi):
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        deviation = _truncated_decimal(a * d + c * b, 2 * b * d)
     return ProbeFinding(
         k=k,
         deviation_lo=lo,
         deviation_hi=hi,
-        deviation=decimal_string((lo + hi) / 2),
+        deviation=deviation,
         gcd_ok=admissible_exponent(n, p, k),
     )

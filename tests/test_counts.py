@@ -148,6 +148,23 @@ def test_prime_powers_are_found_without_factoring(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["closed_count"] == (m61 - 3) // 2
 
 
+def test_factorize_matches_trial_division():
+    def trial_division(n):
+        out, d = {}, 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1
+        if n > 1:
+            out[n] = 1
+        return out
+
+    assert all(primes.factorize(n) == trial_division(n) for n in range(1, 20_000))
+    m = (3458764513820547727 - 1) // 6  # a 59-bit prime
+    assert primes.factorize(6 * m) == {2: 1, 3: 1, m: 1}
+
+
 def test_closed_count_r3_validation():
     with pytest.raises(BadFieldForCubicError):
         closed_count_r3(11, 1, 1)  # 11 = 2 mod 3

@@ -94,15 +94,33 @@ def test_kappa_hasse_bound(p):
     assert compute_kappa(p).kappa ** 2 <= 4 * p
 
 
+def _trace_by_recurrence(p, j_max):
+    kappa = compute_kappa(p).kappa
+    seq = [2, -kappa]
+    while len(seq) <= j_max:
+        seq.append(-kappa * seq[-1] - p * seq[-2])
+    return seq
+
+
 def test_trace_recurrence_oracle():
-    # iterative and matrix-power paths must agree across the cutoff at 64
+    for p in (2, 5, 7, 13, 73, 199):
+        assert [pi_trace(p, j) for j in range(301)] == _trace_by_recurrence(p, 300), p
+
+
+def test_trace_at_j_2000_matches_the_recurrence():
     for p in (7, 73):
-        kappa = compute_kappa(p).kappa
-        seq = [2, -kappa]
-        for _ in range(120):
-            seq.append(-kappa * seq[-1] - p * seq[-2])
-        for j in (0, 1, 2, 10, 63, 64, 65, 70, 100, 121):
-            assert pi_trace(p, j) == seq[j], (p, j)
+        assert pi_trace(p, 2000) == _trace_by_recurrence(p, 2000)[2000]
+
+
+def test_trace_identities_at_large_j():
+    p, j = 199, 15000
+    kappa = compute_kappa(p).kappa
+    s_j, s_j1 = pi_trace(p, j), pi_trace(p, j + 1)
+    assert pi_trace(p, 2 * j) == s_j**2 - 2 * p**j
+    assert pi_trace(p, 2 * j + 1) == s_j * s_j1 + kappa * p**j
+    # s_(a+b) = s_a s_b - p^b s_(a-b), a product rule the doubling never uses
+    a, b = 15000, 7001
+    assert pi_trace(p, a + b) == s_j * pi_trace(p, b) - p**b * pi_trace(p, a - b)
 
 
 def test_trace_pins():

@@ -125,6 +125,18 @@ def test_probe_rejects_tiny_characteristic(p):
         sharpness.sharpness_probe(p, 1)
 
 
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [((73, 35), {}), ((5, 1), {}), ((7, 1), {"k_max": 60}), ((7, 1), {"k_max": 60, "digits": 3})],
+)
+def test_deviation_is_the_truncated_midpoint(args, kwargs):
+    # digits=3 leaves brackets wide enough that their ends truncate apart
+    probe = sharpness.sharpness_probe(*args, **kwargs)
+    assert probe.findings
+    for f in probe.findings:
+        assert f.deviation == sharpness.decimal_string((f.deviation_lo + f.deviation_hi) / 2), f.k
+
+
 def test_decimal_string_rendering():
     s = sharpness.decimal_string(Fraction(-89, 73))
     assert s.startswith("-1.21917808219")

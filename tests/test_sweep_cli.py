@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from permbinom import cli, counts, sweep
+from permbinom.curves import pi_trace
 from permbinom.errors import EnumerationGuardError, SweepConfigError
 from permbinom.selftest import AcceptanceSuite
 from permbinom.sweep import (
@@ -238,6 +243,37 @@ def test_cli_kappa_and_trace(capsys):
     rc = cli.main(["trace", "--p", "73", "--j", "2"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["s_j"] == "-97"
+
+
+def test_cli_trace_refuses_a_j_it_could_not_print(capsys):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(limit := 4300)
+        # the largest j whose Hasse bound 2 * 73^(j/2) still has at most `limit` digits
+        j_edge = max(j for j in range(4000, 5000) if 4 * 73**j < 10 ** (2 * limit))
+        for j in (j_edge + 1, 10_000, 10**12):  # refused before s_j is computed
+            assert cli.main(["trace", "--p", "73", "--j", str(j)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"s_{j} for p = 73 may have more than {limit} digits" in err
+        for j in (4000, j_edge):
+            assert cli.main(["trace", "--p", "73", "--j", str(j)]) == 0
+            assert int(json.loads(capsys.readouterr().out)["s_j"]) == pi_trace(73, j)
+        sys.set_int_max_str_digits(0)  # no limit: nothing is refused
+        assert cli.main(["trace", "--p", "73", "--j", "10000"]) == 0
+        assert int(json.loads(capsys.readouterr().out)["s_j"]) == pi_trace(73, 10_000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_cli_char_on_a_prime_with_a_huge_q1_factor():
+    # q - 1 = 6m with m a 59-bit prime: factoring q - 1 stops once m is left
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "permbinom.cli", "char", "--field", "3458764513820547727", "--x", "5"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["q"] == 3458764513820547727
 
 
 def test_cli_curve_point_count(capsys):
