@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp.set_defaults(handler=_cmd_sharpness)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--jobs", type=int, default=1, help="worker processes for the sweeps")
+    p_self.add_argument("--jobs", type=int, default=1, help="worker processes for the sweeps, at most one per CPU")
     p_self.add_argument("--q-max", type=int, help="cap both sweeps at this q (default 343 / 400)")
     p_self.add_argument("--only", help="comma-separated subset of checks")
     p_self.add_argument("--report", metavar="PATH", help="also write the merged sweep report")

@@ -22,7 +22,7 @@ evaluated with exact integer ceilings and floors (no floating point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -193,20 +193,8 @@ def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> 
 
 def report_to_dict(report: CountReport) -> dict:
     """JSON-ready dict: stable key order, fractions and big ints as strings."""
-    return {
-        "q": report.q,
-        "p": report.p,
-        "k": report.k,
-        "n": report.n,
-        "r": report.r,
-        "epsilon1": report.epsilon1,
-        "epsilon2": report.epsilon2,
-        "s_k": None if report.s_k is None else str(report.s_k),
-        "closed_count": report.closed_count,
-        "brute_count": report.brute_count,
-        "mz_lower": str(report.mz_lower),
-        "mz_upper": str(report.mz_upper),
-        "cor_lower": report.cor_lower,
-        "cor_upper": report.cor_upper,
-        "a_values": None if report.a_values is None else list(report.a_values),
-    }
+    out = asdict(report)
+    out["s_k"] = None if report.s_k is None else str(report.s_k)
+    out["mz_lower"], out["mz_upper"] = str(report.mz_lower), str(report.mz_upper)
+    out["a_values"] = None if report.a_values is None else list(report.a_values)
+    return out

@@ -46,10 +46,6 @@ class ZeroPolynomialError(PermBinomError, ValueError):
     """Constant or zero polynomial has no index decomposition."""
 
 
-class NonMinimalIndexError(PermBinomError, ValueError):
-    """Index form does not reproduce a minimal-index decomposition."""
-
-
 class EvenPrimeError(PermBinomError, ValueError):
     """p = 2 not supported by this point-count routine."""
 
@@ -76,6 +72,10 @@ class EnumerationGuardError(PermBinomError, ValueError):
 
 class SweepConfigError(PermBinomError, ValueError):
     """A sweep's q_max, r_set or jobs is out of range."""
+
+
+class FactorizationLimitError(PermBinomError, ValueError):
+    """factorize ran out of Pollard rho steps before splitting a cofactor."""
 
 
 class TraceTooLargeError(PermBinomError, ValueError):

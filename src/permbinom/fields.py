@@ -95,13 +95,6 @@ def _pdeg(a: Sequence[int]) -> int:
     return len(_ptrim(a)) - 1
 
 
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    aa = list(a) + [0] * (n - len(a))
-    bb = list(b) + [0] * (n - len(b))
-    return _ptrim([(x - y) % p for x, y in zip(aa, bb)])
-
-
 def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
     """Remainder of a modulo f; f need not be monic."""
     a = list(a)
@@ -118,26 +111,6 @@ def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
     return _ptrim(a[:df] if df > 0 else [])
 
 
-def _pmulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    return _pmod(prod, f, p)
-
-
-def _ppowmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     a, b = _ptrim(a), _ptrim(b)
     while b:
@@ -146,7 +119,10 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Distinct-degree test: gcd(f, x^{p^i} - x) trivial for i <= deg/2."""
+    """Distinct-degree test on a monic f: gcd(f, x^{p^i} - x) trivial for i <= deg/2.
+
+    x^{p^i} is taken in FieldSpec(p, k, f), whose arithmetic needs f monic only.
+    """
     k = _pdeg(f)
     if k < 1:
         return False
@@ -154,11 +130,11 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
         return True
     if f[0] == 0:
         return False
-    x = (0, 1)
+    x = FieldSpec(p, k, tuple(f[: k + 1])).element((0, 1) + (0,) * (k - 2))
     t = x
     for _ in range(k // 2):
-        t = _ppowmod(t, p, f, p)
-        if _pdeg(_pgcd(_psub(t, x, p), f, p)) > 0:
+        t = t**p
+        if _pdeg(_pgcd((t - x).coeffs, f, p)) > 0:
             return False
     return True
 
@@ -337,6 +313,7 @@ class FieldSpec:
         self._tables: FieldTables | None = None
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Product modulo the modulus, which must be monic but need not be irreducible."""
         p, k = self.p, self.k
         if k == 1:
             return (a[0] * b[0] % p,)

@@ -6,8 +6,8 @@ Routes:
     at every x at once as r shifted bitmasks of logarithms per a;
   * wanlidl: decompose into the index form x^r_low h(x^(q-1)/m) + b and
     apply the index-form permutation criterion; wan_lidl_check does so for
-    any polynomial, and enumeration builds the binomial's form once and
-    tests each a != 0 on logarithms;
+    any polynomial, and enumeration builds the a = 1 binomial's form once
+    and tests every a, 0 included, on logarithms;
   * criterion: the character conditions specific to r = 2 and r = 3.
 
 The routes answer only on admissible cells (q, n, r), the ones the paper
@@ -30,7 +30,6 @@ from .errors import (
     BadFieldForCubicError,
     EvenCharacteristicError,
     GcdViolationError,
-    NonMinimalIndexError,
     ZeroPolynomialError,
 )
 from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, add_logs, ensure_enumerable
@@ -116,36 +115,17 @@ def compute_index_form(spec: FieldSpec, f) -> IndexForm:
     return IndexForm(r_low=r_low, h=tuple(h), m=m, b=b)
 
 
-def _recompose(spec: FieldSpec, form: IndexForm) -> dict[int, FieldElement]:
-    s = (spec.q - 1) // form.m
-    poly: dict[int, FieldElement] = {}
-    for j, c in enumerate(form.h):
-        if not c.is_zero:
-            poly[form.r_low + s * j] = c
-    if not form.b.is_zero:
-        poly[0] = poly.get(0, spec.zero) + form.b
-    return poly
+def wan_lidl_check(spec: FieldSpec, f) -> bool:
+    """Index-form permutation criterion for a nonconstant f of degree < q.
 
-
-def _ensure_minimal(spec: FieldSpec, form: IndexForm) -> None:
-    """Raise NonMinimalIndexError unless the form's own polynomial gives back its r_low and m."""
-    recomputed = compute_index_form(spec, _recompose(spec, form))
-    if (recomputed.r_low, recomputed.m) != (form.r_low, form.m):
-        raise NonMinimalIndexError(
-            f"form with r_low={form.r_low}, m={form.m} is not minimal "
-            f"(recomputed m={recomputed.m})"
-        )
-
-
-def wan_lidl_check(spec: FieldSpec, form: IndexForm) -> bool:
-    """Index-form permutation criterion.
-
-    f = x^r_low h(x^s) + b with s = (q-1)/m permutes F_q iff
+    f is a mapping exponent -> coefficient or a dense coefficient sequence,
+    as for is_permutation_bruteforce. With its minimal form
+    f = x^r_low h(x^s) + b and s = (q-1)/m, f permutes F_q iff
     gcd(r_low, s) = 1, h vanishes nowhere on the m-th roots of unity, and
     the values (f - b)(alpha^i)^s for 0 <= i < m are pairwise distinct.
     The constant b only shifts the image, so it takes no part in the test.
     """
-    _ensure_minimal(spec, form)
+    form = compute_index_form(spec, f)
     q = spec.q
     s = (q - 1) // form.m
     if gcd(form.r_low, s) != 1:
@@ -255,16 +235,16 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     n i + L_t with L_t = log(alpha^(d t) + a). Mask M_t has bit n i mod (q-1)
     for each i = t mod r, and a passes iff no L_t is NO_LOG (another root of
     f) and the M_t rotated by L_t cover all q - 1 bits: r shifts of
-    O(q / 64) machine words per a.
+    O(q / 64) machine words per a. At a = 0, log a is NO_LOG and L_t = d t,
+    the shifts of the monomial x^(n+d).
     """
     _, log, zech = tables
     q1 = spec.q - 1
     d = q1 // r
     full = (1 << q1) - 1
     rows = [(d * t, _bitmask((n * i % q1 for i in range(t, q1, r)), q1)) for t in range(r)]
-    # a = 0: the monomial x^(n+d)
-    out = [spec.zero] if _bitmask(((n + d) * i % q1 for i in range(q1)), q1) == full else []
-    for a in range(1, spec.q):
+    out = []
+    for a in range(spec.q):
         la = log[a]
         image = 0
         for dt, mask in rows:
@@ -279,19 +259,20 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
 
 
 def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
-    """All a != 0 for which the binomial permutes F_q, by the index-form criterion.
+    """All a for which the binomial permutes F_q, by the index-form criterion.
 
-    For every a != 0 the binomial has the same support, so its index form
-    x^r_low h(x^s) differs from the a = 1 form only in which coefficient
-    of h is a. That form's minimality and gcd(r_low, s) = 1 are checked
-    once. Then, on logarithms to base alpha with zeta = alpha^s, the two
-    terms of h(zeta^i) are alpha^(log a + s i j_a) and alpha^(s i j_1),
-    added by one Zech lookup (NO_LOG: h vanishes there), and
-    (x^r_low h(x^s))^s at x = alpha^i is alpha^(s (r_low i + log h(zeta^i))).
+    Every a is tested against the index form x^r_low h(x^s) of the a = 1
+    binomial, whose h has a at y^j_a and 1 at y^j_1. The criterion holds
+    for any m dividing q - 1, minimal or not (Zieve, Proc. AMS 137, 2009,
+    Lemma 2.1), so the form serves a = 0, the monomial x^(n+d), too; there
+    gcd(r_low, s) = gcd(n + d, s), as n + d = r_low mod s. That gcd is
+    checked once. On logarithms to base alpha with zeta = alpha^s,
+    h(zeta^i) = zeta^(i j_a) (a + zeta^(i (j_1 - j_a))), one Zech lookup
+    (NO_LOG: h vanishes there; at a = 0 the lookup returns the 1 term),
+    and (x^r_low h(x^s))^s at x = alpha^i is alpha^(s (r_low i + log h(zeta^i))).
     """
     poly = binomial_polynomial(spec, n, r, spec.one)
     form = compute_index_form(spec, poly)
-    _ensure_minimal(spec, form)
     q1 = spec.q - 1
     s = q1 // form.m
     if gcd(form.r_low, s) != 1:
@@ -299,17 +280,17 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
     (hi,) = set(poly) - {n}
     j_a, j_1 = (n - form.r_low) // s, (hi - form.r_low) // s  # where a and 1 sit in h
     # the parts of each log that do not depend on a, for i = 0 .. m-1
-    steps = [(s * i * j_a, s * i * j_1 % q1, s * form.r_low * i) for i in range(form.m)]
+    steps = [(s * i * (j_1 - j_a) % q1, s * (form.r_low * i + s * i * j_a) % q1) for i in range(form.m)]
     _, log, zech = tables
     out = []
-    for a in range(1, spec.q):
+    for a in range(spec.q):
         la = log[a]
         seen = set()
-        for a_term, one_term, x_term in steps:
-            lh = add_logs(zech, (la + a_term) % q1, one_term)
+        for one_term, fixed in steps:
+            lh = add_logs(zech, la, one_term)
             if lh == NO_LOG:
                 break
-            v = (x_term + s * lh) % q1
+            v = (fixed + s * lh) % q1
             if v in seen:
                 break
             seen.add(v)
@@ -322,7 +303,7 @@ def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "cri
     """All a in F_q (enumeration order) making x^n (x^((q-1)/r) + a) a permutation.
 
     a = 0 is included; the binomial degenerates to the monomial
-    x^(n + (q-1)/r) and every route handles it consistently.
+    x^(n + (q-1)/r), which every route tests as an ordinary a.
     """
     check_cell(spec.q, n, r)
     tables = spec.scan_tables()
@@ -331,7 +312,5 @@ def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "cri
     if method == "bruteforce":
         return _brute_survivors(spec, tables, n, r)
     if method == "wanlidl":
-        monomial = compute_index_form(spec, binomial_polynomial(spec, n, r, spec.zero))
-        head = [spec.zero] if wan_lidl_check(spec, monomial) else []
-        return head + _wan_lidl_survivors(spec, tables, n, r)
+        return _wan_lidl_survivors(spec, tables, n, r)
     raise ValueError(f"unknown method {method!r}")

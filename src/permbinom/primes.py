@@ -1,6 +1,9 @@
 """Small deterministic number-theory helpers on plain integers."""
 
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
+
+from .errors import FactorizationLimitError
 
 # Witness set proven sufficient for every n < 3.3 * 10^24, far beyond any
 # modulus this package touches.
@@ -34,23 +37,62 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# factorize divides by every d up to _TRIAL_BOUND, then splits what is left
+# by Pollard rho in at most _RHO_STEPS steps, about a second of work: enough
+# when the second-largest prime factor is below about 10^9, not always past 10^10.
+_TRIAL_BOUND = 1 << 10
+_RHO_STEPS = 1 << 18
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, stopped once the cofactor left is prime."""
+    """Prime factorization, ascending: trial division, then Pollard rho on a composite cofactor.
+
+    Raises FactorizationLimitError, naming n and the cofactor, when the
+    rho steps run out: a cofactor with two very large prime factors.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
+    whole = n
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            if is_prime(n):
-                break
+    while d * d <= n and d <= _TRIAL_BOUND:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        # every prime factor of n is at least d, so n < d^2 is prime
+        for prime in (n,) if n < d * d or is_prime(n) else _rho_primes(n, whole):
+            out[prime] = out.get(prime, 0) + 1
     return out
+
+
+def _rho_primes(n: int, whole: int) -> list[int]:
+    """Prime factors of the composite cofactor n of whole, ascending, with multiplicity.
+
+    Pollard rho, x -> x^2 + c for c = 1, 2, ... with Floyd's cycle search,
+    splits each composite in _RHO_STEPS steps in all.
+    """
+    found, left, steps = [], [n], _RHO_STEPS
+    while left:
+        m = left.pop()
+        if is_prime(m):
+            found.append(m)
+            continue
+        for c in count(1):
+            x = y = g = 1
+            while g == 1:
+                steps -= 1
+                if steps < 0:
+                    raise FactorizationLimitError(f"cannot factor {m}, a factor of {whole}, within {_RHO_STEPS} Pollard rho steps")
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                g = gcd(x - y, m)
+            if g != m:
+                break
+        left += [g, m // g]
+    return sorted(found)
 
 
 def _iroot(n: int, k: int) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +45,7 @@ class SweepConfig:
     Every admissible (q, n, r) with q <= q_max and r in r_set is checked
     by all four routes. seed picks the brute-force sample above
     BRUTE_FULL_MAX; jobs > 1 distributes whole (q, r) blocks across
-    processes.
+    processes, at most one per CPU (os.cpu_count()).
     """
 
     q_max: int = 343
@@ -167,6 +168,10 @@ def validate_config(config: SweepConfig) -> None:
         raise SweepConfigError(f"r_set must be a non-empty subset of {{2, 3}}, got {config.r_set}")
     if config.jobs < 1:
         raise SweepConfigError("jobs must be positive")
+    # the pool starts all its workers at once, so the cap comes before it exists
+    cpus = os.cpu_count() or 1
+    if config.jobs > cpus:
+        raise SweepConfigError(f"jobs = {config.jobs} exceeds the {cpus} CPUs of this machine")
 
 
 def run_verify_sweep(config: SweepConfig) -> SweepResult:

@@ -163,6 +163,9 @@ def test_factorize_matches_trial_division():
     assert all(primes.factorize(n) == trial_division(n) for n in range(1, 20_000))
     m = (3458764513820547727 - 1) // 6  # a 59-bit prime
     assert primes.factorize(6 * m) == {2: 1, 3: 1, m: 1}
+    # past trial division, Pollard rho splits cofactors of large primes, in ascending order
+    assert primes.factorize(6 * 1000000007 * 998244521) == {2: 1, 3: 1, 998244521: 1, 1000000007: 1}
+    assert primes.factorize(1031**2 * 1033**3 * 65537) == {1031: 2, 1033: 3, 65537: 1}
 
 
 def test_closed_count_r3_validation():

@@ -10,12 +10,10 @@ from permbinom.errors import (
     BadFieldForCubicError,
     EvenCharacteristicError,
     GcdViolationError,
-    NonMinimalIndexError,
     ZeroPolynomialError,
 )
 from permbinom.fields import make_field
 from permbinom.permtest import (
-    IndexForm,
     binomial_polynomial,
     compute_index_form,
     enumerate_perm_binomials,
@@ -84,14 +82,6 @@ def test_index_form_rejects_constants():
         compute_index_form(spec, {0: spec.element(5)})
 
 
-def test_wan_lidl_rejects_non_minimal_form():
-    # x + x^5 over F_13 has index 3, so a form claiming m = 6 must be refused
-    spec = make_field(13)
-    form = IndexForm(r_low=1, h=(spec.one, spec.zero, spec.one), m=6, b=spec.zero)
-    with pytest.raises(NonMinimalIndexError):
-        wan_lidl_check(spec, form)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_wan_lidl_matches_bruteforce_on_sparse_polys(data):
@@ -101,8 +91,11 @@ def test_wan_lidl_matches_bruteforce_on_sparse_polys(data):
     b = data.draw(st.integers(0, 12))
     poly = {e: spec.element(c) for e, c in zip(exps, coeffs)}
     poly[0] = spec.element(b)
-    form = compute_index_form(spec, dict(poly))
-    assert wan_lidl_check(spec, form) == is_permutation_bruteforce(spec, poly)
+    assert wan_lidl_check(spec, poly) == is_permutation_bruteforce(spec, poly)
+    dense = [0] * (max(poly) + 1)
+    for e, c in poly.items():
+        dense[e] = c.encode()
+    assert wan_lidl_check(spec, dense) == is_permutation_bruteforce(spec, poly)
 
 
 @pytest.mark.parametrize("q,r", [(13, 2), (13, 3), (11, 2), (19, 3), (31, 3), (23, 2)])
@@ -142,18 +135,20 @@ def test_routes_agree_sampled_large_fields():
         assert crit == brute
 
 
-@pytest.mark.parametrize("p,k,r", [(13, 1, 2), (13, 1, 3), (5, 2, 2)])
+@pytest.mark.parametrize("p,k,r", [(13, 1, 2), (13, 1, 3), (5, 2, 2), (2, 4, 3), (7, 2, 3)])
 def test_monomial_case_matches_gcd_rule(p, k, r):
     # a = 0 leaves the monomial x^(n + (q-1)/r), a permutation iff the
-    # exponent is coprime to q - 1
+    # exponent is coprime to q - 1; every route must say so
     spec = make_field(p, k)
     q = p**k
     d = (q - 1) // r
     for n in range(1, q):
         if gcd(n, d) != 1:
             continue
-        survivors = {a.encode() for a in enumerate_perm_binomials(spec, n, r)}
-        assert (0 in survivors) == (gcd(n + d, q - 1) == 1)
+        want = gcd(n + d, q - 1) == 1
+        for method in ("criterion", "bruteforce", "wanlidl"):
+            survivors = enumerate_perm_binomials(spec, n, r, method=method)
+            assert (spec.zero in survivors) == want, (n, method)
 
 
 def test_enumerate_validations():

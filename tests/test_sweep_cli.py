@@ -157,6 +157,22 @@ def test_cli_selftest_config_errors_exit_2_before_any_check(flags, capsys, monke
     assert captured.err.startswith("error: ")
 
 
+def test_jobs_above_the_cpu_count_are_refused_before_a_pool_exists(monkeypatch, capsys):
+    # a small fake CPU count, so no large pool is ever asked for
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool was started"))
+    monkeypatch.setattr(AcceptanceSuite, "run_check", lambda self, name: pytest.fail(f"check {name} ran"))
+    sweep.validate_config(SweepConfig(jobs=2))
+    with pytest.raises(SweepConfigError, match="jobs = 3 exceeds the 2 CPUs"):
+        run_verify_sweep(SweepConfig(q_max=13, jobs=3))
+    with pytest.raises(SweepConfigError):
+        AcceptanceSuite(jobs=3)
+    assert cli.main(["selftest", "--only", "r2-sweep", "--jobs", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "jobs = 3" in captured.err
+
+
 def test_config_respects_enumeration_guard():
     with pytest.raises(EnumerationGuardError):
         run_verify_sweep(SweepConfig(q_max=2**20 + 7))
@@ -274,6 +290,32 @@ def test_cli_char_on_a_prime_with_a_huge_q1_factor():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["q"] == 3458764513820547727
+
+
+def _cli_char_x5(field):
+    src = Path(cli.__file__).parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "permbinom.cli", "char", "--field", field, "--x", "5"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=30,
+    )
+
+
+def test_cli_char_splits_a_q1_cofactor_with_two_large_primes():
+    # q - 1 = 6 * 1000000007 * 998244521: Pollard rho splits the cofactor
+    # that trial division alone would grind through for minutes
+    proc = _cli_char_x5("5989467167926269883")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"q": 5989467167926269883, "x": 5, "quadratic": -1, "cubic": 1}
+
+
+def test_cli_char_refuses_a_q1_it_cannot_factor():
+    # q - 1 = 300 (10^24 + 7)(3 10^24 + 7), two 25-digit primes: rho runs
+    # out of steps and the CLI exits 2 naming the number, with no output
+    q = 300 * (10**24 + 7) * (3 * 10**24 + 7) + 1
+    proc = _cli_char_x5(str(q))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"a factor of {q - 1}" in proc.stderr
 
 
 def test_cli_curve_point_count(capsys):
