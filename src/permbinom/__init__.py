@@ -1,9 +1,15 @@
 """Permutation binomials x^n (x^((q-1)/r) + a) over finite fields, r in {2, 3}.
 
 Exact closed-form counts cross-validated against character criteria, brute
-force, Wan-Lidl index testing and elliptic-curve point counts. The
-sharpness module (continued-fraction probe, needs mpmath) is deliberately
-not re-exported; import permbinom.sharpness directly.
+force, Wan-Lidl index testing and elliptic-curve point counts.
+
+`import permbinom` loads fields, characters, permtest, counts and curves,
+what a single CLI query runs. The sweep and selftest names (SweepConfig,
+run_verify_sweep, AcceptanceSuite, ...) are in __all__ too, but their
+modules load on first use of one of them. The sharpness module
+(continued-fraction probe, needs mpmath) is deliberately not re-exported;
+import permbinom.sharpness directly. The records (CountReport, SweepConfig,
+...) are NamedTuples: immutable, and they compare and iterate as tuples.
 """
 
 from .characters import cubic_char, cubic_roots_of_unity, power_sum, quadratic_char
@@ -51,10 +57,33 @@ from .permtest import (
     is_permutation_bruteforce,
     wan_lidl_check,
 )
-from .selftest import AcceptanceSuite, CheckResult
-from .sweep import SweepConfig, SweepFailure, SweepResult, emit_report, run_verify_sweep
 
 __version__ = "0.1.0"
+
+# name -> module loaded by the first lookup of it (sweep pulls in a process pool)
+_LAZY = {
+    "AcceptanceSuite": "selftest",
+    "CheckResult": "selftest",
+    "SweepConfig": "sweep",
+    "SweepFailure": "sweep",
+    "SweepResult": "sweep",
+    "emit_report": "sweep",
+    "run_verify_sweep": "sweep",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __all__ = [
     "AcceptanceSuite",

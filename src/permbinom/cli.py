@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 all verified / computed, 1 a mathematical cross-check
-disagreed, 2 usage or configuration error. Big integers travel as decimal
-strings in JSON output so downstream parsers never see overflow.
+disagreed, 2 usage or configuration error, or an output file that cannot
+be written. Big integers travel as decimal strings in JSON output so
+downstream parsers never see overflow.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import io
 import json
 import math
 import sys
-from pathlib import Path
 
 from .characters import cubic_char, power_sum, quadratic_char
 from .counts import build_count_report, masuda_zieve_bounds, refined_bounds_r3, report_to_dict
@@ -42,7 +42,8 @@ def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
     else:
         out = text if text is not None else "".join(f"{key}: {value}\n" for key, value in payload.items())
     if args.out:
-        Path(args.out).write_bytes(out.encode())
+        with open(args.out, "wb") as fh:
+            fh.write(out.encode())
     else:
         sys.stdout.write(out)
 
@@ -234,7 +235,8 @@ def _cmd_selftest(args) -> int:
             failures=tuple(sorted(r2.failures + r3.failures)),
             elapsed_ms=r2.elapsed_ms + r3.elapsed_ms,
         )
-        Path(args.report).write_bytes(emit_report(merged, args.report_format))
+        with open(args.report, "wb") as fh:
+            fh.write(emit_report(merged, args.report_format))
     return EXIT_OK if all(r.passed for r in results) else EXIT_MATH
 
 
@@ -316,7 +318,7 @@ def main(argv=None) -> int:
     except (CrossCheckFailedError, DivisibilityViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (PermBinomError, ValueError) as exc:
+    except (PermBinomError, ValueError, OSError) as exc:  # OSError: --out or --report not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

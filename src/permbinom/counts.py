@@ -22,9 +22,9 @@ evaluated with exact integer ceilings and floors (no floating point).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import factorial, isqrt
+from typing import NamedTuple
 
 from .curves import pi_trace
 from .errors import BadFieldForCubicError, CrossCheckFailedError, DegreeMismatchError, DivisibilityViolationError, NonPrimeError
@@ -115,8 +115,7 @@ def refined_bounds_r3(q: int) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Everything the count route knows about one (q, n, r) case."""
 
     q: int
@@ -193,7 +192,7 @@ def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> 
 
 def report_to_dict(report: CountReport) -> dict:
     """JSON-ready dict: stable key order, fractions and big ints as strings."""
-    out = asdict(report)
+    out = report._asdict()
     out["s_k"] = None if report.s_k is None else str(report.s_k)
     out["mz_lower"], out["mz_upper"] = str(report.mz_lower), str(report.mz_upper)
     out["a_values"] = None if report.a_values is None else list(report.a_values)

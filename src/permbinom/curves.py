@@ -18,9 +18,9 @@ extension counts are |E(F_{p^j})| = p^j + 1 - s_j and |E(F_p)| = p + 1 + kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     CrossCheckFailedError,
@@ -77,8 +77,7 @@ def point_count_residue(p: int, a4: int, a6: int) -> int:
     return -total % p
 
 
-@dataclass(frozen=True)
-class KappaRecord:
+class KappaRecord(NamedTuple):
     """Trace coefficient of y^2 = x^3 + 1/4 over F_p, with its receipts."""
 
     p: int

@@ -74,6 +74,10 @@ class SweepConfigError(PermBinomError, ValueError):
     """A sweep's q_max, r_set or jobs is out of range."""
 
 
+class ProbeConfigError(PermBinomError, ValueError):
+    """A sharpness probe's n, depth or k_max is not positive."""
+
+
 class FactorizationLimitError(PermBinomError, ValueError):
     """factorize ran out of Pollard rho steps before splitting a cofactor."""
 

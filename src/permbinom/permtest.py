@@ -21,9 +21,8 @@ checks that, which is what makes the fast criterion trustworthy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from .errors import (
@@ -37,8 +36,7 @@ from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, add_logs, ensu
 Poly = Mapping[int, FieldElement]
 
 
-@dataclass(frozen=True)
-class IndexForm:
+class IndexForm(NamedTuple):
     """f(x) = x^r_low * h(x^((q-1)/m)) + b with h(0) != 0 and m minimal."""
 
     r_low: int

@@ -9,8 +9,8 @@ same cells instead of re-sweeping).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import cubic_char, power_sum, quadratic_char
 from .curves import (
@@ -53,8 +53,7 @@ BUDGET_MS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

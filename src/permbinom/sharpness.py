@@ -22,23 +22,22 @@ for lo = a/b, hi = c/d.  Nothing about it depends on float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .counts import epsilons
 from .curves import compute_kappa, pi_trace
-from .errors import UnsupportedPrimeError
+from .errors import ProbeConfigError, UnsupportedPrimeError
 from .primes import factorize
 
 DEFAULT_DEPTH = 30
 DEFAULT_K_MAX = 10_000  # deviations cost ~k digits of integer work apiece
 
 
-@dataclass(frozen=True)
-class ProbeFinding:
+class ProbeFinding(NamedTuple):
     k: int
     deviation_lo: Fraction
     deviation_hi: Fraction
@@ -46,8 +45,7 @@ class ProbeFinding:
     gcd_ok: bool  # whether gcd(n, (p^k - 1)/3) = 1, i.e. n is admissible there
 
 
-@dataclass(frozen=True)
-class SharpnessProbe:
+class SharpnessProbe(NamedTuple):
     p: int
     n: int
     kappa: int
@@ -133,6 +131,9 @@ def sharpness_probe(
     """
     if p in (2, 3):
         raise UnsupportedPrimeError("probe needs p >= 5")
+    for name, value in (("n", n), ("depth", depth), ("k_max", k_max)):
+        if value < 1:
+            raise ProbeConfigError(f"{name} must be at least 1, got {value}")
     kappa = compute_kappa(p).kappa
 
     if p % 3 == 2:

@@ -23,7 +23,6 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -38,8 +37,7 @@ BRUTE_FULL_MAX = 100  # brute force confirms every cell with q up to this
 BRUTE_SAMPLE_RATE = 0.1  # and this seeded share of the cells above it
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Which cells one verification sweep covers, and how it runs.
 
     Every admissible (q, n, r) with q <= q_max and r in r_set is checked
@@ -63,8 +61,7 @@ class SweepFailure(NamedTuple):
     diff: str
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     cells: tuple[dict, ...]
     failures: tuple[SweepFailure, ...]
     elapsed_ms: int

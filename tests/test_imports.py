@@ -1,13 +1,23 @@
-"""Static hygiene of the package source.
+"""Hygiene of the package source and of what importing it loads.
 
-No module imports a name it never uses; no function or subcommand takes a
-force switch past the enumeration guard; only fields.py reads the environment.
+No module imports a name it never uses or imports dataclasses; no function
+or subcommand takes a force switch past the enumeration guard; only
+fields.py reads the environment. A CLI query loads neither the sweep and
+selftest machinery nor mpmath, and the lazily loaded public names still
+behave like the eager ones.
 """
 
 import ast
+import json
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import permbinom
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "permbinom"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -80,3 +90,111 @@ def test_no_force_switch(path):
 def test_only_fields_reads_the_environment():
     readers = {p.name for p in ALL_SOURCES if environment_reads(p.read_text())}
     assert readers == {"fields.py"}
+
+
+def dataclass_imports(source: str) -> list[str]:
+    """Import statements that bring in the dataclasses module or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name} (line {node.lineno})" for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(f"from dataclasses (line {node.lineno})")
+    return found
+
+
+def test_dataclass_import_detector():
+    src = "import os, dataclasses\nfrom dataclasses import dataclass\nimport dataclasses_json\n"
+    assert dataclass_imports(src) == ["import dataclasses (line 1)", "from dataclasses (line 2)"]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # records are NamedTuples: dataclasses (and the inspect it imports) cost every query ~11 ms
+    assert dataclass_imports(path.read_text()) == []
+
+
+# Modules a one-shot query has no use for: the sweep and selftest machinery
+# with its process pool, the mpmath-backed sharpness probe, and dataclasses.
+NOT_LOADED_BY_A_QUERY = (
+    "permbinom.sweep",
+    "permbinom.selftest",
+    "permbinom.sharpness",
+    "mpmath",
+    "concurrent.futures",
+    "multiprocessing",
+    "dataclasses",
+    "inspect",
+)
+
+CLOSURE_SCRIPT = """
+import json, os, sys
+import permbinom.cli
+loaded = {"import": [m for m in NAMES if m in sys.modules]}
+for argv in QUERIES:
+    permbinom.cli.main(argv + ["--out", os.devnull])
+loaded["queries"] = [m for m in NAMES if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_a_cli_query_loads_no_sweep_selftest_or_mpmath():
+    queries = [
+        ["count", "--field", "73", "--n", "35", "--r", "3", "--verify"],
+        ["enumerate", "--field", "7^2", "--n", "5", "--r", "2", "--method", "wanlidl"],
+        ["char", "--field", "13"],
+        ["curve", "--field", "5^3", "--A", "0", "--B", "inv4"],
+        ["trace", "--p", "73", "--j", "100"],
+    ]
+    script = f"NAMES = {NOT_LOADED_BY_A_QUERY!r}\nQUERIES = {queries!r}\n" + CLOSURE_SCRIPT
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],  # -S: no site hooks that could import anything
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": [], "queries": []}
+
+
+LAZY_NAMES = ("AcceptanceSuite", "CheckResult", "SweepConfig", "SweepFailure", "SweepResult", "emit_report", "run_verify_sweep")
+
+
+def test_every_public_name_resolves():
+    assert set(LAZY_NAMES) <= set(permbinom.__all__)
+    for name in permbinom.__all__:
+        assert getattr(permbinom, name) is not None, name
+    from permbinom import AcceptanceSuite, SweepConfig, run_verify_sweep
+    from permbinom import selftest, sweep
+
+    assert (run_verify_sweep, SweepConfig, AcceptanceSuite) == (sweep.run_verify_sweep, sweep.SweepConfig, selftest.AcceptanceSuite)
+
+
+def test_dir_lists_the_lazy_names_before_they_load():
+    script = (
+        "import sys, permbinom\n"
+        "listed = dir(permbinom)\n"
+        "print(sorted(set(permbinom.__all__) - set(listed)), listed == sorted(listed), 'permbinom.sweep' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.stdout == "[] True False\n", proc.stderr
+
+
+def test_unknown_attribute_is_still_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        permbinom.no_such_name
+    assert not hasattr(permbinom, "no_such_name")
+
+
+def test_records_are_immutable_tuples_that_pickle():
+    config = permbinom.SweepConfig(q_max=50, r_set=(3,), seed=7, jobs=2)
+    assert pickle.loads(pickle.dumps(config)) == config  # jobs > 1 sends it to worker processes
+    assert tuple(config) == (50, (3,), 7, 2)
+    with pytest.raises(AttributeError):
+        config.q_max = 60
+    report = permbinom.build_count_report(7, 1, 1, 3)
+    assert permbinom.report_to_dict(report)["closed_count"] == report.closed_count
+    assert list(permbinom.report_to_dict(report)) == list(report._fields)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from permbinom import sharpness
-from permbinom.errors import UnsupportedPrimeError
+from permbinom import cli, sharpness
+from permbinom.errors import ProbeConfigError, UnsupportedPrimeError
 
 
 def test_even_k_deviation_is_exact():
@@ -123,6 +123,34 @@ def test_supersingular_branch_reports_even_k_only():
 def test_probe_rejects_tiny_characteristic(p):
     with pytest.raises(UnsupportedPrimeError):
         sharpness.sharpness_probe(p, 1)
+
+
+@pytest.fixture
+def no_kappa(monkeypatch):
+    """Fail the test if the probe starts work: its first step is compute_kappa."""
+
+    def refuse(p):
+        raise AssertionError(f"the probe computed kappa({p}) for input it should refuse")
+
+    monkeypatch.setattr(sharpness, "compute_kappa", refuse)
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [({"n": 0}, "n"), ({"n": -3}, "n"), ({"depth": 0}, "depth"), ({"depth": -1}, "depth"), ({"k_max": 0}, "k_max")],
+)
+def test_probe_refuses_non_positive_inputs_before_any_work(no_kappa, kwargs, name):
+    args = {"p": 73, "n": 5, **kwargs}
+    with pytest.raises(ProbeConfigError, match=f"^{name} must be at least 1"):
+        sharpness.sharpness_probe(**args)
+
+
+@pytest.mark.parametrize("flags", [["--n", "5", "--depth", "-1"], ["--n", "0"], ["--n", "5", "--k-max", "0"]])
+def test_cli_sharpness_refuses_non_positive_inputs(no_kappa, flags, capsys):
+    assert cli.main(["sharpness", "--p", "73", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -401,6 +401,24 @@ def test_cli_rejects_bad_cells_and_fields(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["enumerate", "--field", "7", "--n", "1", "--r", "3", "--out"],
+        ["kappa", "--p", "73", "--format", "text", "--out"],
+        ["selftest", "--only", "kappa-table", "--q-max", "20", "--out"],
+        ["selftest", "--only", "kappa-table", "--q-max", "20", "--report"],
+    ],
+)
+def test_cli_unwritable_output_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert cli.main(argv + [str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["count", "--field", "7", "--n", "1", "--r", "2"],
         ["bounds", "--field", "7", "--r", "2"],
         ["kappa", "--p", "73"],
