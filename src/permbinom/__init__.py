@@ -7,8 +7,8 @@ force, Wan-Lidl index testing and elliptic-curve point counts.
 what a single CLI query runs. The sweep and selftest names (SweepConfig,
 run_verify_sweep, AcceptanceSuite, ...) are in __all__ too, but their
 modules load on first use of one of them. The sharpness module
-(continued-fraction probe, needs mpmath) is deliberately not re-exported;
-import permbinom.sharpness directly. The records (CountReport, SweepConfig,
+(continued-fraction probe) is deliberately not re-exported; import
+permbinom.sharpness directly. The records (CountReport, SweepConfig,
 ...) are NamedTuples: immutable, and they compare and iterate as tuples.
 """
 

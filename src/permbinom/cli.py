@@ -172,7 +172,7 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    from .sharpness import decimal_string, sharpness_probe  # local: pulls in mpmath
+    from .sharpness import decimal_string, sharpness_probe  # local: only this query compiles it
 
     probe = sharpness_probe(args.p, args.n, depth=args.depth, k_max=args.k_max)
     findings = [

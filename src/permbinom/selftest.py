@@ -196,7 +196,7 @@ class AcceptanceSuite:
         return True, f"all {len(cells)} sweep counts inside clamped Masuda-Zieve bounds; all {refined} r=3 counts inside the refined pair"
 
     def check_sharpness_witnesses(self) -> tuple[bool, str]:
-        from .sharpness import deviation_bounds, sharpness_probe  # local: pulls in mpmath
+        from .sharpness import deviation_bounds, sharpness_probe  # local: only this check needs it
 
         probe = sharpness_probe(73, 35)
         by_k = {f.k: f for f in probe.findings}

@@ -7,8 +7,15 @@ denominators of continued-fraction convergents: of theta_p / (2 pi) for
 deviations near +2, and of theta_p / pi with odd numerator for
 deviations near -2.
 
-The angle and its convergents are found with mpmath at high precision,
-but that only *selects* candidate k.  Each reported deviation
+The angle is enclosed in integers alone.  With D = 4p - kappa^2,
+theta_p = pi/2 + atan(kappa / sqrt(D)); in B-bit fixed point, pi comes
+from Machin's formula and the arctangent from isqrt halvings of its
+argument followed by the alternating series, every step rounded outward or
+carrying an explicit error bound, so theta_p and pi come out as proven
+integer intervals.  A partial quotient of theta_p / pi (or / 2 pi) is
+emitted only while both rational ends of the interval share it, and the
+40-digit theta string only when both ends round to it; otherwise B doubles.
+The convergents only *select* candidate k.  Each reported deviation
 
     d_k = ((3 (e1 + e2) + 10) / 2 + s_k) / p^(k/2)
 
@@ -26,8 +33,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 from .counts import epsilons
 from .curves import compute_kappa, pi_trace
 from .errors import ProbeConfigError, UnsupportedPrimeError
@@ -35,6 +40,7 @@ from .primes import factorize
 
 DEFAULT_DEPTH = 30
 DEFAULT_K_MAX = 10_000  # deviations cost ~k digits of integer work apiece
+THETA_DIGITS = 40  # significant digits of the reported angle
 
 
 class ProbeFinding(NamedTuple):
@@ -56,22 +62,109 @@ class SharpnessProbe(NamedTuple):
     findings: tuple[ProbeFinding, ...]  # ascending k
 
 
-def _convergents(x, depth: int) -> list[tuple[int, int]]:
-    """Continued-fraction convergents (numerator, denominator) of an mpf."""
+def _atan_series(num: int, den: int, bits: int) -> tuple[int, int]:
+    """atan(num / den) * 2^bits for 0 <= num < den, as (value, error bound).
+
+    Sums x - x^3/3 + x^5/5 - ... with every power and term floored: the
+    power x^j * 2^bits is then low by less than (j + 1)/2 units and each
+    term by less than 2.  The sum stops at the first term that floors to 0,
+    whose true size (under 2 units) bounds the alternating tail.
+    """
+    power = (num << bits) // den
+    num2, den2 = num * num, den * den
+    total, j = 0, 1
+    while term := power // j:
+        total += -term if j & 2 else term
+        power = power * num2 // den2
+        j += 2
+    return total, j + 1  # (j - 1)/2 terms: error < 2 per term + 2 for the tail
+
+
+def _angle_bounds(p: int, kappa: int, bits: int) -> tuple[int, int, int, int]:
+    """Integer enclosures (theta_lo, theta_hi, pi_lo, pi_hi) of theta_p and pi, times 2^(bits + 1).
+
+    theta_p = pi/2 + sign(kappa) phi with phi = atan(|kappa| / sqrt(D)),
+    D = 4p - kappa^2.  Since kappa^2 + D = 4p, the half angle has tangent
+    |kappa| / (2 sqrt(p) + sqrt(D)) < 1; four more halvings
+    x -> x / (1 + sqrt(1 + x^2)), each rounded outward (the map is
+    increasing), bring it under 1/16 before the series.  atan has slope at
+    most 1, so one series at the low end covers the whole interval.
+    """
+    one = 1 << bits
+    a, err_a = _atan_series(1, 5, bits)
+    b, err_b = _atan_series(1, 239, bits)
+    pi_mid, pi_err = 16 * a - 4 * b, 16 * err_a + 4 * err_b  # Machin
+    root = isqrt(4 * p << 2 * bits) + isqrt(4 * p - kappa * kappa << 2 * bits)  # at most 2 units low
+    lo, hi = (abs(kappa) << 2 * bits) // (root + 2), -((-abs(kappa) << 2 * bits) // root)
+    for _ in range(4):
+        square = one * one + lo * lo
+        r = isqrt(square)
+        lo = (lo << bits) // (one + r + (r * r < square))
+        hi = -((-hi << bits) // (one + isqrt(one * one + hi * hi)))
+    s, err = _atan_series(lo, one, bits)
+    phi_lo, phi_hi = (s - err) << 6, (s + err + hi - lo) << 6  # 2 phi = 2^6 atan(x)
+    if kappa < 0:
+        phi_lo, phi_hi = -phi_hi, -phi_lo
+    pi_lo, pi_hi = pi_mid - pi_err, pi_mid + pi_err
+    return pi_lo + phi_lo, pi_hi + phi_hi, 2 * pi_lo, 2 * pi_hi
+
+
+def _certified_convergents(a: int, b: int, c: int, d: int, depth: int) -> list[tuple[int, int]]:
+    """Convergents (m_l, n_l) shared by every real in [a/b, c/d], at most depth of them.
+
+    Needs 0 <= a/b <= c/d.  The reals whose continued fractions start with
+    given quotients form an interval, so a quotient on which both ends
+    agree holds for everything between them.  Stops at the first quotient
+    the ends disagree on, or after one that the low end equals exactly.
+    """
     out = []
-    num1, num0 = 1, 0  # h_{-1}, h_{-2}
-    den1, den0 = 0, 1
-    residual_floor = mpf(10) ** (-(mp.dps - 15))
-    for _ in range(depth):
-        a = int(mp.floor(x))
-        num1, num0 = a * num1 + num0, num1
-        den1, den0 = a * den1 + den0, den1
+    num1, num0, den1, den0 = 1, 0, 0, 1
+    while len(out) < depth:
+        quotient = a // b
+        if quotient != c // d:
+            break
+        num1, num0 = quotient * num1 + num0, num1
+        den1, den0 = quotient * den1 + den0, den1
         out.append((num1, den1))
-        frac = x - a
-        if frac < residual_floor:
-            break  # precision exhausted; stop before emitting junk terms
-        x = 1 / frac
+        if a == quotient * b:
+            break
+        a, b, c, d = d, c - quotient * d, b, a - quotient * b  # x -> 1/(x - quotient) swaps the ends
     return out
+
+
+def _nstr(num: int, den: int) -> str:
+    """num/den rounded to nearest at THETA_DIGITS significant digits, trailing zeros cut.
+
+    For 10^-12 <= num/den <= 4, which covers any angle in (0, pi) that a
+    probe can reach, this is the layout of mpmath's nstr.
+    """
+    exp = len(str(num // den)) - 1 if num >= den else -len(str(den // num))
+    rounded = (num * 10 ** (THETA_DIGITS - exp) + 5 * den) // (10 * den)
+    if rounded == 10**THETA_DIGITS:  # a carry, or the estimate of exp was one low
+        rounded, exp = rounded // 10, exp + 1
+    text = str(rounded)
+    text = ("0." + "0" * (-exp - 1) + text if exp < 0 else text[0] + "." + text[1:]).rstrip("0")
+    return text + "0" if text.endswith(".") else text
+
+
+def _frobenius_angle(p: int, kappa: int, depth: int) -> tuple[str, list[tuple[int, int]], list[tuple[int, int]]]:
+    """theta_p to 40 digits and depth convergents of theta_p/(2 pi) and theta_p/pi, certified.
+
+    For p = 1 mod 3, where theta_p / pi is irrational.  Works in B-bit
+    fixed point from B = 64 + 8 depth and doubles B until the enclosure
+    decides the string and every quotient.
+    """
+    bits = 64 + 8 * depth
+    while True:
+        theta_lo, theta_hi, pi_lo, pi_hi = _angle_bounds(p, kappa, bits)
+        scale = 1 << bits + 1
+        if theta_lo > 0:
+            theta = _nstr(theta_lo, scale)
+            over_two_pi = _certified_convergents(theta_lo, 2 * pi_hi, theta_hi, 2 * pi_lo, depth)
+            over_pi = _certified_convergents(theta_lo, pi_hi, theta_hi, pi_lo, depth)
+            if theta == _nstr(theta_hi, scale) and len(over_two_pi) == len(over_pi) == depth:
+                return theta, over_two_pi, over_pi
+        bits *= 2
 
 
 def admissible_exponent(n: int, p: int, k: int) -> bool:
@@ -89,6 +182,8 @@ def admissible_exponent(n: int, p: int, k: int) -> bool:
 
 def deviation_bounds(p: int, k: int, n: int, digits: int = 50) -> tuple[Fraction, Fraction]:
     """Rational enclosure of d_k = ((3(e1+e2)+10)/2 + s_k) / p^(k/2)."""
+    if digits < 0:
+        raise ProbeConfigError(f"digits must be at least 0, got {digits}")
     q = p**k
     e1, e2 = epsilons(q, n)
     numerator = 2 * pi_trace(p, k) + 3 * (e1 + e2) + 10  # = 2 p^(k/2) d_k
@@ -131,9 +226,9 @@ def sharpness_probe(
     """
     if p in (2, 3):
         raise UnsupportedPrimeError("probe needs p >= 5")
-    for name, value in (("n", n), ("depth", depth), ("k_max", k_max)):
-        if value < 1:
-            raise ProbeConfigError(f"{name} must be at least 1, got {value}")
+    for name, value, least in (("n", n, 1), ("depth", depth, 1), ("k_max", k_max, 1), ("digits", digits, 0)):
+        if value < least:
+            raise ProbeConfigError(f"{name} must be at least {least}, got {value}")
     kappa = compute_kappa(p).kappa
 
     if p % 3 == 2:
@@ -142,11 +237,7 @@ def sharpness_probe(
         theta_str, conv2pi, convpi = "pi/2", [], []
         candidates = range(2, min(2 * depth, k_max) + 1, 2)
     else:
-        with mp.workdps(max(80, 60 + 6 * depth)):
-            theta = mp.atan2(mp.sqrt(mpf(4 * p - kappa * kappa)) / 2, mpf(-kappa) / 2)
-            theta_str = mp.nstr(theta, 40)
-            conv2pi = _convergents(theta / (2 * mp.pi), depth)
-            convpi = _convergents(theta / mp.pi, depth)
+        theta_str, conv2pi, convpi = _frobenius_angle(p, kappa, depth)
         candidates = sorted({den for _, den in conv2pi + convpi if den <= k_max})
     return SharpnessProbe(
         p=p,

@@ -1,10 +1,11 @@
 """Hygiene of the package source and of what importing it loads.
 
-No module imports a name it never uses or imports dataclasses; no function
-or subcommand takes a force switch past the enumeration guard; only
-fields.py reads the environment. A CLI query loads neither the sweep and
-selftest machinery nor mpmath, and the lazily loaded public names still
-behave like the eager ones.
+No module imports a name it never uses, imports dataclasses, or imports
+anything outside the standard library and the package; no function or
+subcommand takes a force switch past the enumeration guard; only fields.py
+reads the environment. A CLI query loads neither the sweep and selftest
+machinery nor the sharpness module, nothing loads mpmath, and the lazily
+loaded public names still behave like the eager ones.
 """
 
 import ast
@@ -115,7 +116,7 @@ def test_no_module_imports_dataclasses(path):
 
 
 # Modules a one-shot query has no use for: the sweep and selftest machinery
-# with its process pool, the mpmath-backed sharpness probe, and dataclasses.
+# with its process pool, the sharpness probe, mpmath, and dataclasses.
 NOT_LOADED_BY_A_QUERY = (
     "permbinom.sweep",
     "permbinom.selftest",
@@ -154,6 +155,57 @@ def test_a_cli_query_loads_no_sweep_selftest_or_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import": [], "queries": []}
+
+
+def test_the_sharpness_probe_runs_without_mpmath():
+    script = (
+        "import os, sys\n"
+        "import permbinom.sharpness\n"
+        "after_import = 'mpmath' in sys.modules\n"
+        "import permbinom.cli\n"
+        "code = permbinom.cli.main(['sharpness', '--p', '73', '--n', '35', '--depth', '12', '--out', os.devnull])\n"
+        "print(after_import, code, 'mpmath' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],  # -S: site-packages, and mpmath with it, off the path
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.stdout == "False 0 False\n", proc.stderr
+
+
+ALLOWED_TOP_LEVEL = sys.stdlib_module_names | {"permbinom"}
+
+
+def outside_imports(source: str) -> list[str]:
+    """Absolute imports whose top-level module is neither in the standard library nor permbinom."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return found
+
+
+def test_outside_import_detector():
+    src = "import os.path, mpmath\nfrom mpmath import mp\nfrom . import fields\nfrom permbinom.counts import epsilons\nimport numpy as np\n"
+    assert outside_imports(src) == ["mpmath (line 1)", "mpmath (line 2)", "numpy (line 5)"]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_runtime_is_stdlib_only(path):
+    assert outside_imports(path.read_text()) == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("mpmath") for req in project["optional-dependencies"]["test"])
 
 
 LAZY_NAMES = ("AcceptanceSuite", "CheckResult", "SweepConfig", "SweepFailure", "SweepResult", "emit_report", "run_verify_sweep")

@@ -7,7 +7,9 @@ import pytest
 from mpmath import mp, mpf
 
 from permbinom import cli, sharpness
+from permbinom.curves import compute_kappa
 from permbinom.errors import ProbeConfigError, UnsupportedPrimeError
+from permbinom.primes import is_prime
 
 
 def test_even_k_deviation_is_exact():
@@ -145,6 +147,21 @@ def test_probe_refuses_non_positive_inputs_before_any_work(no_kappa, kwargs, nam
         sharpness.sharpness_probe(**args)
 
 
+def test_probe_refuses_negative_digits_before_any_work(no_kappa):
+    with pytest.raises(ProbeConfigError, match="^digits must be at least 0, got -1"):
+        sharpness.sharpness_probe(73, 5, digits=-1)
+
+
+def test_deviation_bounds_refuses_negative_digits_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"deviation_bounds started work on {args}")
+
+    monkeypatch.setattr(sharpness, "epsilons", refuse)
+    monkeypatch.setattr(sharpness, "pi_trace", refuse)
+    with pytest.raises(ProbeConfigError, match="^digits must be at least 0, got -3"):
+        sharpness.deviation_bounds(73, 1, 35, digits=-3)
+
+
 @pytest.mark.parametrize("flags", [["--n", "5", "--depth", "-1"], ["--n", "0"], ["--n", "5", "--k-max", "0"]])
 def test_cli_sharpness_refuses_non_positive_inputs(no_kappa, flags, capsys):
     assert cli.main(["sharpness", "--p", "73", *flags]) == 2
@@ -173,3 +190,74 @@ def test_decimal_string_rendering():
     # Truncation toward zero, not rounding.
     assert sharpness.decimal_string(Fraction(2, 3), places=3) == "0.666"
     assert sharpness.decimal_string(Fraction(-1, 3), places=3) == "-0.333"
+
+
+def mpmath_angle(p, kappa, depth):
+    """The probe's former mpmath route: theta_p, nstr to 40 digits, and convergents at 60 + 6 depth digits."""
+
+    def convergents(x):
+        out, (num1, num0), (den1, den0) = [], (1, 0), (0, 1)
+        residual_floor = mpf(10) ** (-(mp.dps - 15))
+        for _ in range(depth):
+            a = int(mp.floor(x))
+            num1, num0 = a * num1 + num0, num1
+            den1, den0 = a * den1 + den0, den1
+            out.append((num1, den1))
+            frac = x - a
+            if frac < residual_floor:
+                break
+            x = 1 / frac
+        return tuple(out)
+
+    with mp.workdps(max(80, 60 + 6 * depth)):
+        theta = mp.atan2(mp.sqrt(mpf(4 * p - kappa * kappa)) / 2, mpf(-kappa) / 2)
+        return mp.nstr(theta, 40), convergents(theta / (2 * mp.pi)), convergents(theta / mp.pi)
+
+
+ORDINARY_PRIMES = [p for p in range(7, 3000) if p % 3 == 1 and is_prime(p)]
+
+
+@pytest.mark.parametrize("depth", [1, 5, 30])
+def test_integer_angle_matches_mpmath(depth):
+    assert len(ORDINARY_PRIMES) == 207
+    for p in ORDINARY_PRIMES:
+        probe = sharpness.sharpness_probe(p, 1, depth=depth, k_max=1)  # k_max=1: one cheap finding
+        got = (probe.theta, probe.convergents_two_pi, probe.convergents_pi)
+        assert got == mpmath_angle(p, probe.kappa, depth), p
+        assert len(probe.convergents_pi) == len(probe.convergents_two_pi) == depth
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 40, 72, 304])
+def test_angle_bounds_enclose_theta_and_pi(bits):
+    with mp.workdps(120):
+        scale = mpf(2) ** (bits + 1)
+        for p in ORDINARY_PRIMES[:80]:
+            kappa = compute_kappa(p).kappa
+            theta_lo, theta_hi, pi_lo, pi_hi = sharpness._angle_bounds(p, kappa, bits)
+            theta = mp.atan2(mp.sqrt(mpf(4 * p - kappa * kappa)) / 2, mpf(-kappa) / 2)
+            assert theta_lo / scale < theta < theta_hi / scale, p
+            assert pi_lo / scale < mp.pi < pi_hi / scale
+            assert max(theta_hi - theta_lo, pi_hi - pi_lo) < 2048 + 64 * bits  # tight, not a blanket
+
+
+def test_certified_convergents_stop_where_the_ends_disagree():
+    # 7/16 = [0; 2, 3, 2] and 4/9 = [0; 2, 4]: every real between them
+    # starts [0; 2, ...] and the third quotient is 3 at one end, 4 at the other
+    assert sharpness._certified_convergents(7, 16, 4, 9, depth=10) == [(0, 1), (1, 2)]
+    # ends that share three quotients, then split: 10/23 = [0; 2, 3, 3], 13/30 = [0; 2, 3, 4]
+    assert sharpness._certified_convergents(13, 30, 10, 23, depth=10) == [(0, 1), (1, 2), (3, 7)]
+    assert sharpness._certified_convergents(13, 30, 10, 23, depth=2) == [(0, 1), (1, 2)]
+    # a low end on the quotient itself ends the expansion after that quotient
+    assert sharpness._certified_convergents(2, 1, 5, 2, depth=10) == [(2, 1)]
+    # both ends exactly 7/16: all four of its quotients, then stop
+    assert sharpness._certified_convergents(7, 16, 7, 16, depth=10) == [(0, 1), (1, 2), (3, 7), (7, 16)]
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [(1, 100), (10**45 - 1, 10**45), (2, 3), (1, 7), (355, 113), (1, 3 * 10**11), (10**41 + 5, 10**41)],
+)
+def test_theta_string_is_nstr_rounding(num, den):
+    with mp.workdps(80):
+        assert sharpness._nstr(num, den) == mp.nstr(mpf(num) / den, 40)
+
