@@ -303,12 +303,12 @@ def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "cri
     a = 0 is included; the binomial degenerates to the monomial
     x^(n + (q-1)/r), which every route tests as an ordinary a.
     """
+    if method not in ("criterion", "bruteforce", "wanlidl"):
+        raise ValueError(f"unknown method {method!r}")
     check_cell(spec.q, n, r)
     tables = spec.scan_tables()
     if method == "criterion":
         return _criterion_survivors(spec, n, r)
     if method == "bruteforce":
         return _brute_survivors(spec, tables, n, r)
-    if method == "wanlidl":
-        return _wan_lidl_survivors(spec, tables, n, r)
-    raise ValueError(f"unknown method {method!r}")
+    return _wan_lidl_survivors(spec, tables, n, r)

@@ -19,16 +19,22 @@ The convergents only *select* candidate k.  Each reported deviation
 
     d_k = ((3 (e1 + e2) + 10) / 2 + s_k) / p^(k/2)
 
-is computed from exact integers: the trace s_k by Lucas doubling,
-p^(k/2) bracketed by a scaled integer square root, yielding a rational
-enclosure [lo, hi] of width around 10^-digits.  The reported decimal is
-(lo + hi) / 2 truncated at 42 places, never reduced: it is the shared
-truncation of lo and hi when they agree, else that of (ad + cb) / 2bd
-for lo = a/b, hi = c/d.  Nothing about it depends on float rounding.
+is computed from exact integers, the trace s_k by Lucas doubling.  For
+even k, p^(k/2) is an integer and lo = hi = N / (2 p^(k/2)) exactly, with
+N = 2 s_k + 3 (e1 + e2) + 10.  The gcd of those two terms is
+2^[N even] p^min(v_p(N), k/2), so halving an even N and dividing out p
+while it divides N leaves them coprime, and no gcd of numbers some
+k log2(p) bits long is taken.  For odd k, p^(k/2) is bracketed by a
+scaled integer square root, yielding a rational enclosure [lo, hi] of
+width around 10^-digits.  The reported decimal is (lo + hi) / 2
+truncated at 42 places, never reduced: it is the shared truncation of lo
+and hi when they agree, else that of (ad + cb) / 2bd for lo = a/b,
+hi = c/d.  Nothing about it depends on float rounding.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -151,10 +157,11 @@ def _frobenius_angle(p: int, kappa: int, depth: int) -> tuple[str, list[tuple[in
     """theta_p to 40 digits and depth convergents of theta_p/(2 pi) and theta_p/pi, certified.
 
     For p = 1 mod 3, where theta_p / pi is irrational.  Works in B-bit
-    fixed point from B = 64 + 8 depth and doubles B until the enclosure
-    decides the string and every quotient.
+    fixed point from B = 64 + 8 depth, but at least the 160 bits the
+    40-digit string needs once the error bound is paid, and doubles B
+    until the enclosure decides the string and every quotient.
     """
-    bits = 64 + 8 * depth
+    bits = max(64 + 8 * depth, 160)
     while True:
         theta_lo, theta_hi, pi_lo, pi_hi = _angle_bounds(p, kappa, bits)
         scale = 1 << bits + 1
@@ -167,12 +174,39 @@ def _frobenius_angle(p: int, kappa: int, depth: int) -> tuple[str, list[tuple[in
         bits *= 2
 
 
+def _check_input(p: int, digits: int | None = None, **positive: int) -> None:
+    """Refuse p < 5, a named value below 1 or a negative digits, before any work."""
+    if p < 5:
+        raise UnsupportedPrimeError(f"probe needs p >= 5, got {p}")
+    for name, value in positive.items():
+        if value < 1:
+            raise ProbeConfigError(f"{name} must be at least 1, got {value}")
+    if digits is not None and digits < 0:
+        raise ProbeConfigError(f"digits must be at least 0, got {digits}")
+
+
+class _Coprime(NamedTuple):
+    """A numerator and a positive denominator already in lowest terms.
+
+    Registered as a numbers.Rational, whose contract promises lowest
+    terms, so Fraction(pair) copies both as they are instead of taking
+    their gcd again.
+    """
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_Coprime)
+
+
 def admissible_exponent(n: int, p: int, k: int) -> bool:
     """gcd(n, (p^k - 1)/3) = 1, decided by modular orders only.
 
     A prime l | n divides (p^k - 1)/3 iff p^k = 1 mod 3l (or mod 9 when
     l = 3), so no giant integers are ever formed.
     """
+    _check_input(p, n=n, k=k)
     for prime in factorize(n):
         modulus = 9 if prime == 3 else 3 * prime
         if pow(p, k, modulus) == 1:
@@ -181,19 +215,31 @@ def admissible_exponent(n: int, p: int, k: int) -> bool:
 
 
 def deviation_bounds(p: int, k: int, n: int, digits: int = 50) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of d_k = ((3(e1+e2)+10)/2 + s_k) / p^(k/2)."""
-    if digits < 0:
-        raise ProbeConfigError(f"digits must be at least 0, got {digits}")
-    q = p**k
-    e1, e2 = epsilons(q, n)
+    """Rational enclosure of d_k = ((3(e1+e2)+10)/2 + s_k) / p^(k/2).
+
+    For even k both ends are the exact value N / (2 p^(k/2)), with
+    N = 2 s_k + 3(e1+e2) + 10, reduced by valuation: the gcd of the two
+    terms is 2^[N even] p^min(v_p(N), k/2), so one N % 2 and, unless p
+    divides N, one N % p find it.  The coprime pair goes into the Fraction
+    through _Coprime, with no gcd of two k log2(p)-bit integers.  For odd
+    k the ends are N 10^digits / w and N 10^digits / (w + 1), with
+    w = floor(2 p^(k/2) 10^digits), each reduced by Fraction.
+    """
+    _check_input(p, digits, k=k, n=n)
+    e1, e2 = epsilons(pow(p, k, 9), n)  # epsilons reads q mod 9 only
     numerator = 2 * pi_trace(p, k) + 3 * (e1 + e2) + 10  # = 2 p^(k/2) d_k
     if numerator == 0:
         return Fraction(0), Fraction(0)
     if k % 2 == 0:
-        exact = Fraction(numerator, 2 * p ** (k // 2))
+        two, half = 2, k // 2  # denominator two * p^half
+        if numerator % 2 == 0:
+            numerator, two = numerator // 2, 1
+        while half and numerator % p == 0:
+            numerator, half = numerator // p, half - 1
+        exact = Fraction(_Coprime(numerator, two * p**half))
         return exact, exact
     scale = 10**digits
-    w = isqrt(4 * q * scale * scale)  # floor(2 p^(k/2) * scale)
+    w = isqrt(4 * p**k * scale * scale)  # floor(2 p^(k/2) * scale)
     if numerator > 0:
         return Fraction(numerator * scale, w + 1), Fraction(numerator * scale, w)
     return Fraction(numerator * scale, w), Fraction(numerator * scale, w + 1)
@@ -224,11 +270,7 @@ def sharpness_probe(
     digits, so arbitrarily deep findings are not computable and the
     interesting witnesses appear early.
     """
-    if p in (2, 3):
-        raise UnsupportedPrimeError("probe needs p >= 5")
-    for name, value, least in (("n", n, 1), ("depth", depth, 1), ("k_max", k_max, 1), ("digits", digits, 0)):
-        if value < least:
-            raise ProbeConfigError(f"{name} must be at least {least}, got {value}")
+    _check_input(p, digits, n=n, depth=depth, k_max=k_max)
     kappa = compute_kappa(p).kappa
 
     if p % 3 == 2:

@@ -3,9 +3,10 @@
 No module imports a name it never uses, imports dataclasses, or imports
 anything outside the standard library and the package; no function or
 subcommand takes a force switch past the enumeration guard; only fields.py
-reads the environment. A CLI query loads neither the sweep and selftest
-machinery nor the sharpness module, nothing loads mpmath, and the lazily
-loaded public names still behave like the eager ones.
+reads the environment; no module touches the private parts of Fraction.
+A CLI query loads neither the sweep and selftest machinery nor the
+sharpness module, nothing loads mpmath, and the lazily loaded public names
+still behave like the eager ones.
 """
 
 import ast
@@ -199,6 +200,36 @@ def test_outside_import_detector():
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
 def test_runtime_is_stdlib_only(path):
     assert outside_imports(path.read_text()) == []
+
+
+PRIVATE_FRACTION_NAMES = {"_numerator", "_denominator", "_from_coprime_ints", "_normalize"}
+
+
+def private_fraction_uses(source: str) -> list[str]:
+    """Attributes, keyword arguments and strings naming Fraction internals that differ across Python versions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_FRACTION_NAMES:
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.keyword) and node.arg in PRIVATE_FRACTION_NAMES:
+            found.append((node.value.lineno, f"{node.arg}="))
+        elif isinstance(node, ast.Constant) and node.value in PRIVATE_FRACTION_NAMES:
+            found.append((node.lineno, repr(node.value)))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+def test_private_fraction_use_detector():
+    src = (
+        "f = Fraction(1, 2, _normalize=False)\ng = Fraction._from_coprime_ints(1, 2)\n"
+        "f._numerator = 3\nd = getattr(f, '_denominator')\nok = f.numerator, f.denominator\n"
+    )
+    assert private_fraction_uses(src) == ["_normalize= (line 1)", "._from_coprime_ints (line 2)", "._numerator (line 3)", "'_denominator' (line 4)"]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_private_fraction_api(path):
+    # Fraction(..., _normalize=False) is gone after 3.11, _from_coprime_ints arrived in 3.12
+    assert private_fraction_uses(path.read_text()) == []
 
 
 def test_pyproject_declares_no_runtime_dependency():

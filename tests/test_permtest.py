@@ -12,7 +12,7 @@ from permbinom.errors import (
     GcdViolationError,
     ZeroPolynomialError,
 )
-from permbinom.fields import make_field
+from permbinom.fields import FieldSpec, make_field
 from permbinom.permtest import (
     binomial_polynomial,
     compute_index_form,
@@ -149,6 +149,13 @@ def test_monomial_case_matches_gcd_rule(p, k, r):
         for method in ("criterion", "bruteforce", "wanlidl"):
             survivors = enumerate_perm_binomials(spec, n, r, method=method)
             assert (spec.zero in survivors) == want, (n, method)
+
+
+def test_unknown_method_is_refused_before_the_tables_are_built():
+    spec = FieldSpec(3, 5, make_field(3, 5).modulus)  # a fresh spec: make_field shares its cached one
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        enumerate_perm_binomials(spec, 1, 2, method="bogus")
+    assert spec._tables is None
 
 
 def test_enumerate_validations():

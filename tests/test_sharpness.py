@@ -7,7 +7,8 @@ import pytest
 from mpmath import mp, mpf
 
 from permbinom import cli, sharpness
-from permbinom.curves import compute_kappa
+from permbinom.counts import epsilons
+from permbinom.curves import compute_kappa, pi_trace
 from permbinom.errors import ProbeConfigError, UnsupportedPrimeError
 from permbinom.primes import is_prime
 
@@ -16,6 +17,35 @@ def test_even_k_deviation_is_exact():
     # k even makes p^(k/2) an integer, so the enclosure collapses.
     lo, hi = sharpness.deviation_bounds(73, 2, 35)
     assert lo == hi == Fraction(-89, 73)
+
+
+def valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 73])
+def test_even_k_deviation_is_reduced_by_valuation(p):
+    # the gcd-free reduction must give the terms Fraction's own gcd gives
+    seen = set()
+    for n in range(1, 10):
+        for k in range(2, 201, 2):
+            e1, e2 = epsilons(p**k, n)
+            numerator = 2 * pi_trace(p, k) + 3 * (e1 + e2) + 10
+            want = Fraction(numerator, 2 * p ** (k // 2))
+            lo, hi = sharpness.deviation_bounds(p, k, n)
+            assert type(lo) is Fraction and lo is hi, (k, n)
+            assert (lo.numerator, lo.denominator) == (want.numerator, want.denominator), (k, n)
+            assert hash(lo) == hash(want) and lo == want
+            seen.add((numerator % 2 == 0, min(valuation(numerator, p), 2)))
+    assert (True, 0) in seen  # N even; N is odd too, but never for p = 1 mod 9
+    assert ((False, 0) in seen) is (p % 9 != 1)
+    if p == 7:  # p | N and p^2 | N, with N even
+        assert valuation(2 * pi_trace(7, 6) + 3 * sum(epsilons(7**6, 3)) + 10, 7) == 1
+        assert valuation(2 * pi_trace(7, 42) + 3 * sum(epsilons(7**42, 3)) + 10, 7) == 2
+        assert {(True, 1), (True, 2)} <= seen
 
 
 def test_odd_k_bracket_is_tight_and_correct():
@@ -121,12 +151,6 @@ def test_supersingular_branch_reports_even_k_only():
     assert probe.findings[0].deviation_lo == Fraction(-2, 5)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_probe_rejects_tiny_characteristic(p):
-    with pytest.raises(UnsupportedPrimeError):
-        sharpness.sharpness_probe(p, 1)
-
-
 @pytest.fixture
 def no_kappa(monkeypatch):
     """Fail the test if the probe starts work: its first step is compute_kappa."""
@@ -135,6 +159,12 @@ def no_kappa(monkeypatch):
         raise AssertionError(f"the probe computed kappa({p}) for input it should refuse")
 
     monkeypatch.setattr(sharpness, "compute_kappa", refuse)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 1, -7])
+def test_probe_rejects_tiny_characteristic(no_kappa, p):
+    with pytest.raises(UnsupportedPrimeError, match=f"^probe needs p >= 5, got {p}$"):
+        sharpness.sharpness_probe(p, 1)
 
 
 @pytest.mark.parametrize(
@@ -160,6 +190,41 @@ def test_deviation_bounds_refuses_negative_digits_before_any_work(monkeypatch):
     monkeypatch.setattr(sharpness, "pi_trace", refuse)
     with pytest.raises(ProbeConfigError, match="^digits must be at least 0, got -3"):
         sharpness.deviation_bounds(73, 1, 35, digits=-3)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if deviation_bounds or admissible_exponent starts work."""
+
+    def refuse(*args):
+        raise AssertionError(f"work started on {args}")
+
+    for name in ("epsilons", "pi_trace", "factorize"):
+        monkeypatch.setattr(sharpness, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "p,k,n,error,message",
+    [
+        (7, 0, 1, ProbeConfigError, "^k must be at least 1, got 0"),
+        (7, -1, 1, ProbeConfigError, "^k must be at least 1, got -1"),
+        (7, 2, 0, ProbeConfigError, "^n must be at least 1, got 0"),
+        (7, 2, -4, ProbeConfigError, "^n must be at least 1, got -4"),
+        (2, 2, 1, UnsupportedPrimeError, "^probe needs p >= 5, got 2"),
+        (3, 2, 1, UnsupportedPrimeError, "^probe needs p >= 5, got 3"),
+        (-7, 2, 1, UnsupportedPrimeError, "^probe needs p >= 5, got -7"),
+    ],
+)
+def test_deviation_and_admissibility_refuse_bad_input_before_any_work(no_work, p, k, n, error, message):
+    with pytest.raises(error, match=message):
+        sharpness.deviation_bounds(p, k, n)
+    with pytest.raises(error, match=message):
+        sharpness.admissible_exponent(n, p, k)
+
+
+def test_admissible_exponent_refuses_n_zero_with_a_typed_error():
+    with pytest.raises(ProbeConfigError, match="^n must be at least 1, got 0"):
+        sharpness.admissible_exponent(0, 7, 3)
 
 
 @pytest.mark.parametrize("flags", [["--n", "5", "--depth", "-1"], ["--n", "0"], ["--n", "5", "--k-max", "0"]])
@@ -261,3 +326,18 @@ def test_theta_string_is_nstr_rounding(num, den):
     with mp.workdps(80):
         assert sharpness._nstr(num, den) == mp.nstr(mpf(num) / den, 40)
 
+
+
+@pytest.mark.parametrize("depth", [1, 5, 10])
+def test_angle_takes_one_precision_pass(monkeypatch, depth):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return angle_bounds(*args)
+
+    angle_bounds = sharpness._angle_bounds
+    monkeypatch.setattr(sharpness, "_angle_bounds", counted)
+    for p in ORDINARY_PRIMES:
+        sharpness.sharpness_probe(p, 1, depth=depth, k_max=1)
+    assert len(calls) == len(ORDINARY_PRIMES)
