@@ -12,7 +12,7 @@ permbinom.sharpness directly. The records (CountReport, SweepConfig,
 ...) are NamedTuples: immutable, and they compare and iterate as tuples.
 """
 
-from .characters import cubic_char, cubic_roots_of_unity, power_sum, quadratic_char
+from .characters import character_classes, cubic_char, cubic_roots_of_unity, power_sum, quadratic_char
 from .counts import (
     CountReport,
     build_count_report,
@@ -106,6 +106,7 @@ __all__ = [
     "binomial_polynomial",
     "build_count_report",
     "char2_cubic_sum",
+    "character_classes",
     "closed_count_r2",
     "closed_count_r3",
     "compute_index_form",

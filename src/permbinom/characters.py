@@ -13,7 +13,7 @@ chi(el) = (-1)^i and eta(el) = i mod 3. Without tables each is one power.
 
 from __future__ import annotations
 
-from .errors import BadFieldForCubicError, EvenCharacteristicError
+from .errors import BadFieldForCubicError, EvenCharacteristicError, OutOfRangeError
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
@@ -66,6 +66,20 @@ def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     raise AssertionError("eta landed outside the cube roots of unity")
 
 
+def character_classes(spec: FieldSpec) -> dict:
+    """How many nonzero elements take each value of chi and of eta; None for a character F_q lacks."""
+    spec.scan_tables()  # the guard, then the tables both characters read
+    quad = None
+    if spec.p != 2:
+        vals = [quadratic_char(spec, x) for x in spec.elements() if not x.is_zero]
+        quad = {"1": vals.count(1), "-1": vals.count(-1), "zero": 1}
+    cubic = None
+    if spec.q % 3 == 1:
+        exps = [cubic_char(spec, x) for x in spec.elements() if not x.is_zero]
+        cubic = {"0": exps.count(0), "1": exps.count(1), "2": exps.count(2), "zero": 1}
+    return {"q": spec.q, "quadratic_classes": quad, "cubic_classes": cubic}
+
+
 def power_sum(spec: FieldSpec, m: int) -> FieldElement:
     """Sum of a^m over every a in F_q, with 0^0 = 1.
 
@@ -73,7 +87,7 @@ def power_sum(spec: FieldSpec, m: int) -> FieldElement:
     q copies of 1 sum to q * 1 = 0 in characteristic p).
     """
     if m < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise OutOfRangeError("exponent must be nonnegative")
     exp, _, zech = spec.scan_tables()
     q1 = spec.q - 1
     total = 0 if m == 0 else NO_LOG  # log of the running sum, starting from 0^m

@@ -15,10 +15,10 @@ import json
 import math
 import sys
 
-from .characters import cubic_char, power_sum, quadratic_char
+from .characters import character_classes, cubic_char, power_sum, quadratic_char
 from .counts import build_count_report, masuda_zieve_bounds, refined_bounds_r3, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
-from .errors import CrossCheckFailedError, DivisibilityViolationError, EvenCharacteristicError, PermBinomError, TraceTooLargeError
+from .errors import CrossCheckFailedError, DivisibilityViolationError, EvenCharacteristicError, OutOfRangeError, PermBinomError, TraceTooLargeError
 from .fields import FieldSpec, make_field, parse_field
 from .permtest import enumerate_perm_binomials
 
@@ -62,7 +62,7 @@ def _element(spec: FieldSpec, text: str):
         return spec.element(4).inverse()
     enc = int(text)
     if not 0 <= enc < spec.q:
-        raise ValueError(f"element encoding {enc} outside [0, {spec.q})")
+        raise OutOfRangeError(f"element encoding {enc} outside [0, {spec.q})")
     return spec.decode(enc)
 
 
@@ -157,16 +157,7 @@ def _cmd_char(args) -> int:
         total = power_sum(spec, args.power_sum)
         payload = {"q": q, "m": args.power_sum, "power_sum": total.encode()}
     else:
-        spec.scan_tables()
-        quad = None
-        if spec.p != 2:
-            vals = [quadratic_char(spec, x) for x in spec.elements() if not x.is_zero]
-            quad = {"1": vals.count(1), "-1": vals.count(-1), "zero": 1}
-        cubic = None
-        if q % 3 == 1:
-            exps = [cubic_char(spec, x) for x in spec.elements() if not x.is_zero]
-            cubic = {"0": exps.count(0), "1": exps.count(1), "2": exps.count(2), "zero": 1}
-        payload = {"q": q, "quadratic_classes": quad, "cubic_classes": cubic}
+        payload = character_classes(spec)
     _emit(args, payload)
     return EXIT_OK
 

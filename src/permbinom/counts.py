@@ -27,12 +27,12 @@ from math import factorial, isqrt
 from typing import NamedTuple
 
 from .curves import pi_trace
-from .errors import BadFieldForCubicError, CrossCheckFailedError, DegreeMismatchError, DivisibilityViolationError, NonPrimeError
-from .fields import make_field
+from .errors import BadFieldForCubicError, CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError
+from .fields import check_prime_power, make_field
 from .permtest import check_cell, enumerate_perm_binomials, set_diff
-from .primes import exact_sqrt, is_prime, prime_power_decompose
+from .primes import exact_sqrt, prime_power_decompose
 
-_SQRT_SCALE = 10**30  # denominator for outward rational brackets of sqrt(q)
+_SQRT_SCALE = 10**30  # denominator of the rational upper bound on sqrt(q)
 
 
 def closed_count_r2(q: int, n: int) -> int:
@@ -63,13 +63,12 @@ def closed_count_r3(p: int, k: int, n: int) -> int:
     return numerator // 9
 
 
-def _sqrt_bracket(q: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= sqrt(q) <= hi, exact when q is a perfect square."""
+def _sqrt_upper(q: int) -> Fraction:
+    """A rational >= sqrt(q), exact when q is a perfect square."""
     root = exact_sqrt(q)
     if root is not None:
-        return Fraction(root), Fraction(root)
-    w = isqrt(q * _SQRT_SCALE * _SQRT_SCALE)
-    return Fraction(w, _SQRT_SCALE), Fraction(w + 1, _SQRT_SCALE)
+        return Fraction(root)
+    return Fraction(isqrt(q * _SQRT_SCALE * _SQRT_SCALE) + 1, _SQRT_SCALE)
 
 
 def masuda_zieve_bounds(q: int, r: int) -> tuple[Fraction, Fraction]:
@@ -77,15 +76,16 @@ def masuda_zieve_bounds(q: int, r: int) -> tuple[Fraction, Fraction]:
 
     (r!/r^r) (q + 1 - sqrt(q) M_r - (r+1) r^(r-1)) <= T <= (r!/r^r) (q + 1 + sqrt(q) M_r)
     with M_r = r^(r+1) - 2 r^r - r^(r-1) + 2.  Irrational sqrt(q) is
-    bracketed outward so the returned interval always contains the true one.
+    replaced by a rational just above it, so the returned interval always
+    contains the true one.
     """
     if r < 2:
-        raise ValueError("r must be >= 2")
+        raise OutOfRangeError("r must be >= 2")
     if (q - 1) % r != 0:
-        raise ValueError(f"r = {r} must divide q - 1 = {q - 1}")
+        raise OutOfRangeError(f"r = {r} must divide q - 1 = {q - 1}")
     m_r = r ** (r + 1) - 2 * r**r - r ** (r - 1) + 2
     scale = Fraction(factorial(r), r**r)
-    _, sqrt_hi = _sqrt_bracket(q)
+    sqrt_hi = _sqrt_upper(q)
     lower = scale * (q + 1 - sqrt_hi * m_r - (r + 1) * r ** (r - 1))
     upper = scale * (q + 1 + sqrt_hi * m_r)
     return lower, upper
@@ -141,10 +141,7 @@ def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> 
     verify=True raises CrossCheckFailedError when brute force and the criterion
     find different a, or the criterion finds other than the closed count of them.
     """
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
-    if k < 1:
-        raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
+    check_prime_power(p, k)
     q = p**k
     check_cell(q, n, r)
     if r == 2:

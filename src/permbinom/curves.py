@@ -1,12 +1,12 @@
 """Point counts on y^2 = x^3 + Ax + B and the trace machinery built on them.
 
 The central object is kappa_p, the trace coefficient of the curve
-y^2 = x^3 + 1/4 over F_p.  For p = 2 (mod 3) the curve is supersingular
-and kappa_p = 0.  For p = 1 (mod 3) it is the unique integer with
-|kappa_p| <= 2 sqrt(p) in a fixed congruence class mod p (a central
-binomial coefficient times a power of 4), except that p = 7 and p = 13
-are pinned by hand because the window is wider than p there.  Every
-kappa is cross-checked against an honest point count before use.
+y^2 = x^3 + 1/4 over F_p, read off its point count |E(F_p)| - p - 1 and
+checked against the theory: kappa_p = 0 for p = 2 (mod 3), where the curve
+is supersingular, and otherwise kappa_p lies in a fixed class mod p (a
+central binomial coefficient times a power of 4) with |kappa_p| <= 2 sqrt(p).
+That window holds one member of the class: it is narrower than p from
+p = 17, and at p = 7 and 13 the other members fall outside it.
 
 From kappa the Frobenius eigenvalue pi_p = -kappa/2 + i sqrt(p - kappa^2/4)
 is never materialized as a float; the integer traces
@@ -24,9 +24,11 @@ from typing import NamedTuple
 
 from .errors import (
     CrossCheckFailedError,
+    DegreeMismatchError,
     EvenCharacteristicError,
     EvenPrimeError,
     NonPrimeError,
+    OutOfRangeError,
     SmallPrimeError,
     UnsupportedPrimeError,
 )
@@ -82,8 +84,8 @@ class KappaRecord(NamedTuple):
 
     p: int
     kappa: int
-    residue: int  # kappa mod p, the defining congruence class
-    curve_count: int  # always p + 1 + kappa
+    residue: int  # kappa mod p, the congruence class the theory predicts
+    curve_count: int  # |E(F_p)| = p + 1 + kappa, the count kappa is read off
 
 
 def _char2_model_count() -> int:
@@ -96,35 +98,24 @@ def _char2_model_count() -> int:
 
 @lru_cache(maxsize=None)
 def compute_kappa(p: int) -> KappaRecord:
-    """kappa_p with a mandatory point-count cross-check."""
+    """kappa_p = |E(F_p)| - p - 1 (on the characteristic-2 model at p = 2), checked against the theory.
+
+    CrossCheckFailedError unless kappa_p = 0 for p = 2 (mod 3), or else
+    kappa_p = -C((p-1)/2, (p-1)/3) 4^(-(p-1)/6) (mod p) and kappa_p^2 <= 4p.
+    """
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     if p == 3:
         raise UnsupportedPrimeError("kappa is undefined at the characteristic 3")
+    count = _char2_model_count() if p == 2 else count_points_prime(p, 0, pow(4, p - 2, p))
+    kappa = count - p - 1
     if p % 3 == 2:
-        kappa = 0
-        count = _char2_model_count() if p == 2 else count_points_prime(p, 0, pow(4, p - 2, p))
+        if kappa != 0:
+            raise CrossCheckFailedError(f"|E(F_{p})| = {count}, but the curve is supersingular: kappa must be 0")
     else:
-        residue = (
-            -comb((p - 1) // 2, (p - 1) // 3) * pow(pow(4, (p - 1) // 6, p), p - 2, p)
-        ) % p
-        if p == 7:
-            kappa = 1
-        elif p == 13:
-            kappa = -5
-        else:
-            # 4 sqrt(p) < p once p >= 17, so at most one class member fits
-            candidates = [c for c in (residue, residue - p) if c * c <= 4 * p]
-            if len(candidates) != 1:
-                raise CrossCheckFailedError(f"kappa window not unique for p = {p}")
-            kappa = candidates[0]
-        if kappa % p != residue:
-            raise CrossCheckFailedError(f"kappa = {kappa} is not in class {residue} mod {p}")
-        count = count_points_prime(p, 0, pow(4, p - 2, p))
-    if count != p + 1 + kappa:
-        raise CrossCheckFailedError(
-            f"curve count {count} != p + 1 + kappa = {p + 1 + kappa} for p = {p}"
-        )
+        residue = -comb((p - 1) // 2, (p - 1) // 3) * pow(4, -((p - 1) // 6), p) % p
+        if kappa % p != residue or kappa * kappa > 4 * p:
+            raise CrossCheckFailedError(f"|E(F_{p})| = {count} gives kappa = {kappa}, not in class {residue} mod {p} with kappa^2 <= 4p")
     return KappaRecord(p=p, kappa=kappa, residue=kappa % p, curve_count=count)
 
 
@@ -136,7 +127,7 @@ def pi_trace(p: int, j: int) -> int:
     big products per bit, one for the last bit, where only s_j is needed.
     """
     if j < 0:
-        raise ValueError("trace index must be nonnegative")
+        raise OutOfRangeError("trace index must be nonnegative")
     kappa = compute_kappa(p).kappa
     s, t, pm = 2, -kappa, 1
     for bit in bin(j)[2:-1]:
@@ -181,7 +172,7 @@ def char2_cubic_sum(k: int) -> int:
     through the Zech table, and eta(alpha^j) = j mod 3.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise DegreeMismatchError("k must be >= 1")
     spec = make_field(2, 2 * k)
     _, _, zech = spec.scan_tables()
     q1 = spec.q - 1

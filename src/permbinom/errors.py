@@ -19,7 +19,7 @@ class ReducibleModulusError(PermBinomError, ValueError):
 
 
 class DegreeMismatchError(PermBinomError, ValueError):
-    """Modulus degree does not match the requested extension degree."""
+    """Extension degree below 1, or a modulus or coefficient list of another degree."""
 
 
 class FieldMismatchError(PermBinomError, ValueError):
@@ -84,3 +84,11 @@ class FactorizationLimitError(PermBinomError, ValueError):
 
 class TraceTooLargeError(PermBinomError, ValueError):
     """A trace s_j could have more digits than the interpreter prints."""
+
+
+class OutOfRangeError(PermBinomError, ValueError):
+    """An integer argument outside its domain: n, r, an exponent, an index, a degree or an encoding."""
+
+
+class UnknownChoiceError(PermBinomError, ValueError):
+    """A method, check, report format or field string that names none of the accepted choices."""

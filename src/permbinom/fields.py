@@ -26,7 +26,7 @@ where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration
 guard first, on every call, so no table is built for a field the guard
 refuses.  Only the scans over a whole field call it:
 enumerate_perm_binomials, power_sum, count_points_extension,
-char2_cubic_sum and the CLI's class counts.  The guard is q <= 2^20, and
+char2_cubic_sum and characters.character_classes.  The guard is q <= 2^20, and
 the PERMBINOM_GUARD environment variable, read only here, is the one way
 to move it: no function takes an argument that skips it.
 
@@ -54,7 +54,9 @@ from .errors import (
     EnumerationGuardError,
     FieldMismatchError,
     NonPrimeError,
+    OutOfRangeError,
     ReducibleModulusError,
+    UnknownChoiceError,
     ZeroElementError,
 )
 from .primes import factorize, is_prime, prime_power_decompose
@@ -347,7 +349,7 @@ class FieldSpec:
     def decode(self, enc: int) -> FieldElement:
         """Element at position enc in the canonical enumeration order."""
         if not 0 <= enc < self.q:
-            raise ValueError(f"encoding {enc} out of range for q={self.q}")
+            raise OutOfRangeError(f"encoding {enc} out of range for q={self.q}")
         coeffs = []
         for _ in range(self.k):
             enc, c = divmod(enc, self.p)
@@ -435,12 +437,17 @@ def _build_tables(spec: FieldSpec) -> FieldTables:
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FieldSpec] = {}
 
 
-def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> FieldSpec:
-    """Construct F_{p^k}, validating p prime and the modulus irreducible."""
+def check_prime_power(p: int, k: int) -> None:
+    """Raise NonPrimeError unless p is prime, then DegreeMismatchError unless k >= 1."""
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     if k < 1:
-        raise DegreeMismatchError("extension degree must be >= 1")
+        raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
+
+
+def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> FieldSpec:
+    """Construct F_{p^k}, validating p prime, k >= 1 and the modulus irreducible."""
+    check_prime_power(p, k)
     key = (p, k, tuple(int(c) % p for c in modulus) if modulus is not None else None)
     cached = _FIELD_CACHE.get(key)
     if cached is not None:
@@ -474,20 +481,17 @@ def element_order(el: FieldElement) -> int:
 def parse_field(text: str) -> tuple[int, int]:
     """Parse a CLI field string 'p^k', or a plain prime-power order q, into (p, k).
 
-    Raises NonPrimeError unless p is prime (or q a prime power) and
-    DegreeMismatchError unless k >= 1, the checks make_field makes.
+    Raises as check_prime_power does, or NonPrimeError when q is not a
+    prime power.
     """
     parts = text.split("^")
     if len(parts) == 2:
         p, k = int(parts[0]), int(parts[1])
-        if not is_prime(p):
-            raise NonPrimeError(f"{p} is not prime")
-        if k < 1:
-            raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
+        check_prime_power(p, k)
         return p, k
     if len(parts) == 1:
         decomposed = prime_power_decompose(int(parts[0]))
         if decomposed is None:
             raise NonPrimeError(f"{text} is not a prime power")
         return decomposed
-    raise ValueError(f"cannot parse field {text!r}; expected 'q' or 'p^k'")
+    raise UnknownChoiceError(f"cannot parse field {text!r}; expected 'q' or 'p^k'")

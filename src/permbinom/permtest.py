@@ -29,6 +29,8 @@ from .errors import (
     BadFieldForCubicError,
     EvenCharacteristicError,
     GcdViolationError,
+    OutOfRangeError,
+    UnknownChoiceError,
     ZeroPolynomialError,
 )
 from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, add_logs, ensure_enumerable
@@ -96,7 +98,7 @@ def compute_index_form(spec: FieldSpec, f) -> IndexForm:
     poly = _as_sparse(spec, f)
     q = spec.q
     if poly and max(poly) >= q:
-        raise ValueError(f"degree must be < q = {q}")
+        raise OutOfRangeError(f"degree must be < q = {q}")
     b = poly.pop(0, spec.zero)
     if not poly:
         raise ZeroPolynomialError("constant polynomials have no index form")
@@ -170,13 +172,13 @@ def check_cell(q: int, n: int, r: int) -> None:
     Works on q alone and never factors it, so it costs nothing at huge q.
     """
     if r not in (2, 3):
-        raise ValueError(f"r must be 2 or 3, got {r}")
+        raise OutOfRangeError(f"r must be 2 or 3, got {r}")
     if not field_admits(q, r):
         if r == 2:
             raise EvenCharacteristicError(f"r = 2 needs odd q, got q = {q}")
         raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
     if not 1 <= n <= q - 1:
-        raise ValueError(f"n must lie in [1, q-1], got {n}")
+        raise OutOfRangeError(f"n must lie in [1, q-1], got {n}")
     d = (q - 1) // r
     if gcd(n, d) != 1:
         raise GcdViolationError(f"gcd(n={n}, (q-1)/{r}={d}) != 1")
@@ -304,7 +306,7 @@ def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "cri
     x^(n + (q-1)/r), which every route tests as an ordinary a.
     """
     if method not in ("criterion", "bruteforce", "wanlidl"):
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownChoiceError(f"unknown method {method!r}")
     check_cell(spec.q, n, r)
     tables = spec.scan_tables()
     if method == "criterion":

@@ -3,7 +3,7 @@
 from itertools import count
 from math import gcd, isqrt
 
-from .errors import FactorizationLimitError
+from .errors import FactorizationLimitError, OutOfRangeError
 
 # Witness set proven sufficient for every n < 3.3 * 10^24, far beyond any
 # modulus this package touches.
@@ -51,7 +51,7 @@ def factorize(n: int) -> dict[int, int]:
     rho steps run out: a cofactor with two very large prime factors.
     """
     if n < 1:
-        raise ValueError("factorize expects a positive integer")
+        raise OutOfRangeError("factorize expects a positive integer")
     whole = n
     out: dict[int, int] = {}
     d = 2

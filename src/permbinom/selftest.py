@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .characters import cubic_char, power_sum, quadratic_char
+from .characters import character_classes, power_sum
 from .curves import (
     char2_cubic_sum,
     compute_kappa,
@@ -21,6 +21,7 @@ from .curves import (
     pi_trace,
     point_count_residue,
 )
+from .errors import UnknownChoiceError
 from .fields import make_field
 from .permtest import enumerate_perm_binomials, field_admits
 from .primes import is_prime, prime_power_decompose, prime_powers_upto
@@ -98,16 +99,17 @@ class AcceptanceSuite:
             if got != want:
                 return False, f"kappa({p}) = {got}, expected {want}"
         checked = 0
-        for p in range(7, 500):
-            if not is_prime(p) or p % 3 != 1:
+        for p in range(5, 500):
+            if not is_prime(p):
                 continue
             rec = compute_kappa(p)
             if rec.kappa**2 > 4 * p:
                 return False, f"kappa({p}) = {rec.kappa} violates the Hasse bound"
-            if rec.curve_count != p + 1 + rec.kappa:
-                return False, f"|E(F_{p})| = {rec.curve_count} but p+1+kappa = {p + 1 + rec.kappa}"
+            residue = point_count_residue(p, 0, pow(4, p - 2, p))
+            if rec.kappa % p != residue:
+                return False, f"kappa({p}) = {rec.kappa} is not {residue} mod {p}, the binomial-sum residue of |E| - p - 1"
             checked += 1
-        return True, f"kappa(7,13,73) = 1,-5,7; curve count cross-check held for {checked} primes p = 1 mod 3 below 500"
+        return True, f"kappa(7,13,73) = 1,-5,7; Hasse bound and binomial-sum residue held at all {checked} primes 5 <= p < 500"
 
     def _sweep_summary(self, result: SweepResult, config: SweepConfig) -> tuple[bool, str]:
         (r,) = config.r_set
@@ -225,21 +227,19 @@ class AcceptanceSuite:
                 want = -spec.one if m > 0 and m % (q - 1) == 0 else spec.zero
                 if got != want:
                     return False, f"power sum over F_{q} wrong at m={m}: {got!r}"
-            if p != 2:
-                vals = [quadratic_char(spec, x) for x in spec.elements() if not x.is_zero]
-                if vals.count(1) != (q - 1) // 2 or vals.count(-1) != (q - 1) // 2 or sum(vals) != 0:
-                    return False, f"quadratic character classes unbalanced over F_{q}"
-            if q % 3 == 1:
-                exps = [cubic_char(spec, x) for x in spec.elements() if not x.is_zero]
-                if [exps.count(t) for t in (0, 1, 2)] != [(q - 1) // 3] * 3:
-                    return False, f"cubic character classes unbalanced over F_{q}"
+            classes = character_classes(spec)
+            half, third = (q - 1) // 2, (q - 1) // 3
+            if classes["quadratic_classes"] != (None if p == 2 else {"1": half, "-1": half, "zero": 1}):
+                return False, f"quadratic character classes unbalanced over F_{q}"
+            if classes["cubic_classes"] != ({"0": third, "1": third, "2": third, "zero": 1} if q % 3 == 1 else None):
+                return False, f"cubic character classes unbalanced over F_{q}"
             fields += 1
         return True, f"power-sum case split (0^0 = 1) and character class counts verified over all {fields} fields with q <= 64"
 
     def run_check(self, name: str) -> CheckResult:
         method = getattr(self, "check_" + name.replace("-", "_"), None)
         if method is None:
-            raise ValueError(f"unknown check {name!r}")
+            raise UnknownChoiceError(f"unknown check {name!r}")
         t0 = time.monotonic()
         try:
             passed, detail = method()
@@ -251,5 +251,5 @@ class AcceptanceSuite:
         todo = CHECK_ORDER if names is None else tuple(names)
         unknown = set(todo) - set(CHECK_ORDER)
         if unknown:
-            raise ValueError(f"unknown checks {sorted(unknown)}")
+            raise UnknownChoiceError(f"unknown checks {sorted(unknown)}")
         return [self.run_check(name) for name in todo]

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .counts import closed_count_r3, closed_count_r2, epsilons, masuda_zieve_bounds, refined_bounds_r3
 from .curves import pi_trace
-from .errors import DivisibilityViolationError, SweepConfigError
+from .errors import DivisibilityViolationError, SweepConfigError, UnknownChoiceError
 from .fields import ensure_enumerable, make_field
 from .permtest import enumerate_perm_binomials, field_admits, set_diff
 from .primes import prime_power_decompose, prime_powers_upto
@@ -73,10 +73,6 @@ def valid_exponents(q: int, r: int) -> list[int]:
     return [n for n in range(1, q) if gcd(n, d) == 1]
 
 
-def _class_key(n: int, r: int) -> int:
-    return n % 2 if r == 2 else n % 3
-
-
 def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict], list[tuple]]:
     """All cells and failures for one (q, r) block. Top level so it pickles."""
     q = p**k
@@ -87,7 +83,7 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
 
     class_sets: dict[int, frozenset[int]] = {}
     for n in ns:
-        key = _class_key(n, r)
+        key = n % r
         if key in class_sets:
             continue
         crit = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
@@ -96,14 +92,14 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
         if wl != crit:
             failures.append((q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
 
-    disputed = {_class_key(f[1], r) for f in failures}  # classes where Wan-Lidl disagrees
+    disputed = {f[1] % r for f in failures}  # classes where Wan-Lidl disagrees
     mz_lo, mz_hi = masuda_zieve_bounds(q, r)
     cor_lo, cor_hi = refined_bounds_r3(q) if r == 3 else (None, None)
     s_k = pi_trace(p, k) if r == 3 else None
     rng = random.Random(f"{config.seed}:{q}:{r}")
 
     for n in ns:
-        crit_set = class_sets[_class_key(n, r)]
+        crit_set = class_sets[n % r]
         crit_count = len(crit_set)
         recorded = len(failures)
         e1 = e2 = None
@@ -150,7 +146,7 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
                 "mz_upper": str(mz_hi),
                 "cor_lower": cor_lo,
                 "cor_upper": cor_hi,
-                "ok": len(failures) == recorded and _class_key(n, r) not in disputed,
+                "ok": len(failures) == recorded and n % r not in disputed,
             }
         )
     return cells, failures
@@ -230,4 +226,4 @@ def emit_report(result: SweepResult, fmt: str = "json") -> bytes:
         for f in result.failures:
             lines.append(f"FAIL q={f.q} n={f.n} r={f.r} {f.route_a} vs {f.route_b}: {f.diff}")
         return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unknown format {fmt!r}")
+    raise UnknownChoiceError(f"unknown format {fmt!r}")

@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permbinom.characters as characters
 from permbinom.characters import (
+    character_classes,
     cubic_char,
     cubic_roots_of_unity,
     power_sum,
     quadratic_char,
 )
-from permbinom.errors import BadFieldForCubicError, EvenCharacteristicError
+from permbinom.errors import BadFieldForCubicError, EnumerationGuardError, EvenCharacteristicError
 from permbinom.fields import make_field
 
 ODD_FIELDS = [(7, 1), (3, 2), (13, 1), (5, 2), (3, 3)]
@@ -101,3 +103,28 @@ def test_power_sum_zero_to_zero_convention():
     # m = 0 sums q copies of 1 because 0^0 = 1, so the total is 0 in F_q
     spec = make_field(7)
     assert power_sum(spec, 0) == spec.zero
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 4), (7, 2), (101, 1)])
+def test_character_classes_matches_the_per_element_loop(p, k):
+    spec = make_field(p, k)
+    nonzero = [x for x in spec.elements() if not x.is_zero]
+    quad = cubic = None
+    if p != 2:
+        vals = [quadratic_char(spec, x) for x in nonzero]
+        quad = {"1": vals.count(1), "-1": vals.count(-1), "zero": 1}
+    if spec.q % 3 == 1:
+        exps = [cubic_char(spec, x) for x in nonzero]
+        cubic = {"0": exps.count(0), "1": exps.count(1), "2": exps.count(2), "zero": 1}
+    assert character_classes(spec) == {"q": spec.q, "quadratic_classes": quad, "cubic_classes": cubic}
+
+
+def test_character_classes_refuses_a_field_above_the_guard_before_any_scan(monkeypatch):
+    def evaluated(spec, el):
+        raise AssertionError("a character was evaluated")
+
+    monkeypatch.setattr(characters, "quadratic_char", evaluated)
+    monkeypatch.setattr(characters, "cubic_char", evaluated)
+    monkeypatch.setenv("PERMBINOM_GUARD", "48")
+    with pytest.raises(EnumerationGuardError, match="q = 49 > guard 48"):
+        character_classes(make_field(7, 2))

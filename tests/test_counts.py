@@ -26,6 +26,7 @@ from permbinom.errors import (
     EvenCharacteristicError,
     GcdViolationError,
     NonPrimeError,
+    OutOfRangeError,
 )
 from permbinom.curves import pi_trace
 from permbinom.fields import make_field, parse_field
@@ -77,10 +78,10 @@ def test_closed_count_r3_pins():
 
 # (p, k, n, r, error): one failure of each clause of the admissibility rule
 INADMISSIBLE = [
-    (13, 1, 1, 4, ValueError),  # r outside {2, 3}
+    (13, 1, 1, 4, OutOfRangeError),  # r outside {2, 3}
     (2, 3, 1, 2, EvenCharacteristicError),  # even q at r = 2
     (11, 1, 1, 3, BadFieldForCubicError),  # q = 11 is 2 mod 3
-    *[(13, 1, n, r, ValueError) for r in (2, 3) for n in (0, 13, -1)],  # n outside [1, q-1]
+    *[(13, 1, n, r, OutOfRangeError) for r in (2, 3) for n in (0, 13, -1)],  # n outside [1, q-1]
     (13, 1, 2, 2, GcdViolationError),  # gcd(2, 6) = 2
     (13, 1, 2, 3, GcdViolationError),  # gcd(2, 4) = 2
     (7, 2, 3, 2, GcdViolationError),  # gcd(3, 24) = 3 on an extension field

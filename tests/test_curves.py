@@ -1,8 +1,11 @@
 """Point counts, the kappa table and the trace recurrence."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permbinom.curves as curves
 from permbinom.curves import (
     char2_cubic_sum,
     compute_kappa,
@@ -12,6 +15,7 @@ from permbinom.curves import (
     point_count_residue,
 )
 from permbinom.errors import (
+    CrossCheckFailedError,
     EvenCharacteristicError,
     EvenPrimeError,
     NonPrimeError,
@@ -77,6 +81,35 @@ def test_kappa_record_consistency():
         assert rec.kappa % p == rec.residue
         assert rec.curve_count == p + 1 + rec.kappa
         assert rec.kappa**2 <= 4 * p
+
+
+def _kappa_by_residue_window(p):
+    """kappa_p from the theory alone: 0 for p = 2 mod 3, else the one class member with kappa^2 <= 4p."""
+    if p % 3 == 2:
+        return 0
+    residue = -comb((p - 1) // 2, (p - 1) // 3) * pow(pow(4, (p - 1) // 6, p), p - 2, p) % p
+    (kappa,) = [c for c in (residue, residue - p) if c * c <= 4 * p]
+    return kappa
+
+
+def test_kappa_from_the_count_matches_the_residue_window():
+    primes = [p for p in range(2, 3000) if is_prime(p) and p != 3]
+    assert len(primes) == 429
+    assert [compute_kappa(p).kappa for p in primes] == [_kappa_by_residue_window(p) for p in primes]
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13, 73])
+@pytest.mark.parametrize("off", [-1, 1])
+def test_kappa_refuses_a_point_count_off_by_one(p, off, monkeypatch):
+    name = "_char2_model_count" if p == 2 else "count_points_prime"
+    real = getattr(curves, name)
+    monkeypatch.setattr(curves, name, lambda *args: real(*args) + off)
+    compute_kappa.cache_clear()
+    try:
+        with pytest.raises(CrossCheckFailedError):
+            compute_kappa(p)
+    finally:
+        compute_kappa.cache_clear()
 
 
 def test_kappa_validation():

@@ -3,7 +3,7 @@
 import pytest
 
 from permbinom import cli, fields
-from permbinom.characters import power_sum
+from permbinom.characters import character_classes, power_sum
 from permbinom.counts import build_count_report
 from permbinom.curves import char2_cubic_sum, count_points_extension
 from permbinom.errors import EnumerationGuardError
@@ -17,6 +17,7 @@ LIBRARY_SCANS = {
     "enumerate-bruteforce": lambda: enumerate_perm_binomials(make_field(13), 1, 2, "bruteforce"),
     "enumerate-wanlidl": lambda: enumerate_perm_binomials(make_field(13), 1, 2, "wanlidl"),
     "power_sum": lambda: power_sum(make_field(13), 12),
+    "character_classes": lambda: character_classes(make_field(13)),
     "count_points_extension": lambda: count_points_extension(make_field(13), make_field(13).zero, make_field(13).one),
     "char2_cubic_sum": lambda: char2_cubic_sum(2),
     "is_permutation_bruteforce": lambda: is_permutation_bruteforce(make_field(13), {5: 1}),

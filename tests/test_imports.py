@@ -3,13 +3,15 @@
 No module imports a name it never uses, imports dataclasses, or imports
 anything outside the standard library and the package; no function or
 subcommand takes a force switch past the enumeration guard; only fields.py
-reads the environment; no module touches the private parts of Fraction.
+reads the environment; no module touches the private parts of Fraction;
+every refusal is a typed PermBinomError, not a bare built-in exception.
 A CLI query loads neither the sweep and selftest machinery nor the
 sharpness module, nothing loads mpmath, and the lazily loaded public names
 still behave like the eager ones.
 """
 
 import ast
+import builtins
 import json
 import os
 import pickle
@@ -230,6 +232,84 @@ def test_private_fraction_use_detector():
 def test_no_private_fraction_api(path):
     # Fraction(..., _normalize=False) is gone after 3.11, _from_coprime_ints arrived in 3.12
     assert private_fraction_uses(path.read_text()) == []
+
+
+# AssertionError marks an unreachable invariant, ZeroDivisionError the inverse of zero
+ALLOWED_BUILTIN_RAISES = {"AssertionError", "ZeroDivisionError"}
+
+
+def builtin_raises(source: str) -> list[str]:
+    """raise statements of any other built-in exception; AttributeError is allowed in a module __getattr__, its protocol."""
+    tree = ast.parse(source)
+    in_getattr = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__getattr__"
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else None
+        builtin = getattr(builtins, name, None) if name else None
+        if not (isinstance(builtin, type) and issubclass(builtin, BaseException)):
+            continue
+        if name in ALLOWED_BUILTIN_RAISES or (name == "AttributeError" and id(node) in in_getattr):
+            continue
+        found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_builtin_raise_detector():
+    src = (
+        "def f(x):\n    if x:\n        raise ValueError('x')\n    raise KeyError\n"
+        "def g():\n    raise AssertionError('unreachable')\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "def h(exc):\n    raise NonPrimeError('9') from exc\n"
+        "def k():\n    raise AttributeError('a')\n"
+    )
+    assert builtin_raises(src) == ["ValueError (line 3)", "KeyError (line 4)", "AttributeError (line 12)"]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_bare_builtin_refusal(path):
+    assert builtin_raises(path.read_text()) == []
+
+
+def _refusals():
+    from permbinom import cli, counts, curves, fields, permtest, primes, selftest, sweep
+    from permbinom.characters import power_sum
+    from permbinom.errors import DegreeMismatchError, OutOfRangeError, UnknownChoiceError
+
+    f7 = fields.make_field(7)
+    return {
+        "enumerate-method": (UnknownChoiceError, lambda: permtest.enumerate_perm_binomials(f7, 1, 2, method="bogus")),
+        "check_cell-r": (OutOfRangeError, lambda: permtest.check_cell(13, 1, 4)),
+        "check_cell-n": (OutOfRangeError, lambda: permtest.check_cell(13, 0, 2)),
+        "index-form-degree": (OutOfRangeError, lambda: permtest.compute_index_form(f7, {7: 1})),
+        "power_sum": (OutOfRangeError, lambda: power_sum(f7, -1)),
+        "mz-r-below-2": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(13, 1)),
+        "mz-r-not-dividing": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(13, 5)),
+        "pi_trace": (OutOfRangeError, lambda: curves.pi_trace(7, -1)),
+        "char2_cubic_sum": (DegreeMismatchError, lambda: curves.char2_cubic_sum(0)),
+        "decode": (OutOfRangeError, lambda: f7.decode(7)),
+        "parse_field": (UnknownChoiceError, lambda: fields.parse_field("2^3^4")),
+        "factorize": (OutOfRangeError, lambda: primes.factorize(0)),
+        "cli-element": (OutOfRangeError, lambda: cli._element(f7, "7")),
+        "selftest-run_check": (UnknownChoiceError, lambda: selftest.AcceptanceSuite().run_check("bogus")),
+        "selftest-run": (UnknownChoiceError, lambda: selftest.AcceptanceSuite().run(["bogus"])),
+        "emit_report": (UnknownChoiceError, lambda: sweep.emit_report(sweep.SweepResult((), (), 0), "xml")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_refusals()))
+def test_each_refusal_raises_its_typed_error(name):
+    error, call = _refusals()[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error and isinstance(info.value, permbinom.PermBinomError)
 
 
 def test_pyproject_declares_no_runtime_dependency():
