@@ -18,7 +18,15 @@ import sys
 from .characters import character_classes, cubic_char, power_sum, quadratic_char
 from .counts import build_count_report, masuda_zieve_bounds, refined_bounds_r3, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
-from .errors import CrossCheckFailedError, DivisibilityViolationError, EvenCharacteristicError, OutOfRangeError, PermBinomError, TraceTooLargeError
+from .errors import (
+    CrossCheckFailedError,
+    DivisibilityViolationError,
+    EvenCharacteristicError,
+    OutOfRangeError,
+    PermBinomError,
+    TraceTooLargeError,
+    UnknownChoiceError,
+)
 from .fields import FieldSpec, make_field, parse_field
 from .permtest import enumerate_perm_binomials
 
@@ -50,7 +58,10 @@ def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
 
 def _field_spec(args) -> FieldSpec:
     p, k = parse_field(args.field)
-    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    try:
+        modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    except ValueError:
+        raise UnknownChoiceError(f"cannot parse modulus {args.modulus!r}; expected integers c0,c1,...,1") from None
     return make_field(p, k, modulus)
 
 
@@ -60,7 +71,10 @@ def _element(spec: FieldSpec, text: str):
         if spec.p == 2:
             raise EvenCharacteristicError(f"inv4 needs odd characteristic: 4 = 0 in F_{spec.q}")
         return spec.element(4).inverse()
-    enc = int(text)
+    try:
+        enc = int(text)
+    except ValueError:
+        raise UnknownChoiceError(f"cannot parse element {text!r}; expected an encoding or inv4") from None
     if not 0 <= enc < spec.q:
         raise OutOfRangeError(f"element encoding {enc} outside [0, {spec.q})")
     return spec.decode(enc)
@@ -309,7 +323,14 @@ def main(argv=None) -> int:
     except (CrossCheckFailedError, DivisibilityViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (PermBinomError, ValueError, OSError) as exc:  # OSError: --out or --report not writable
+    except (PermBinomError, OSError) as exc:  # OSError: --out or --report not writable
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        # only the interpreter's int-to-str digit limit: the answer for a huge
+        # q is too long to print; any other ValueError is an untyped bug
+        if "integer string conversion" not in str(exc):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

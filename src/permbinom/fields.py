@@ -40,7 +40,10 @@ The scans that add elements work on logarithms and never build a
 FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
 add_logs does that addition with NO_LOG allowed on either side, so sums
 that start from zero or meet a zero coefficient need no special case.
-Brute force takes r such sums per a and shifts a bitmask of logs by each.
+Brute force walks a = alpha^j in log order instead: alpha^(d t) + alpha^j
+is alpha^(d t + zech[j - d t]), so it reads r Zech rows, each rotated by
+d t once per cell, with no addition or modulo per a, and shifts a
+bitmask of logs by each entry; a = 0 rides as one appended entry.
 """
 
 from __future__ import annotations
@@ -167,13 +170,18 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
 
 
 class FieldElement:
-    """One element of a FieldSpec; supports +, -, *, /, ** and hashing."""
+    """One element of a FieldSpec; supports +, -, *, /, ** and hashing.
 
-    __slots__ = ("spec", "coeffs")
+    The element carries its encoding: FieldSpec.decode records it, and
+    encode() computes it at most once for an element built any other way.
+    """
 
-    def __init__(self, spec: "FieldSpec", coeffs: tuple[int, ...]):
+    __slots__ = ("spec", "coeffs", "_enc")
+
+    def __init__(self, spec: "FieldSpec", coeffs: tuple[int, ...], enc: int | None = None):
         self.spec = spec
         self.coeffs = coeffs
+        self._enc = enc
 
     def _lift(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
@@ -185,7 +193,7 @@ class FieldElement:
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is FieldElement and other.spec is self.spec else self._lift(other)
         if o is None:
             return NotImplemented
         p = self.spec.p
@@ -256,7 +264,9 @@ class FieldElement:
 
     def encode(self) -> int:
         """Index of this element in the canonical enumeration order."""
-        return _encode(self.coeffs, self.spec.p)
+        if self._enc is None:
+            self._enc = _encode(self.coeffs, self.spec.p)
+        return self._enc
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -298,8 +308,8 @@ class FieldSpec:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self.zero = FieldElement(self, (0,) * k)
-        self.one = FieldElement(self, (1,) + (0,) * (k - 1))
+        self.zero = FieldElement(self, (0,) * k, 0)
+        self.one = FieldElement(self, (1,) + (0,) * (k - 1), 1)
         # x^{k+i} mod modulus for i = 0..k-2, used to fold products back down
         head = tuple(-c % p for c in modulus[:k])
         rows = []
@@ -350,11 +360,13 @@ class FieldSpec:
         """Element at position enc in the canonical enumeration order."""
         if not 0 <= enc < self.q:
             raise OutOfRangeError(f"encoding {enc} out of range for q={self.q}")
-        coeffs = []
+        if self.k == 1:
+            return FieldElement(self, (enc,), enc)
+        coeffs, rest = [], enc
         for _ in range(self.k):
-            enc, c = divmod(enc, self.p)
+            rest, c = divmod(rest, self.p)
             coeffs.append(c)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, tuple(coeffs), enc)
 
     def elements(self) -> Iterator[FieldElement]:
         """All of F_q in canonical enumeration order."""
@@ -481,16 +493,19 @@ def element_order(el: FieldElement) -> int:
 def parse_field(text: str) -> tuple[int, int]:
     """Parse a CLI field string 'p^k', or a plain prime-power order q, into (p, k).
 
-    Raises as check_prime_power does, or NonPrimeError when q is not a
-    prime power.
+    Raises as check_prime_power does, NonPrimeError when q is not a
+    prime power, or UnknownChoiceError when the text is neither form.
     """
-    parts = text.split("^")
-    if len(parts) == 2:
-        p, k = int(parts[0]), int(parts[1])
+    try:
+        numbers = [int(part) for part in text.split("^")]
+    except ValueError:
+        numbers = []  # not integers: refused below like any other shape
+    if len(numbers) == 2:
+        p, k = numbers
         check_prime_power(p, k)
         return p, k
-    if len(parts) == 1:
-        decomposed = prime_power_decompose(int(parts[0]))
+    if len(numbers) == 1:
+        decomposed = prime_power_decompose(numbers[0])
         if decomposed is None:
             raise NonPrimeError(f"{text} is not a prime power")
         return decomposed

@@ -232,30 +232,37 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
 
     Values are logarithms to base alpha; x = 0 maps to 0. At x = alpha^i
     with t = i mod r, x^d = alpha^(d t) as r d = q - 1, so log f(x) is
-    n i + L_t with L_t = log(alpha^(d t) + a). Mask M_t has bit n i mod (q-1)
-    for each i = t mod r, and a passes iff no L_t is NO_LOG (another root of
-    f) and the M_t rotated by L_t cover all q - 1 bits: r shifts of
-    O(q / 64) machine words per a. At a = 0, log a is NO_LOG and L_t = d t,
-    the shifts of the monomial x^(n+d).
+    n i + L_t with L_t = log(alpha^(d t) + a). Walking a = alpha^j in log
+    order, L_t = d t + zech[j - d t], so row t, zech rotated by d t, holds
+    the part of L_t that depends on a. Mask t has bit -(n i + d t) mod (q-1)
+    for each i = t mod r, twice over in 2(q-1) bits, so a right shift by
+    row t's entry rotates its low q - 1 bits onto -log f(x) on that coset
+    (negating relabels the image, and makes the rotation a right shift).
+    a passes iff the r shifted masks cover those bits: r row reads and r
+    shifts of O(q / 64) machine words per a. Where alpha^(d t) + a = 0,
+    another root of f, the row holds 2(q-1), which shifts the whole mask
+    out. a = 0 is one more entry, shift 0: the monomial x^(n+d).
     """
-    _, log, zech = tables
+    exp, _, zech = tables
     q1 = spec.q - 1
     d = q1 // r
     full = (1 << q1) - 1
-    rows = [(d * t, _bitmask((n * i % q1 for i in range(t, q1, r)), q1)) for t in range(r)]
-    out = []
-    for a in range(spec.q):
-        la = log[a]
-        image = 0
-        for dt, mask in rows:
-            shift = add_logs(zech, dt, la)
-            if shift == NO_LOG:
-                break
-            image |= mask << shift
-        else:
-            if (image | image >> q1) & full == full:  # fold the 2(q-1) bits: a rotation
-                out.append(spec.decode(a))
-    return out
+    z = zech.tolist()
+    z[z.index(NO_LOG)] = 2 * q1
+    rows, masks = [], []
+    for t in range(r):
+        dt = d * t
+        rows.append(z[q1 - dt :] + z[: q1 - dt] + [0])
+        mask = _bitmask((-(n * i + dt) % q1 for i in range(t, q1, r)), q1)
+        masks.append(mask | mask << q1)
+    encs = exp.tolist() + [0]
+    if r == 2:
+        (m0, m1), (z0, z1) = masks, rows
+        found = [e for e, s0, s1 in zip(encs, z0, z1) if (m0 >> s0 | m1 >> s1) & full == full]
+    else:
+        (m0, m1, m2), (z0, z1, z2) = masks, rows
+        found = [e for e, s0, s1, s2 in zip(encs, z0, z1, z2) if (m0 >> s0 | m1 >> s1 | m2 >> s2) & full == full]
+    return [spec.decode(e) for e in sorted(found)]
 
 
 def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:

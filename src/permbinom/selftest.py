@@ -46,8 +46,8 @@ CHECK_ORDER = (
 BUDGET_MS = {
     "exact-case-f73": 1_000,
     "kappa-table": 5_000,
-    "r2-sweep": 4_000,
-    "r3-sweep": 4_000,
+    "r2-sweep": 2_000,
+    "r3-sweep": 2_000,
     "point-congruence": 3_000,
     "extension-counts": 1_000,
     "sharpness-witnesses": 1_000,

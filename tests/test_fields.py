@@ -1,5 +1,6 @@
 """Field arithmetic against independent oracles and pinned constructions."""
 
+import pickle
 import re
 
 import pytest
@@ -11,7 +12,9 @@ from permbinom.errors import (
     FieldMismatchError,
     NonPrimeError,
     ReducibleModulusError,
+    UnknownChoiceError,
 )
+from permbinom import fields
 from permbinom.fields import (
     element_order,
     ensure_enumerable,
@@ -79,6 +82,66 @@ def test_encode_decode_roundtrip():
         assert spec.decode(enc) == el
         seen.add(enc)
     assert seen == set(range(49))
+
+
+ENCODED_FIELDS = [(2, 4), (3, 3), (5, 2), (13, 1)]
+
+
+@pytest.mark.parametrize("p,k", ENCODED_FIELDS)
+def test_decode_keeps_its_encoding(p, k, monkeypatch):
+    spec = make_field(p, k)
+    decoded = [spec.decode(e) for e in range(spec.q)]
+    assert [fields._encode(el.coeffs, p) for el in decoded] == list(range(spec.q))
+    monkeypatch.setattr(fields, "_encode", lambda coeffs, p: pytest.fail("a decoded element re-encoded"))
+    assert [el.encode() for el in decoded] == list(range(spec.q))
+
+
+@pytest.mark.parametrize("p,k", ENCODED_FIELDS)
+def test_arithmetic_results_encode_their_coefficients(p, k):
+    spec = make_field(p, k)
+    others = [spec.one, spec.alpha, spec.decode(spec.q - 1), p - 1]  # p - 1: an int operand, never 0
+    for x in spec.elements():
+        results = [-x, x**3, x**-1 if not x.is_zero else x**0]
+        for y in others:
+            results += [x + y, y + x, x - y, y - x, x * y, y * x, x / y]
+            if not x.is_zero:
+                results.append(y / x)
+        for z in results:
+            assert z.encode() == fields._encode(z.coeffs, p), (x, z)
+
+
+def test_encode_runs_at_most_once(monkeypatch):
+    spec = make_field(3, 3)
+    calls = []
+    real = fields._encode
+    monkeypatch.setattr(fields, "_encode", lambda coeffs, p: calls.append(coeffs) or real(coeffs, p))
+    z = spec.decode(5) * spec.decode(7)
+    assert z.encode() == z.encode() == real(z.coeffs, 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p,k", ENCODED_FIELDS)
+def test_equality_and_hash_ignore_whether_encode_ran(p, k):
+    spec = make_field(p, k)
+    for e in range(spec.q):
+        decoded, built = spec.decode(e), spec.element(spec.decode(e).coeffs)  # built: encoding not yet known
+        assert decoded == built and hash(decoded) == hash(built)
+        sum_ = built + spec.zero
+        assert sum_ == decoded and hash(sum_) == hash(decoded)
+        assert built.encode() == e
+        assert decoded == built == sum_ and hash(decoded) == hash(built) == hash(sum_)
+        assert len({decoded, built, sum_}) == 1
+
+
+@pytest.mark.parametrize("p,k", ENCODED_FIELDS)
+def test_pickle_keeps_a_correct_encoding(p, k):
+    spec = make_field(p, k)
+    x = spec.decode(spec.q - 2)
+    fresh, computed = x * spec.alpha, x * spec.alpha
+    computed.encode()
+    for el in (x, fresh, computed):
+        back = pickle.loads(pickle.dumps(el))
+        assert back == el and back.encode() == el.encode() == fields._encode(el.coeffs, p)
 
 
 @st.composite
@@ -199,8 +262,9 @@ def test_parse_field():
     assert parse_field("343") == (7, 3)
     with pytest.raises(ValueError):
         parse_field("12")
-    with pytest.raises(ValueError):
-        parse_field("x")
+    for text in ("x", "abc", "7^x", "^", "", "2^3^4"):
+        with pytest.raises(UnknownChoiceError, match=re.escape(repr(text))):
+            parse_field(text)
     for text in ("10^1", "9^1", "1^3", "12"):
         with pytest.raises(NonPrimeError):
             parse_field(text)

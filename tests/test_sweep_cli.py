@@ -148,6 +148,25 @@ def test_acceptance_suite_validates_both_sweep_configs(kwargs):
         AcceptanceSuite(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "--field", "abc"],
+        ["char", "--field", "7^x"],
+        ["char", "--field", "7", "--x", "seven"],
+        ["char", "--field", "7^2", "--modulus", "1,x,1"],
+        ["curve", "--field", "7", "--A", "q", "--B", "0"],
+        ["enumerate", "--field", "7.0", "--n", "1", "--r", "2"],
+    ],
+)
+def test_cli_malformed_input_exits_2_with_a_one_line_error(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse ")
+    assert "Traceback" not in captured.err and "invalid literal" not in captured.err
+
+
 @pytest.mark.parametrize("flags", [["--q-max", "1"], ["--jobs", "0"], ["--jobs", "-1"]])
 def test_cli_selftest_config_errors_exit_2_before_any_check(flags, capsys, monkeypatch):
     monkeypatch.setattr(AcceptanceSuite, "run_check", lambda self, name: pytest.fail(f"check {name} ran"))
@@ -277,6 +296,18 @@ def test_cli_trace_refuses_a_j_it_could_not_print(capsys):
         sys.set_int_max_str_digits(0)  # no limit: nothing is refused
         assert cli.main(["trace", "--p", "73", "--j", "10000"]) == 0
         assert int(json.loads(capsys.readouterr().out)["s_j"]) == pi_trace(73, 10_000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_cli_answers_too_long_to_print_exit_2(capsys):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # q = 2^20000 has 6,021 digits
+        for argv in (["bounds", "--field", "2^20000", "--r", "3"], ["count", "--field", "2^20000", "--n", "1", "--r", "3"]):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "integer string conversion" in err
     finally:
         sys.set_int_max_str_digits(saved)
 
