@@ -79,7 +79,7 @@ class ProbeConfigError(PermBinomError, ValueError):
 
 
 class FactorizationLimitError(PermBinomError, ValueError):
-    """factorize ran out of Pollard rho steps before splitting a cofactor."""
+    """factorize ran out of Pollard rho steps before splitting a cofactor, so a factorization or a primality proof is refused."""
 
 
 class TraceTooLargeError(PermBinomError, ValueError):

@@ -40,10 +40,12 @@ The scans that add elements work on logarithms and never build a
 FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
 add_logs does that addition with NO_LOG allowed on either side, so sums
 that start from zero or meet a zero coefficient need no special case.
-Brute force walks a = alpha^j in log order instead: alpha^(d t) + alpha^j
-is alpha^(d t + zech[j - d t]), so it reads r Zech rows, each rotated by
-d t once per cell, with no addition or modulo per a, and shifts a
-bitmask of logs by each entry; a = 0 rides as one appended entry.
+Brute force reads zech directly instead: alpha^(d t) + alpha^j is
+alpha^(d t + zech[j - d t]), so at a = alpha^j it reads r Zech entries,
+zech[j + d u] for u < r, with no addition or modulo, and shifts a bitmask
+of logs by each. It visits only j < d, one j per orbit of j -> p j mod d,
+as a -> a^p and a -> omega a (omega^r = 1) keep the answer, and a = 0
+rides as one more entry.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Routes:
   * bruteforce: evaluate the map on all of F_q and check bijectivity,
     pointwise on encodings in is_permutation_bruteforce and, enumerating,
-    at every x at once as r shifted bitmasks of logarithms per a;
+    at every x at once as r shifted bitmasks of logarithms, for one a per
+    orbit of a -> a^p and a -> omega a (omega^r = 1), whose members all
+    pass or all fail, plus a = 0;
   * wanlidl: decompose into the index form x^r_low h(x^(q-1)/m) + b and
     apply the index-form permutation criterion; wan_lidl_check does so for
     any polynomial, and enumeration builds the a = 1 binomial's form once
@@ -219,49 +221,82 @@ def set_diff(a: frozenset, b: frozenset) -> str:
     return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
 
 
-def _bitmask(positions, width: int) -> int:
-    """The width-bit int with exactly the given bits set, built in O(width)."""
-    buf = bytearray((width + 7) >> 3)
-    for e in positions:
-        buf[e >> 3] |= 1 << (e & 7)
-    return int.from_bytes(buf, "little")
+def _frobenius_cosets(p: int, d: int) -> list[list[int]]:
+    """The orbits of j -> p j on Z/d, each from its least member, in ascending order of that member."""
+    seen = bytearray(d)
+    cosets = []
+    for j in range(d):
+        if not seen[j]:
+            coset, c = [], j
+            while not seen[c]:
+                seen[c] = 1
+                coset.append(c)
+                c = c * p % d
+            cosets.append(coset)
+    return cosets
 
 
 def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
-    """All a for which the binomial permutes F_q, by evaluating it at every x.
+    """All a for which the binomial permutes F_q, by evaluating it at every x, one a per orbit.
 
     Values are logarithms to base alpha; x = 0 maps to 0. At x = alpha^i
     with t = i mod r, x^d = alpha^(d t) as r d = q - 1, so log f(x) is
-    n i + L_t with L_t = log(alpha^(d t) + a). Walking a = alpha^j in log
-    order, L_t = d t + zech[j - d t], so row t, zech rotated by d t, holds
-    the part of L_t that depends on a. Mask t has bit -(n i + d t) mod (q-1)
-    for each i = t mod r, twice over in 2(q-1) bits, so a right shift by
-    row t's entry rotates its low q - 1 bits onto -log f(x) on that coset
-    (negating relabels the image, and makes the rotation a right shift).
-    a passes iff the r shifted masks cover those bits: r row reads and r
-    shifts of O(q / 64) machine words per a. Where alpha^(d t) + a = 0,
-    another root of f, the row holds 2(q-1), which shifts the whole mask
-    out. a = 0 is one more entry, shift 0: the monomial x^(n+d).
+    n i + L_t with L_t = log(alpha^(d t) + a) = d t + zech[j - d t] at
+    a = alpha^j. Mask t has bit -(n i + d t) mod (q-1) for each i = t mod r,
+    twice over in 2(q-1) bits, so a right shift by zech[j - d t] rotates
+    its low q - 1 bits onto -log f(x) on that coset (negating relabels the
+    image, and makes the rotation a right shift). a passes iff the r
+    shifted masks cover those bits. Where alpha^(d t) + a = 0, another
+    root of f, the shift is 2(q-1), which empties the mask. Mask t is mask
+    0 rotated by -(n + d) t, and mask 0's bits -n r m for m < d are one
+    progression, written with a running index.
+
+    The a-set is a union of orbits of a -> a^p and a -> omega a with
+    omega^r = 1: f_a(c x) = c^(n+d) f_(a c^-d)(x), and f_(a^p) is f_a
+    conjugated by the Frobenius. On logs these are j -> p j and j -> j + d,
+    so only j < d is evaluated, one j per orbit of j -> p j mod d (every j
+    when p = 1 mod d, as on prime fields), and each passing j stands for
+    its whole orbit. a = 0 is one more entry, shift 0 in every row: the
+    monomial x^(n+d).
     """
     exp, _, zech = tables
-    q1 = spec.q - 1
+    p, q1 = spec.p, spec.q - 1
     d = q1 // r
     full = (1 << q1) - 1
+    buf = bytearray(b"0") * q1  # buf[i] is bit q1 - 1 - i of int(buf, 2)
+    i, step = q1 - 1, n * r % q1
+    for _ in range(d):
+        buf[i] = 49  # ord("1")
+        i += step
+        if i >= q1:
+            i -= q1
+    mask0 = int(buf * 2, 2)
+    masks = []
+    for t in range(r):
+        mask = (mask0 >> (n + d) * t % q1) & full
+        masks.append(mask | mask << q1)
     z = zech.tolist()
     z[z.index(NO_LOG)] = 2 * q1
-    rows, masks = [], []
-    for t in range(r):
-        dt = d * t
-        rows.append(z[q1 - dt :] + z[: q1 - dt] + [0])
-        mask = _bitmask((-(n * i + dt) % q1 for i in range(t, q1, r)), q1)
-        masks.append(mask | mask << q1)
-    encs = exp.tolist() + [0]
-    if r == 2:
-        (m0, m1), (z0, z1) = masks, rows
-        found = [e for e, s0, s1 in zip(encs, z0, z1) if (m0 >> s0 | m1 >> s1) & full == full]
+    # row t at j is zech[j - d t], read as zech[j + d u] with u = -t mod r
+    offsets = [d * (-t % r) for t in range(r)]
+    if (p - 1) % d == 0:
+        cosets = None
+        rows = [z[o : o + d] for o in offsets]
     else:
-        (m0, m1, m2), (z0, z1, z2) = masks, rows
-        found = [e for e, s0, s1, s2 in zip(encs, z0, z1, z2) if (m0 >> s0 | m1 >> s1 | m2 >> s2) & full == full]
+        cosets = _frobenius_cosets(p, d)
+        rows = [[z[c[0] + o] for c in cosets] for o in offsets]
+    if r == 2:
+        m0, m1 = masks
+        hits = [j for j, (s0, s1) in enumerate(zip(*rows)) if (m0 >> s0 | m1 >> s1) & full == full]
+        zero_passes = (m0 | m1) & full == full
+    else:
+        m0, m1, m2 = masks
+        hits = [j for j, (s0, s1, s2) in enumerate(zip(*rows)) if (m0 >> s0 | m1 >> s1 | m2 >> s2) & full == full]
+        zero_passes = (m0 | m1 | m2) & full == full
+    members = hits if cosets is None else [c for j in hits for c in cosets[j]]
+    found = [exp[c + d * u] for c in members for u in range(r)]
+    if zero_passes:
+        found.append(0)
     return [spec.decode(e) for e in sorted(found)]
 
 

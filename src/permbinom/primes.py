@@ -1,24 +1,31 @@
 """Small deterministic number-theory helpers on plain integers."""
 
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 
 from .errors import FactorizationLimitError, OutOfRangeError
 
-# Witness set proven sufficient for every n < 3.3 * 10^24, far beyond any
-# modulus this package touches.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases proves every n below psi13, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 86, 2017); the first 12 prove only n < psi12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the integer sizes used here."""
+    """Primality, proved: Miller-Rabin below psi13, Pocklington-Lehmer at or above it.
+
+    At or above psi13 a probable prime is proved from the factorization of
+    n - 1, or refused with FactorizationLimitError when n - 1 cannot be
+    factored or no base below 1000 certifies a prime factor of it.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:
-        return True  # no prime factor up to 37, so none below sqrt(n)
+    if n < 43 * 43:
+        return True  # no prime factor up to 41, so none below sqrt(n)
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -34,6 +41,32 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    return n < _PSI13 or _pocklington(n)
+
+
+def _pocklington(n: int) -> bool:
+    """Prove n prime, or composite, from the factorization of n - 1.
+
+    Pocklington-Lehmer with n - 1 fully factored: if each prime f | n - 1
+    has a base b with b^(n-1) = 1 (mod n) and gcd(b^((n-1)/f) - 1, n) = 1,
+    every prime factor of n is 1 mod n - 1, so n is prime.
+    """
+    try:
+        factors = factorize(n - 1)
+    except FactorizationLimitError as exc:
+        raise FactorizationLimitError(f"cannot prove {n} prime: {exc}") from exc
+    for f in factors:
+        for b in range(2, 1000):
+            x = pow(b, (n - 1) // f, n)
+            if pow(x, f, n) != 1:
+                return False  # Fermat fails at base b
+            g = gcd(x - 1, n)
+            if g == 1:
+                break
+            if g < n:
+                return False  # a proper factor of n
+        else:
+            raise FactorizationLimitError(f"cannot prove {n} prime: no base below 1000 certifies the factor {f} of n - 1")
     return True
 
 
@@ -96,8 +129,16 @@ def _rho_primes(n: int, whole: int) -> list[int]:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Largest x with x^k <= n, by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // k)
+    """Largest x with x^k <= n for n >= 1, by Newton's method from a floating-point estimate.
+
+    By the AM-GM inequality one step from any x > 0 lands at or above the
+    root, and from there the steps fall to it, quadratically from an
+    estimate this close.
+    """
+    e = log2(n) / k
+    shift = max(int(e) - 52, 0)
+    x = int(2.0 ** (e - shift)) + 1 << shift
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -105,18 +146,45 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def prime_power_decompose(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p^k and p prime, or None.
+def _valuation(q: int, d: int) -> tuple[int, int]:
+    """(v, q / d^v) with d^v the largest power of d dividing q, from the squares d^(2^i)."""
+    powers = []
+    power = d
+    while q % power == 0:
+        powers.append(power)
+        power *= power
+    v = 0
+    for i in reversed(range(len(powers))):
+        if q % powers[i] == 0:
+            q //= powers[i]
+            v += 1 << i
+    return v, q
 
-    Tries each k <= log2(q): an integer k-th root and a primality test, no factoring.
+
+def prime_power_decompose(q: int) -> tuple[int, int] | None:
+    """Return (p, k) with q = p^k and p prime, or None; q itself is never factored.
+
+    A prime factor p < 2^10 is found by trial division, and its valuation
+    settles q; no divisor up to sqrt(q) makes q prime. Otherwise p > 2^10,
+    so k < log2(q) / 10, and q = p^k is a perfect l-th power for every
+    prime l | k: an integer l-th root for each prime l in that range, then
+    the same on the root. What is left is a k = 1 candidate, and only it
+    meets is_prime.
     """
     if q < 2:
         return None
-    for k in range(1, q.bit_length()):
-        p = _iroot(q, k)
-        if p**k == q and is_prime(p):
-            return p, k
-    return None
+    for d in range(2, 1 << 10):
+        if d * d > q:
+            return q, 1
+        if q % d == 0:  # the least divisor above 1 is prime
+            v, rest = _valuation(q, d)
+            return (d, v) if rest == 1 else None
+    for ell in filter(is_prime, range(2, q.bit_length() // 10 + 1)):
+        root = _iroot(q, ell)
+        if root**ell == q:
+            found = prime_power_decompose(root)
+            return None if found is None else (found[0], found[1] * ell)
+    return (q, 1) if is_prime(q) else None
 
 
 def prime_powers_upto(limit: int) -> list[int]:

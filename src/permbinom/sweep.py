@@ -6,7 +6,16 @@ or 2n mod 3 (r = 3), so the criterion and Wan-Lidl enumerations run once
 per residue class of n and every cell is compared against its class set;
 the closed form is evaluated per cell. Brute force confirms every cell
 with q <= BRUTE_FULL_MAX and a fixed-seed BRUTE_SAMPLE_RATE share above
-that, at r q shifts of q-bit masks per cell. Every sweep runs all four routes.
+that, at about q shifts of q-bit masks per cell, as it evaluates one a per
+orbit of a -> a^p and a -> omega a (omega^r = 1). Every sweep runs all
+four routes.
+
+That symmetry is checked, not assumed: each criterion class set must be
+closed under both maps, on logs j -> p j and j -> j + (q-1)/r. An orbit
+the set only partly holds is a failure with route_b "symmetry" that names
+the orbit's least encoding. Wan-Lidl still scans every a, and it must
+match the criterion, so a brute force that trusted a broken symmetry
+would disagree with it.
 
 Disagreements are recorded as failures, never raised, so one bad cell
 cannot mask others. Cells are merged in (q, n, r) order, which makes
@@ -29,7 +38,7 @@ from typing import NamedTuple
 from .counts import closed_count_r3, closed_count_r2, epsilons, masuda_zieve_bounds, refined_bounds_r3
 from .curves import pi_trace
 from .errors import DivisibilityViolationError, SweepConfigError, UnknownChoiceError
-from .fields import ensure_enumerable, make_field
+from .fields import FieldSpec, ensure_enumerable, make_field
 from .permtest import enumerate_perm_binomials, field_admits, set_diff
 from .primes import prime_power_decompose, prime_powers_upto
 
@@ -73,6 +82,25 @@ def valid_exponents(q: int, r: int) -> list[int]:
     return [n for n in range(1, q) if gcd(n, d) == 1]
 
 
+def _split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[int, int, int]]:
+    """(first member, members in found, orbit size) for each orbit that found only partly holds.
+
+    The orbits are those of a -> a^p and a -> omega a (omega^r = 1), on
+    logs a = alpha^j the maps j -> p j and j -> j + (q-1)/r. Every a-set
+    is a union of them, so found must hold both images of each member.
+    First means least encoding. a = 0 is an orbit of its own.
+    """
+    exp, log, _ = spec.scan_tables()
+    p, q1 = spec.p, spec.q - 1
+    d = q1 // r
+    orbits = set()
+    for a in found:
+        j = log[a]
+        if a and not (exp[(j + d) % q1] in found and exp[j * p % q1] in found):
+            orbits.add(frozenset(exp[(j * p**i + d * t) % q1] for i in range(spec.k) for t in range(r)))
+    return sorted((min(orbit), len(orbit & found), len(orbit)) for orbit in orbits)
+
+
 def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict], list[tuple]]:
     """All cells and failures for one (q, r) block. Top level so it pickles."""
     q = p**k
@@ -88,6 +116,8 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
             continue
         crit = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
         class_sets[key] = crit
+        for first, inside, size in _split_orbits(spec, r, crit):
+            failures.append((q, n, r, "criterion", "symmetry", f"orbit of a={first} split: {inside} of {size} members found"))
         wl = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl"))
         if wl != crit:
             failures.append((q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))

@@ -149,6 +149,53 @@ def test_prime_powers_are_found_without_factoring(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["closed_count"] == (m61 - 3) // 2
 
 
+# the least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+def test_strong_pseudoprimes_to_the_first_primes_are_not_prime():
+    assert PSI12 == 399165290221 * 798330580441
+    assert PSI13 == 1287836182261 * 2575672364521
+    assert not primes.is_prime(PSI12)
+    assert not primes.is_prime(PSI13)
+    assert prime_power_decompose(PSI12) is None
+    assert prime_power_decompose(PSI13) is None
+
+
+def test_primes_above_psi13_are_proved():
+    # Mersenne primes, proved through the factors of n - 1; their products are refused
+    mersenne = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+    assert all(m > PSI13 and primes.is_prime(m) for m in mersenne)
+    assert not primes.is_prime(mersenne[0] * mersenne[1])
+    assert prime_power_decompose(mersenne[2] ** 3) == (mersenne[2], 3)
+
+
+@pytest.mark.parametrize("field", [str(PSI12), str(PSI13)])
+@pytest.mark.parametrize("kind", [["count", "--n", "1", "--r", "2"], ["bounds", "--r", "2"]])
+def test_cli_refuses_a_strong_pseudoprime_field(field, kind, capsys):
+    assert cli.main([kind[0], "--field", field, *kind[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_prime_powers_answer_without_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(primes, "factorize", no_factoring)
+    q = 1009**20  # p below the trial-division bound, q far above psi13
+    assert prime_power_decompose(q) == (1009, 20)
+    assert closed_count_r2(q, 1) == (q - 3) // 2
+    q = 7**99999  # the valuation comes from squarings of 7, not 99999 divisions
+    assert prime_power_decompose(q) == (7, 99999)
+    assert closed_count_r2(q, 1) == (q - 3) // 2
+    assert prime_power_decompose(7**99999 * 11) is None
+    assert prime_power_decompose(1031**30) == (1031, 30)  # p just above the bound: roots
+    assert prime_power_decompose(1031**30 * 1033**30) is None
+
+
 def test_factorize_matches_trial_division():
     def trial_division(n):
         out, d = {}, 2

@@ -12,15 +12,18 @@ from permbinom.errors import (
     GcdViolationError,
     ZeroPolynomialError,
 )
-from permbinom.fields import FieldSpec, make_field
+from permbinom.fields import NO_LOG, FieldSpec, make_field
 from permbinom.permtest import (
     binomial_polynomial,
     compute_index_form,
     enumerate_perm_binomials,
     evaluate_poly,
     is_permutation_bruteforce,
+    field_admits,
     wan_lidl_check,
 )
+from permbinom.primes import prime_power_decompose, prime_powers_upto
+from permbinom.sweep import valid_exponents
 
 
 def _raw_binomial_survivors(q, n, r):
@@ -176,3 +179,54 @@ def test_enumerate_validations():
         enumerate_perm_binomials(make_field(11), 1, 3)
     with pytest.raises(ValueError):
         enumerate_perm_binomials(f13, 1, 2, method="magic")
+
+
+def _bitmask(positions, width):
+    buf = bytearray((width + 7) >> 3)
+    for e in positions:
+        buf[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _unreduced_brute_encodings(spec, n, r):
+    """Brute force over every a = alpha^j, no symmetry: the log walk the orbit version reduces.
+
+    Row t is zech rotated by d t; mask t has bit -(n i + d t) mod (q-1)
+    for each i = t mod r, twice over; a passes iff the r masks, each
+    shifted right by its row's entry, cover the low q - 1 bits. a = 0 is
+    one appended entry with shift 0.
+    """
+    exp, _, zech = spec.scan_tables()
+    q1 = spec.q - 1
+    d = q1 // r
+    full = (1 << q1) - 1
+    z = zech.tolist()
+    z[z.index(NO_LOG)] = 2 * q1
+    rows, masks = [], []
+    for t in range(r):
+        dt = d * t
+        rows.append(z[q1 - dt :] + z[: q1 - dt] + [0])
+        mask = _bitmask((-(n * i + dt) % q1 for i in range(t, q1, r)), q1)
+        masks.append(mask | mask << q1)
+    encs = exp.tolist() + [0]
+    if r == 2:
+        (m0, m1), (z0, z1) = masks, rows
+        found = [e for e, s0, s1 in zip(encs, z0, z1) if (m0 >> s0 | m1 >> s1) & full == full]
+    else:
+        (m0, m1, m2), (z0, z1, z2) = masks, rows
+        found = [e for e, s0, s1, s2 in zip(encs, z0, z1, z2) if (m0 >> s0 | m1 >> s1 | m2 >> s2) & full == full]
+    return sorted(found)
+
+
+def test_orbit_brute_force_matches_the_unreduced_walk_up_to_343():
+    cells = 0
+    for q in prime_powers_upto(343):
+        spec = make_field(*prime_power_decompose(q))
+        for r in (2, 3):
+            if not field_admits(q, r):
+                continue
+            for n in valid_exponents(q, r):
+                got = [a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce")]
+                assert got == _unreduced_brute_encodings(spec, n, r), f"first differing cell (q, n, r) = {(q, n, r)}"
+                cells += 1
+    assert cells == 9000

@@ -13,6 +13,8 @@ import pytest
 from permbinom import cli, counts, sweep
 from permbinom.curves import pi_trace
 from permbinom.errors import EnumerationGuardError, SweepConfigError
+from permbinom.fields import make_field
+from permbinom.permtest import enumerate_perm_binomials
 from permbinom.selftest import AcceptanceSuite
 from permbinom.sweep import (
     CSV_COLUMNS,
@@ -113,6 +115,43 @@ def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
         return sum(int(m) for m in re.findall(r" ok=(\d+) ", emit_report(res, "text").decode()))
 
     assert ok_total(result) == ok_total(clean) - sum(c["criterion_count"] > 0 for c in clean.cells)
+
+
+@pytest.mark.parametrize("drop_pair", [False, True], ids=["member", "omega-pair"])
+def test_sweep_records_an_orbit_the_criterion_splits(monkeypatch, drop_pair):
+    # every a-set is a union of orbits of a -> a^p and a -> omega a (omega^r = 1);
+    # drop one member of one orbit from the criterion on F_25 and the sweep names the
+    # orbit. Dropping a and -a leaves a set that only the Frobenius check can fault.
+    clean = run_verify_sweep(SweepConfig(q_max=25))
+    assert clean.failures == ()
+    spec = make_field(5, 2)
+    log = spec.scan_tables().log
+    found = enumerate_perm_binomials(spec, 1, 2)
+    roots = [w for w in spec.elements() if w**2 == spec.one]
+
+    def orbit_of(a):
+        return {((w * a) ** 5**i).encode() for w in roots for i in range(2)}
+
+    # log >= (q-1)/2 = 12: not an orbit representative of the brute force;
+    # four members: the Frobenius moves it too
+    victim = [a for a in found if not a.is_zero and log[a.encode()] >= 12 and len(orbit_of(a)) == 4][-1]
+    orbit = orbit_of(victim)
+    assert orbit <= {a.encode() for a in found} and min(orbit) != victim.encode()
+    dropped = {victim, -victim} if drop_pair else {victim}
+    real = sweep.enumerate_perm_binomials
+
+    def criterion_drops(spec, n, r, method="criterion"):
+        out = real(spec, n, r, method=method)
+        if method == "criterion" and spec.q == 25 and r == 2 and n % 2 == 1:
+            out = [a for a in out if a not in dropped]
+        return out
+
+    monkeypatch.setattr(sweep, "enumerate_perm_binomials", criterion_drops)
+    result = run_verify_sweep(SweepConfig(q_max=25))
+    broken = [f for f in result.failures if f.route_b == "symmetry"]
+    diff = f"orbit of a={min(orbit)} split: {len(orbit) - len(dropped)} of {len(orbit)} members found"
+    assert broken == [SweepFailure(25, 1, 2, "criterion", "symmetry", diff)]
+    assert not any(c["ok"] for c in result.cells if (c["q"], c["r"], c["n"] % 2) == (25, 2, 1))
 
 
 def test_valid_exponents_oracle():
