@@ -212,10 +212,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import AcceptanceSuite
     from .sweep import SweepResult, emit_report
 
-    kwargs = {"jobs": args.jobs}
-    if args.q_max is not None:
-        kwargs.update(r2_q_max=args.q_max, r3_q_max=args.q_max)
-    suite = AcceptanceSuite(**kwargs)
+    suite = AcceptanceSuite(jobs=args.jobs, q_max=args.q_max)
     names = args.only.split(",") if args.only else None
     results = suite.run(names)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.elapsed_ms / 1000:.1f}s): {r.detail}" for r in results]
@@ -234,7 +231,7 @@ def _cmd_selftest(args) -> int:
         + [(r.name, r.passed, r.elapsed_ms, r.detail) for r in results],
     )
     if args.report:
-        r2, r3 = suite.r2_sweep(), suite.r3_sweep()
+        r2, r3 = suite.sweep(2), suite.sweep(3)
         merged = SweepResult(
             cells=tuple(sorted(r2.cells + r3.cells, key=lambda c: (c["q"], c["n"], c["r"]))),
             failures=tuple(sorted(r2.failures + r3.failures)),
@@ -266,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--r", type=int, choices=(2, 3), required=True)
-    p_count.add_argument("--verify", action="store_true", help="add brute-force and criterion confirmation")
+    p_count.add_argument("--verify", action="store_true", help="confirm by brute force, the criterion and Wan-Lidl")
     p_count.set_defaults(handler=_cmd_count)
 
     p_bounds = sub.add_parser("bounds", help="Masuda-Zieve and refined count bounds")

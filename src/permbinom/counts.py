@@ -17,7 +17,7 @@ interval for r = 3 obtained by replacing s_k with +-2 sqrt(q):
 
     ceil((2q - 4 sqrt(q) - 16)/9) <= T <= floor((2q + 4 sqrt(q) - 7)/9)
 
-evaluated with exact integer ceilings and floors (no floating point).
+evaluated exactly from the one integer isqrt(16q) (no floating point).
 """
 
 from __future__ import annotations
@@ -94,25 +94,13 @@ def masuda_zieve_bounds(q: int, r: int) -> tuple[Fraction, Fraction]:
 def refined_bounds_r3(q: int) -> tuple[int, int]:
     """ceil((2q - 4 sqrt(q) - 16)/9) and floor((2q + 4 sqrt(q) - 7)/9), exactly.
 
-    Integer comparisons against 16q stand in for the irrational 4 sqrt(q):
-    for v >= 0, v <= 4 sqrt(q) iff v^2 <= 16q.
+    One integer square root stands in for the irrational 4 sqrt(q): an
+    integer v is at most 4 sqrt(q) iff v <= f = isqrt(16q).
     """
     if q % 3 != 1:
         raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
     f = isqrt(16 * q)
-    lo = (2 * q - 16 - f) // 9 - 2
-    while True:
-        v = 2 * q - 16 - 9 * lo
-        if v <= 0 or v * v <= 16 * q:
-            break
-        lo += 1
-    hi = (2 * q - 7 + f) // 9 + 2
-    while True:
-        v = 9 * hi - 2 * q + 7
-        if v <= 0 or v * v <= 16 * q:
-            break
-        hi -= 1
-    return lo, hi
+    return -((16 + f - 2 * q) // 9), (2 * q - 7 + f) // 9
 
 
 class CountReport(NamedTuple):
@@ -136,10 +124,10 @@ class CountReport(NamedTuple):
 
 
 def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> CountReport:
-    """Closed-form count plus bounds; verify=True adds brute force and the a list.
+    """Closed-form count plus bounds; verify=True adds the other three routes and the a list.
 
-    verify=True raises CrossCheckFailedError when brute force and the criterion
-    find different a, or the criterion finds other than the closed count of them.
+    verify=True raises CrossCheckFailedError when brute force or Wan-Lidl and the
+    criterion find different a, or the criterion finds other than the closed count.
     """
     check_prime_power(p, k)
     q = p**k
@@ -158,16 +146,18 @@ def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> 
     a_values = None
     if verify:
         spec = make_field(p, k)
-        brute = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce"))
         a_values = tuple(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
-        if brute != frozenset(a_values):
-            diff = set_diff(frozenset(a_values), brute)
-            raise CrossCheckFailedError(f"criterion and bruteforce a-sets differ at (q={q}, n={n}, r={r}): {diff}")
+        criterion = frozenset(a_values)
+        for method in ("bruteforce", "wanlidl"):
+            found = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method=method))
+            if found != criterion:
+                diff = set_diff(criterion, found)
+                raise CrossCheckFailedError(f"criterion and {method} a-sets differ at (q={q}, n={n}, r={r}): {diff}")
         if len(a_values) != closed:
             raise CrossCheckFailedError(
                 f"closed form and criterion counts differ at (q={q}, n={n}, r={r}): closed={closed} criterion={len(a_values)}"
             )
-        brute_count = len(brute)
+        brute_count = len(criterion)  # brute force found the same set
     return CountReport(
         q=q,
         p=p,

@@ -75,7 +75,7 @@ class SweepConfigError(PermBinomError, ValueError):
 
 
 class ProbeConfigError(PermBinomError, ValueError):
-    """A sharpness probe's n, depth, k_max or extension degree k is not positive, or its digits negative."""
+    """A sharpness probe's n, depth, k_max or extension degree k is not positive."""
 
 
 class FactorizationLimitError(PermBinomError, ValueError):

@@ -8,8 +8,9 @@ fields enumerate as 0, 1, ..., p-1.
 
 When no modulus is supplied, make_field picks the first irreducible it
 finds scanning candidates x^k + c_{k-1} x^{k-1} + ... + c_0 in ascending
-encoding order of (c_0, ..., c_{k-1}); the scan is deterministic, so a
-given (p, k) always names the same field with the same generator.
+encoding order of (c_0, ..., c_{k-1}), which is x itself for k = 1; the
+scan is deterministic, so a given (p, k) always names the same field with
+the same generator.
 
 The distinguished generator alpha is the first element in enumeration
 order whose multiplicative order is q - 1.  For prime fields this is the
@@ -126,7 +127,7 @@ def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Distinct-degree test on a monic f: gcd(f, x^{p^i} - x) trivial for i <= deg/2.
+    """Distinct-degree test on a monic f: gcd(f, x^{p^i} - x) trivial for i <= deg/2; True at degree 1.
 
     x^{p^i} is taken in FieldSpec(p, k, f), whose arithmetic needs f monic only.
     """
@@ -155,8 +156,6 @@ def _encode(coeffs: Sequence[int], p: int) -> int:
 
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k in ascending encoding order."""
-    if k == 1:
-        return (0, 1)
     for enc in range(p**k):
         low, e = [], enc
         for _ in range(k):
@@ -474,7 +473,7 @@ def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fiel
             raise DegreeMismatchError(f"modulus degree {_pdeg(mod)} != k = {k}")
         if mod[k] != 1:
             raise ReducibleModulusError("modulus must be monic")
-        if k > 1 and not _is_irreducible(mod, p):
+        if not _is_irreducible(mod, p):
             raise ReducibleModulusError(f"modulus {mod} is reducible over F_{p}")
     spec = FieldSpec(p, k, mod)
     _FIELD_CACHE[key] = spec

@@ -1,8 +1,9 @@
 """Acceptance suite: one check per advertised numerical guarantee.
 
 Checks never raise; a crash inside one becomes a failed CheckResult so the
-rest still run. The two big sweeps are cached on the suite and shared by
-every check that needs them (the bounds check in particular re-reads the
+rest still run. The two big sweeps, r = 2 and r = 3 up to SWEEP_Q_MAX
+unless one q_max caps both, are cached on the suite by sweep(r) and shared
+by every check that needs them (the bounds check in particular re-reads the
 same cells instead of re-sweeping).
 """
 
@@ -42,6 +43,8 @@ CHECK_ORDER = (
     "character-identities",
 )
 
+SWEEP_Q_MAX = {2: 343, 3: 400}  # default q_max of the r = 2 and r = 3 sweeps
+
 # Stated runtime ceilings in ms; checks without one are exactness-only.
 BUDGET_MS = {
     "exact-case-f73": 1_000,
@@ -64,26 +67,24 @@ class CheckResult(NamedTuple):
 class AcceptanceSuite:
     """Runs the ten checks; construct once and reuse so sweeps are shared.
 
-    Both sweep configs are validated here, so a bad one raises before any check runs.
+    q_max caps both sweeps; None runs each to its SWEEP_Q_MAX. Both sweep
+    configs are validated here, so a bad one raises before any check runs.
     """
 
-    def __init__(self, jobs: int = 1, r2_q_max: int = 343, r3_q_max: int = 400):
-        self._r2_config = SweepConfig(q_max=r2_q_max, r_set=(2,), jobs=jobs)
-        self._r3_config = SweepConfig(q_max=r3_q_max, r_set=(3,), jobs=jobs)
-        validate_config(self._r2_config)
-        validate_config(self._r3_config)
-        self._r2: SweepResult | None = None
-        self._r3: SweepResult | None = None
+    def __init__(self, jobs: int = 1, q_max: int | None = None):
+        self._configs = {
+            r: SweepConfig(q_max=default if q_max is None else q_max, r_set=(r,), jobs=jobs)
+            for r, default in SWEEP_Q_MAX.items()
+        }
+        for config in self._configs.values():
+            validate_config(config)
+        self._sweeps: dict[int, SweepResult] = {}
 
-    def r2_sweep(self) -> SweepResult:
-        if self._r2 is None:
-            self._r2 = run_verify_sweep(self._r2_config)
-        return self._r2
-
-    def r3_sweep(self) -> SweepResult:
-        if self._r3 is None:
-            self._r3 = run_verify_sweep(self._r3_config)
-        return self._r3
+    def sweep(self, r: int) -> SweepResult:
+        """The r-sweep, run on first use and shared by every later caller."""
+        if r not in self._sweeps:
+            self._sweeps[r] = run_verify_sweep(self._configs[r])
+        return self._sweeps[r]
 
     def check_exact_case_f73(self) -> tuple[bool, str]:
         spec = make_field(73)
@@ -111,12 +112,12 @@ class AcceptanceSuite:
             checked += 1
         return True, f"kappa(7,13,73) = 1,-5,7; Hasse bound and binomial-sum residue held at all {checked} primes 5 <= p < 500"
 
-    def _sweep_summary(self, result: SweepResult, config: SweepConfig) -> tuple[bool, str]:
-        (r,) = config.r_set
+    def _sweep_summary(self, r: int) -> tuple[bool, str]:
+        result = self.sweep(r)
         if result.failures:
             first = result.failures[0]
             return False, f"{len(result.failures)} failures, first: q={first.q} n={first.n} {first.route_a} vs {first.route_b}: {first.diff}"
-        fields = [q for q in prime_powers_upto(config.q_max) if field_admits(q, r)]
+        fields = [q for q in prime_powers_upto(self._configs[r].q_max) if field_admits(q, r)]
         expected = sum(len(valid_exponents(q, r)) for q in fields)
         if len(result.cells) != expected:
             return False, f"coverage gap: {len(result.cells)} cells, expected {expected}"
@@ -130,22 +131,20 @@ class AcceptanceSuite:
         )
 
     def check_r2_sweep(self) -> tuple[bool, str]:
-        result = self.r2_sweep()
-        ok, detail = self._sweep_summary(result, self._r2_config)
+        ok, detail = self._sweep_summary(2)
         if not ok:
             return ok, detail
-        bad = [c for c in result.cells if c["closed_count"] != (c["q"] - 2 + (-1) ** c["n"]) // 2]
+        bad = [c for c in self.sweep(2).cells if c["closed_count"] != (c["q"] - 2 + (-1) ** c["n"]) // 2]
         if bad:
             c = bad[0]
             return False, f"closed count at (q={c['q']}, n={c['n']}) is {c['closed_count']}, not (q-2+(-1)^n)/2"
         return True, detail
 
     def check_r3_sweep(self) -> tuple[bool, str]:
-        result = self.r3_sweep()
-        div = [f for f in result.failures if f.route_b == "divisibility"]
+        div = [f for f in self.sweep(3).failures if f.route_b == "divisibility"]
         if div:
             return False, f"divisibility-by-9 assertion fired {len(div)} times, first at q={div[0].q} n={div[0].n}"
-        return self._sweep_summary(result, self._r3_config)
+        return self._sweep_summary(3)
 
     def check_point_congruence(self) -> tuple[bool, str]:
         triples = 0
@@ -182,7 +181,7 @@ class AcceptanceSuite:
         return True, "char2_cubic_sum(k) = -2 + (-2)^(k+1) for k in {1,2,3}"
 
     def check_bounds_containment(self) -> tuple[bool, str]:
-        cells = self.r2_sweep().cells + self.r3_sweep().cells
+        cells = self.sweep(2).cells + self.sweep(3).cells
         refined = 0
         for c in cells:
             count = c["closed_count"]

@@ -26,9 +26,9 @@ N = 2 s_k + 3 (e1 + e2) + 10.  The gcd of those two terms is
 while it divides N leaves them coprime, and no gcd of numbers some
 k log2(p) bits long is taken.  For odd k, p^(k/2) is bracketed by a
 scaled integer square root, yielding a rational enclosure [lo, hi] of
-width around 10^-digits.  The reported decimal is (lo + hi) / 2
-truncated at 42 places, never reduced: it is the shared truncation of lo
-and hi when they agree, else that of (ad + cb) / 2bd for lo = a/b,
+width around 10^-DIGITS.  The reported decimal is (lo + hi) / 2
+truncated at PLACES places, never reduced: it is the shared truncation
+of lo and hi when they agree, else that of (ad + cb) / 2bd for lo = a/b,
 hi = c/d.  Nothing about it depends on float rounding.
 """
 
@@ -47,6 +47,8 @@ from .primes import factorize
 DEFAULT_DEPTH = 30
 DEFAULT_K_MAX = 10_000  # deviations cost ~k digits of integer work apiece
 THETA_DIGITS = 40  # significant digits of the reported angle
+DIGITS = 50  # odd-k enclosures are about 10^-DIGITS wide
+PLACES = 42  # decimal places of a reported deviation
 
 
 class ProbeFinding(NamedTuple):
@@ -174,15 +176,13 @@ def _frobenius_angle(p: int, kappa: int, depth: int) -> tuple[str, list[tuple[in
         bits *= 2
 
 
-def _check_input(p: int, digits: int | None = None, **positive: int) -> None:
-    """Refuse p < 5, a named value below 1 or a negative digits, before any work."""
+def _check_input(p: int, **positive: int) -> None:
+    """Refuse p < 5 or a named value below 1, before any work."""
     if p < 5:
         raise UnsupportedPrimeError(f"probe needs p >= 5, got {p}")
     for name, value in positive.items():
         if value < 1:
             raise ProbeConfigError(f"{name} must be at least 1, got {value}")
-    if digits is not None and digits < 0:
-        raise ProbeConfigError(f"digits must be at least 0, got {digits}")
 
 
 class _Coprime(NamedTuple):
@@ -214,7 +214,7 @@ def admissible_exponent(n: int, p: int, k: int) -> bool:
     return True
 
 
-def deviation_bounds(p: int, k: int, n: int, digits: int = 50) -> tuple[Fraction, Fraction]:
+def deviation_bounds(p: int, k: int, n: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure of d_k = ((3(e1+e2)+10)/2 + s_k) / p^(k/2).
 
     For even k both ends are the exact value N / (2 p^(k/2)), with
@@ -222,14 +222,13 @@ def deviation_bounds(p: int, k: int, n: int, digits: int = 50) -> tuple[Fraction
     terms is 2^[N even] p^min(v_p(N), k/2), so one N % 2 and, unless p
     divides N, one N % p find it.  The coprime pair goes into the Fraction
     through _Coprime, with no gcd of two k log2(p)-bit integers.  For odd
-    k the ends are N 10^digits / w and N 10^digits / (w + 1), with
-    w = floor(2 p^(k/2) 10^digits), each reduced by Fraction.
+    k the ends are N 10^DIGITS / w and N 10^DIGITS / (w + 1), with
+    w = floor(2 p^(k/2) 10^DIGITS), each reduced by Fraction; N = 0 gives
+    0 either way.
     """
-    _check_input(p, digits, k=k, n=n)
+    _check_input(p, k=k, n=n)
     e1, e2 = epsilons(pow(p, k, 9), n)  # epsilons reads q mod 9 only
     numerator = 2 * pi_trace(p, k) + 3 * (e1 + e2) + 10  # = 2 p^(k/2) d_k
-    if numerator == 0:
-        return Fraction(0), Fraction(0)
     if k % 2 == 0:
         two, half = 2, k // 2  # denominator two * p^half
         if numerator % 2 == 0:
@@ -238,22 +237,22 @@ def deviation_bounds(p: int, k: int, n: int, digits: int = 50) -> tuple[Fraction
             numerator, half = numerator // p, half - 1
         exact = Fraction(_Coprime(numerator, two * p**half))
         return exact, exact
-    scale = 10**digits
+    scale = 10**DIGITS
     w = isqrt(4 * p**k * scale * scale)  # floor(2 p^(k/2) * scale)
     if numerator > 0:
         return Fraction(numerator * scale, w + 1), Fraction(numerator * scale, w)
     return Fraction(numerator * scale, w), Fraction(numerator * scale, w + 1)
 
 
-def decimal_string(value: Fraction, places: int = 42) -> str:
-    """Fixed-point decimal rendering, truncated toward zero."""
-    return _truncated_decimal(value.numerator, value.denominator, places)
+def decimal_string(value: Fraction) -> str:
+    """Fixed-point decimal rendering at PLACES places, truncated toward zero."""
+    return _truncated_decimal(value.numerator, value.denominator)
 
 
-def _truncated_decimal(num: int, den: int, places: int = 42) -> str:
+def _truncated_decimal(num: int, den: int) -> str:
     """decimal_string of num / den for den > 0, with no gcd taken."""
-    whole, frac = divmod(abs(num) * 10**places // den, 10**places)
-    return f"{'-' if num < 0 else ''}{whole}.{str(frac).zfill(places)}"
+    whole, frac = divmod(abs(num) * 10**PLACES // den, 10**PLACES)
+    return f"{'-' if num < 0 else ''}{whole}.{str(frac).zfill(PLACES)}"
 
 
 def sharpness_probe(
@@ -261,7 +260,6 @@ def sharpness_probe(
     n: int,
     depth: int = DEFAULT_DEPTH,
     k_max: int = DEFAULT_K_MAX,
-    digits: int = 50,
 ) -> SharpnessProbe:
     """Hunt for k where the exact count nearly touches its refined bounds.
 
@@ -270,7 +268,7 @@ def sharpness_probe(
     digits, so arbitrarily deep findings are not computable and the
     interesting witnesses appear early.
     """
-    _check_input(p, digits, n=n, depth=depth, k_max=k_max)
+    _check_input(p, n=n, depth=depth, k_max=k_max)
     kappa = compute_kappa(p).kappa
 
     if p % 3 == 2:
@@ -289,12 +287,12 @@ def sharpness_probe(
         depth=depth,
         convergents_two_pi=tuple(conv2pi),
         convergents_pi=tuple(convpi),
-        findings=tuple(_finding(p, k, n, digits) for k in candidates),
+        findings=tuple(_finding(p, k, n) for k in candidates),
     )
 
 
-def _finding(p: int, k: int, n: int, digits: int) -> ProbeFinding:
-    lo, hi = deviation_bounds(p, k, n, digits)
+def _finding(p: int, k: int, n: int) -> ProbeFinding:
+    lo, hi = deviation_bounds(p, k, n)
     # ends that truncate alike pin the midpoint; else (ad + cb) / 2bd, unreduced
     deviation = decimal_string(lo)
     if deviation != decimal_string(hi):

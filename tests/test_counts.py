@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -281,6 +282,37 @@ def test_refined_bounds_are_exact_integer_rounding():
         s = math.sqrt(q)
         assert lo == math.ceil((2 * q - 4 * s - 16) / 9 - 1e-9)
         assert hi == math.floor((2 * q + 4 * s - 7) / 9 + 1e-9)
+
+
+def _refined_bounds_by_search(q):
+    """The refined bounds by search: start two steps outside isqrt(16q)'s estimate, step in while v^2 > 16q."""
+    f = math.isqrt(16 * q)
+    lo = (2 * q - 16 - f) // 9 - 2
+    while True:
+        v = 2 * q - 16 - 9 * lo
+        if v <= 0 or v * v <= 16 * q:
+            break
+        lo += 1
+    hi = (2 * q - 7 + f) // 9 + 2
+    while True:
+        v = 9 * hi - 2 * q + 7
+        if v <= 0 or v * v <= 16 * q:
+            break
+        hi -= 1
+    return lo, hi
+
+
+def test_refined_bounds_closed_form_matches_the_search():
+    rng = random.Random(9)
+    huge = [7**2000] + [73**k for k in range(1, 300)] + [p**k for p in (7, 13) for k in range(1, 1001)]
+    huge += [3 * rng.randrange(10**digits) + 1 for digits in range(1, 401)]
+    for q in [*range(1, 10**5, 3), *huge]:
+        assert refined_bounds_r3(q) == _refined_bounds_by_search(q), q
+
+
+def test_refined_bounds_refuse_q_not_1_mod_3():
+    with pytest.raises(BadFieldForCubicError, match="^q = 8 is not 1 mod 3$"):
+        refined_bounds_r3(8)
 
 
 def test_build_count_report_verified():

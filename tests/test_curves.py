@@ -64,6 +64,8 @@ def test_point_count_residue_validation():
         point_count_residue(2, 0, 1)
     with pytest.raises(SmallPrimeError):
         point_count_residue(3, 0, 1)
+    with pytest.raises(NonPrimeError, match="^9 is not prime$"):
+        point_count_residue(9, 0, 1)
 
 
 def test_kappa_pins():

@@ -13,6 +13,7 @@ from permbinom.errors import (
     NonPrimeError,
     ReducibleModulusError,
     UnknownChoiceError,
+    ZeroElementError,
 )
 from permbinom import fields
 from permbinom.fields import (
@@ -229,6 +230,21 @@ def test_make_field_validation():
         make_field(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
     with pytest.raises(DegreeMismatchError):
         make_field(3, 2, modulus=(1, 0, 0, 1))
+    with pytest.raises(ReducibleModulusError, match="^modulus must be monic$"):
+        make_field(7, 2, modulus=(3, 1, 2))
+
+
+def test_degree_one_takes_the_general_path():
+    # the modulus scan's first candidate is x, and every monic linear modulus is irreducible
+    assert fields._find_modulus(7, 1) == make_field(7).modulus == (0, 1)
+    spec = make_field(7, 1, modulus=(3, 1))  # x + 3
+    assert spec.modulus == (3, 1) and spec.q == 7
+    assert [e.encode() for e in spec.elements()] == list(range(7))
+
+
+def test_zero_has_no_order():
+    with pytest.raises(ZeroElementError, match="^zero has no multiplicative order$"):
+        element_order(make_field(7, 2).zero)
 
 
 def test_custom_modulus_still_a_field():

@@ -56,11 +56,22 @@ def test_odd_k_bracket_is_tight_and_correct():
     assert hi - lo < Fraction(1, 10**25)
 
 
-def test_bracket_nesting_across_digits():
-    # Coarser scale must enclose the finer bracket (positive numerator case).
-    lo5, hi5 = sharpness.deviation_bounds(73, 1, 35, digits=5)
-    lo50, hi50 = sharpness.deviation_bounds(73, 1, 35, digits=50)
-    assert lo5 <= lo50 <= hi50 <= hi5
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 1)])
+def test_a_zero_numerator_gives_zero_at_either_parity(monkeypatch, k, n):
+    # 3 (e1 + e2) + 10 = 16 at these cells, so s_k = -8 zeroes N = 2 s_k + 16
+    assert sum(epsilons(7**k, n)) == 2
+    monkeypatch.setattr(sharpness, "pi_trace", lambda p, j: -8)
+    lo, hi = sharpness.deviation_bounds(7, k, n)
+    assert type(lo) is type(hi) is Fraction
+    assert (lo, hi) == (0, 0) and lo.denominator == hi.denominator == 1  # 0/1, in lowest terms
+
+
+def test_no_small_cell_has_a_zero_numerator():
+    # why the zero test above patches pi_trace
+    for p in filter(is_prime, range(5, 400)):
+        for k in range(1, 40):
+            for n in range(1, 10):
+                assert 2 * pi_trace(p, k) + 3 * sum(epsilons(pow(p, k, 9), n)) + 10 != 0, (p, k, n)
 
 
 def test_deviation_tracks_frobenius_angle():
@@ -177,21 +188,6 @@ def test_probe_refuses_non_positive_inputs_before_any_work(no_kappa, kwargs, nam
         sharpness.sharpness_probe(**args)
 
 
-def test_probe_refuses_negative_digits_before_any_work(no_kappa):
-    with pytest.raises(ProbeConfigError, match="^digits must be at least 0, got -1"):
-        sharpness.sharpness_probe(73, 5, digits=-1)
-
-
-def test_deviation_bounds_refuses_negative_digits_before_any_work(monkeypatch):
-    def refuse(*args):
-        raise AssertionError(f"deviation_bounds started work on {args}")
-
-    monkeypatch.setattr(sharpness, "epsilons", refuse)
-    monkeypatch.setattr(sharpness, "pi_trace", refuse)
-    with pytest.raises(ProbeConfigError, match="^digits must be at least 0, got -3"):
-        sharpness.deviation_bounds(73, 1, 35, digits=-3)
-
-
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if deviation_bounds or admissible_exponent starts work."""
@@ -239,22 +235,30 @@ def test_cli_sharpness_refuses_non_positive_inputs(no_kappa, flags, capsys):
     "args,kwargs",
     [((73, 35), {}), ((5, 1), {}), ((7, 1), {"k_max": 60}), ((7, 1), {"k_max": 60, "digits": 3})],
 )
-def test_deviation_is_the_truncated_midpoint(args, kwargs):
-    # digits=3 leaves brackets wide enough that their ends truncate apart
+def test_deviation_is_the_truncated_midpoint(args, kwargs, monkeypatch):
+    # DIGITS = 3 leaves brackets wide enough that their ends truncate apart
+    kwargs = dict(kwargs)
+    digits = kwargs.pop("digits", None)
+    if digits is not None:
+        monkeypatch.setattr(sharpness, "DIGITS", digits)
     probe = sharpness.sharpness_probe(*args, **kwargs)
     assert probe.findings
     for f in probe.findings:
         assert f.deviation == sharpness.decimal_string((f.deviation_lo + f.deviation_hi) / 2), f.k
+    apart = [f.k for f in probe.findings if sharpness.decimal_string(f.deviation_lo) != sharpness.decimal_string(f.deviation_hi)]
+    assert bool(apart) is (digits is not None)  # the unreduced midpoint branch runs only at DIGITS = 3
 
 
-def test_decimal_string_rendering():
+def test_decimal_string_rendering(monkeypatch):
     s = sharpness.decimal_string(Fraction(-89, 73))
     assert s.startswith("-1.21917808219")
-    assert len(s.split(".")[1]) == 42
-    assert sharpness.decimal_string(Fraction(1, 4), places=2) == "0.25"
+    assert len(s.split(".")[1]) == sharpness.PLACES == 42
+    monkeypatch.setattr(sharpness, "PLACES", 2)
+    assert sharpness.decimal_string(Fraction(1, 4)) == "0.25"
     # Truncation toward zero, not rounding.
-    assert sharpness.decimal_string(Fraction(2, 3), places=3) == "0.666"
-    assert sharpness.decimal_string(Fraction(-1, 3), places=3) == "-0.333"
+    monkeypatch.setattr(sharpness, "PLACES", 3)
+    assert sharpness.decimal_string(Fraction(2, 3)) == "0.666"
+    assert sharpness.decimal_string(Fraction(-1, 3)) == "-0.333"
 
 
 def mpmath_angle(p, kappa, depth):
@@ -341,3 +345,20 @@ def test_angle_takes_one_precision_pass(monkeypatch, depth):
     for p in ORDINARY_PRIMES:
         sharpness.sharpness_probe(p, 1, depth=depth, k_max=1)
     assert len(calls) == len(ORDINARY_PRIMES)
+
+
+def test_probe_doubles_the_bits_when_the_enclosure_cannot_decide(monkeypatch):
+    reference = sharpness.sharpness_probe(73, 35, k_max=500)
+    calls = []
+
+    def wide_first(p, kappa, bits):
+        calls.append(bits)
+        theta_lo, theta_hi, pi_lo, pi_hi = angle_bounds(p, kappa, bits)
+        if len(calls) == 1:  # widen theta by 1/2 each way: no digit or quotient is decided
+            theta_lo, theta_hi = theta_lo - (1 << bits), theta_hi + (1 << bits)
+        return theta_lo, theta_hi, pi_lo, pi_hi
+
+    angle_bounds = sharpness._angle_bounds
+    monkeypatch.setattr(sharpness, "_angle_bounds", wide_first)
+    assert sharpness.sharpness_probe(73, 35, k_max=500) == reference
+    assert calls == [304, 608]  # max(64 + 8 * 30, 160), then twice that

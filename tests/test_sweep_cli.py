@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from permbinom import cli, counts, sweep
+from permbinom import cli, counts, selftest, sweep
 from permbinom.curves import pi_trace
-from permbinom.errors import EnumerationGuardError, SweepConfigError
+from permbinom.errors import DivisibilityViolationError, EnumerationGuardError, SweepConfigError
 from permbinom.fields import make_field
 from permbinom.permtest import enumerate_perm_binomials
 from permbinom.selftest import AcceptanceSuite
@@ -154,6 +155,39 @@ def test_sweep_records_an_orbit_the_criterion_splits(monkeypatch, drop_pair):
     assert not any(c["ok"] for c in result.cells if (c["q"], c["r"], c["n"] % 2) == (25, 2, 1))
 
 
+def test_sweep_records_a_divisibility_failure_per_cell(monkeypatch):
+    def never_divisible(p, k, n):
+        raise DivisibilityViolationError(f"count numerator 1 not divisible by 9 at (p={p}, k={k}, n={n})")
+
+    monkeypatch.setattr(sweep, "closed_count_r3", never_divisible)
+    result = run_verify_sweep(SweepConfig(q_max=13, r_set=(3,)))
+    assert [c["q"] for c in result.cells] == [4] * 3 + [7] * 3 + [13] * 6
+    assert result.failures == tuple(
+        SweepFailure(c["q"], c["n"], 3, "closed", "divisibility", f"count numerator 1 not divisible by 9 at (p={c['p']}, k={c['k']}, n={c['n']})")
+        for c in result.cells
+    )
+    assert all(c["closed_count"] is None and not c["ok"] for c in result.cells)
+    check = AcceptanceSuite(q_max=13).run_check("r3-sweep")
+    assert not check.passed
+    assert check.detail == "divisibility-by-9 assertion fired 12 times, first at q=4 n=1"
+
+
+def test_sweep_records_a_count_outside_both_bound_pairs(monkeypatch):
+    monkeypatch.setattr(sweep, "closed_count_r3", lambda p, k, n: 10**6)
+    result = run_verify_sweep(SweepConfig(q_max=13, r_set=(3,)))
+    assert result.cells and not any(c["ok"] for c in result.cells)
+    for c in result.cells:
+        mz_lo, mz_hi = max(Fraction(c["mz_lower"]), 0), Fraction(c["mz_upper"])
+        assert [f for f in result.failures if (f.q, f.n) == (c["q"], c["n"])] == [
+            SweepFailure(c["q"], c["n"], 3, "closed", "criterion", f"1000000 != {c['criterion_count']}"),
+            SweepFailure(c["q"], c["n"], 3, "closed", "mz-bounds", f"1000000 outside [{mz_lo}, {mz_hi}]"),
+            SweepFailure(c["q"], c["n"], 3, "closed", "refined-bounds", f"1000000 outside [{c['cor_lower']}, {c['cor_upper']}]"),
+        ]
+    check = AcceptanceSuite(q_max=13).run_check("r3-sweep")
+    assert not check.passed
+    assert check.detail == "36 failures, first: q=4 n=1 closed vs criterion: 1000000 != 1"
+
+
 def test_valid_exponents_oracle():
     assert valid_exponents(13, 2) == [n for n in range(1, 13) if math.gcd(n, 6) == 1]
     assert valid_exponents(13, 3) == [1, 3, 5, 7, 9, 11]
@@ -181,10 +215,18 @@ def test_config_errors_are_typed(bad):
         run_verify_sweep(bad)
 
 
-@pytest.mark.parametrize("kwargs", [{"r2_q_max": 1}, {"r3_q_max": 1}, {"jobs": 0}])
+@pytest.mark.parametrize("kwargs", [{"q_max": 1}, {"q_max": 0}, {"jobs": 0}])
 def test_acceptance_suite_validates_both_sweep_configs(kwargs):
     with pytest.raises(SweepConfigError):
         AcceptanceSuite(**kwargs)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_acceptance_suite_validates_each_default_sweep_config(r, monkeypatch):
+    monkeypatch.setattr(selftest, "SWEEP_Q_MAX", {**selftest.SWEEP_Q_MAX, r: 1})
+    with pytest.raises(SweepConfigError, match="q_max must be at least 2"):
+        AcceptanceSuite()
+    AcceptanceSuite(q_max=13)  # an explicit cap replaces both defaults
 
 
 @pytest.mark.parametrize(
@@ -206,7 +248,7 @@ def test_cli_malformed_input_exits_2_with_a_one_line_error(argv, capsys):
     assert "Traceback" not in captured.err and "invalid literal" not in captured.err
 
 
-@pytest.mark.parametrize("flags", [["--q-max", "1"], ["--jobs", "0"], ["--jobs", "-1"]])
+@pytest.mark.parametrize("flags", [["--q-max", "1"], ["--jobs", "0"], ["--jobs", "-1"], ["--q-max", "0"]])
 def test_cli_selftest_config_errors_exit_2_before_any_check(flags, capsys, monkeypatch):
     monkeypatch.setattr(AcceptanceSuite, "run_check", lambda self, name: pytest.fail(f"check {name} ran"))
     assert cli.main(["selftest", "--only", "r2-sweep"] + flags) == 2
@@ -459,6 +501,8 @@ def test_cli_usage_errors_exit_2(capsys):
         ["count", "--field", "9^1", "--n", "1", "--r", "2"],  # 9 is a prime power, not a prime
         ["char", "--field", "2^2", "--x", "inv4"],  # 4 = 0 in characteristic 2
         ["curve", "--field", "2^2", "--A", "inv4", "--B", "0"],
+        ["curve", "--field", "2^3", "--A", "0", "--B", "inv4"],
+        ["char", "--field", "7^2", "--modulus", "3,1,2"],  # not monic
     ],
 )
 def test_cli_rejects_bad_cells_and_fields(argv, capsys):
@@ -466,6 +510,13 @@ def test_cli_rejects_bad_cells_and_fields(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_cli_curve_reads_inv4_as_the_inverse_of_4(capsys):
+    # y^2 = x^3 + 1/4 over F_13 has 13 + 1 + kappa_13 = 9 points
+    assert cli.main(["curve", "--field", "13", "--A", "0", "--B", "inv4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["a6"], out["count"], out["trace"]) == (10, 9, 5)  # 4 * 10 = 40 = 1 mod 13
 
 
 @pytest.mark.parametrize(
@@ -543,6 +594,24 @@ def test_cli_count_verify_compares_a_sets(capsys, monkeypatch):
     assert "(q=73, n=35, r=3)" in captured.err
     assert "criterion and bruteforce" in captured.err
     assert "a-only=[0] b-only=[1]" in captured.err
+
+
+def test_cli_count_verify_runs_wan_lidl(capsys, monkeypatch):
+    real = counts.enumerate_perm_binomials
+    methods = []
+
+    def wan_lidl_drops_one(spec, n, r, method="criterion"):
+        methods.append(method)
+        found = real(spec, n, r, method=method)
+        return found[1:] if method == "wanlidl" else found
+
+    monkeypatch.setattr(counts, "enumerate_perm_binomials", wan_lidl_drops_one)
+    assert cli.main(["count", "--field", "73", "--n", "35", "--r", "3", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "criterion and wanlidl a-sets differ at (q=73, n=35, r=3): |a|=16 |b|=15 a-only=[0] b-only=[]" in captured.err
+    assert sorted(methods) == ["bruteforce", "criterion", "wanlidl"]
 
 
 def test_cli_out_writes_file(tmp_path, capsys):
