@@ -44,9 +44,15 @@ that start from zero or meet a zero coefficient need no special case.
 Brute force reads zech directly instead: alpha^(d t) + alpha^j is
 alpha^(d t + zech[j - d t]), so at a = alpha^j it reads r Zech entries,
 zech[j + d u] for u < r, with no addition or modulo, and shifts a bitmask
-of logs by each. It visits only j < d, one j per orbit of j -> p j mod d,
-as a -> a^p and a -> omega a (omega^r = 1) keep the answer, and a = 0
-rides as one more entry.
+of logs by each.
+
+Both enumerating routes that test one a at a time, brute force and the
+character criterion, visit only a = alpha^j with j < d, one j per orbit of
+j -> p j mod d, as a -> a^p and a -> omega a (omega^r = 1) keep the
+answer; a = 0 rides as one more entry. The criterion decodes each such
+exp[j] and tests it with FieldElement arithmetic. Each passing j is read
+back as its orbit, exp[c + d u] for c on the orbit of j and u < r. Only
+Wan-Lidl still tests every a.
 """
 
 from __future__ import annotations
@@ -461,7 +467,8 @@ def check_prime_power(p: int, k: int) -> None:
 def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> FieldSpec:
     """Construct F_{p^k}, validating p prime, k >= 1 and the modulus irreducible."""
     check_prime_power(p, k)
-    key = (p, k, tuple(int(c) % p for c in modulus) if modulus is not None else None)
+    # trailing zero coefficients name the same polynomial, so they are trimmed before the lookup
+    key = (p, k, _ptrim([int(c) % p for c in modulus]) if modulus is not None else None)
     cached = _FIELD_CACHE.get(key)
     if cached is not None:
         return cached

@@ -10,7 +10,14 @@ Routes:
     apply the index-form permutation criterion; wan_lidl_check does so for
     any polynomial, and enumeration builds the a = 1 binomial's form once
     and tests every a, 0 included, on logarithms;
-  * criterion: the character conditions specific to r = 2 and r = 3.
+  * criterion: the character conditions specific to r = 2 and r = 3, on
+    FieldElement arithmetic.
+
+The criterion and brute force test a = 0 and one a per orbit, through one
+orbit walk: _orbit_leaders picks one j per orbit of j -> p j mod
+d = (q-1)/r, and _orbit_union expands each passing alpha^j to its orbit
+under a -> a^p and a -> omega a. Wan-Lidl tests every a, so the sweep
+checks the symmetry on its sets.
 
 The routes answer only on admissible cells (q, n, r), the ones the paper
 counts: r is 2 or 3, q is odd for r = 2 and q = 1 mod 3 for r = 3,
@@ -186,8 +193,46 @@ def check_cell(q: int, n: int, r: int) -> None:
         raise GcdViolationError(f"gcd(n={n}, (q-1)/{r}={d}) != 1")
 
 
-def _criterion_survivors(spec: FieldSpec, n: int, r: int) -> list[FieldElement]:
-    """All a passing the character test for r = 2 or r = 3.
+def _orbit_leaders(p: int, d: int) -> range | list[int]:
+    """The least member of each orbit of j -> p j on Z/d, ascending: every j when p = 1 mod d."""
+    if (p - 1) % d == 0:
+        return range(d)
+    seen = bytearray(d)
+    leaders = []
+    for j in range(d):
+        if not seen[j]:
+            leaders.append(j)
+            c = j
+            while not seen[c]:
+                seen[c] = 1
+                c = c * p % d
+    return leaders
+
+
+def _orbit_union(spec: FieldSpec, tables: FieldTables, r: int, hits: list[int], zero_passes: bool) -> list[FieldElement]:
+    """The a-set made of the orbits led by alpha^j for j in hits, and a = 0 if it passes, in enumeration order.
+
+    With d = (q-1)/r, the orbit of alpha^j under a -> a^p and a -> omega a
+    is alpha^(c + d u) for c on the orbit of j under c -> p c mod d and u < r.
+    """
+    p, d = spec.p, (spec.q - 1) // r
+    members = []
+    for j in hits:
+        c = j
+        while True:
+            members.append(c)
+            c = c * p % d
+            if c == j:
+                break
+    exp, steps = tables.exp, [d * u for u in range(r)]
+    found = [exp[c + du] for c in members for du in steps]
+    if zero_passes:
+        found.append(0)
+    return [spec.decode(e) for e in sorted(found)]
+
+
+def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
+    """All a passing the character test for r = 2 or r = 3, tested once per orbit.
 
     r = 2: chi(a^2 - 1) must equal (-1)^(n+1); chi(0) matches neither sign,
     so a = +-1 always fails.
@@ -195,23 +240,35 @@ def _criterion_survivors(spec: FieldSpec, n: int, r: int) -> list[FieldElement]:
     r = 3: with xi a primitive cube root of unity, a passes iff a is none of
     -1, -xi, -xi^2 and none of the cubic-character exponents of
     (xi+a)/(1+a), (1+a)/(xi^2+a), (xi^2+a)/(xi+a) equals 2n mod 3.
+
+    The test is exact, so its a-set is the permutation a-set, a union of
+    orbits of a -> a^p and a -> omega a (omega^r = 1). It runs at a = 0 and
+    at a = alpha^j for one j per orbit of j -> p j mod d, as brute force
+    does, and each passing j stands for its orbit. {-1, -xi, -xi^2} is
+    itself such a union, so an excluded representative excludes its orbit.
     """
     if r == 2:
         target = 1 if n % 2 == 1 else -1
-        return [a for a in spec.elements() if quadratic_char(spec, a * a - 1) == target]
-    one, xi, xi2 = cubic_roots_of_unity(spec)
-    excluded = {-one, -xi, -xi2}
-    t = (2 * n) % 3
-    out = []
-    for a in spec.elements():
-        if a in excluded:
-            continue
-        e1, e2, e3 = (cubic_char(spec, c + a) for c in (xi, one, xi2))
-        # quotients never vanish once the three excluded a are gone, so the
-        # exponents subtract cleanly
-        if t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3):
-            out.append(a)
-    return out
+
+        def passes(a: FieldElement) -> bool:
+            return quadratic_char(spec, a * a - 1) == target
+
+    else:
+        one, xi, xi2 = cubic_roots_of_unity(spec)
+        excluded = {-one, -xi, -xi2}
+        t = (2 * n) % 3
+
+        def passes(a: FieldElement) -> bool:
+            if a in excluded:
+                return False
+            e1, e2, e3 = (cubic_char(spec, c + a) for c in (xi, one, xi2))
+            # quotients never vanish once the three excluded a are gone, so the
+            # exponents subtract cleanly
+            return t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
+
+    exp = tables.exp
+    hits = [j for j in _orbit_leaders(spec.p, (spec.q - 1) // r) if passes(spec.decode(exp[j]))]
+    return _orbit_union(spec, tables, r, hits, passes(spec.zero))
 
 
 def set_diff(a: frozenset, b: frozenset) -> str:
@@ -219,21 +276,6 @@ def set_diff(a: frozenset, b: frozenset) -> str:
     only_a = sorted(a - b)[:8]
     only_b = sorted(b - a)[:8]
     return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
-
-
-def _frobenius_cosets(p: int, d: int) -> list[list[int]]:
-    """The orbits of j -> p j on Z/d, each from its least member, in ascending order of that member."""
-    seen = bytearray(d)
-    cosets = []
-    for j in range(d):
-        if not seen[j]:
-            coset, c = [], j
-            while not seen[c]:
-                seen[c] = 1
-                coset.append(c)
-                c = c * p % d
-            cosets.append(coset)
-    return cosets
 
 
 def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
@@ -259,8 +301,7 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     its whole orbit. a = 0 is one more entry, shift 0 in every row: the
     monomial x^(n+d).
     """
-    exp, _, zech = tables
-    p, q1 = spec.p, spec.q - 1
+    q1 = spec.q - 1
     d = q1 // r
     full = (1 << q1) - 1
     buf = bytearray(b"0") * q1  # buf[i] is bit q1 - 1 - i of int(buf, 2)
@@ -275,29 +316,20 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     for t in range(r):
         mask = (mask0 >> (n + d) * t % q1) & full
         masks.append(mask | mask << q1)
-    z = zech.tolist()
+    z = tables.zech.tolist()
     z[z.index(NO_LOG)] = 2 * q1
     # row t at j is zech[j - d t], read as zech[j + d u] with u = -t mod r
     offsets = [d * (-t % r) for t in range(r)]
-    if (p - 1) % d == 0:
-        cosets = None
-        rows = [z[o : o + d] for o in offsets]
-    else:
-        cosets = _frobenius_cosets(p, d)
-        rows = [[z[c[0] + o] for c in cosets] for o in offsets]
+    leaders = _orbit_leaders(spec.p, d)
     if r == 2:
-        m0, m1 = masks
-        hits = [j for j, (s0, s1) in enumerate(zip(*rows)) if (m0 >> s0 | m1 >> s1) & full == full]
+        (m0, m1), (o0, o1) = masks, offsets
+        hits = [j for j in leaders if (m0 >> z[j + o0] | m1 >> z[j + o1]) & full == full]
         zero_passes = (m0 | m1) & full == full
     else:
-        m0, m1, m2 = masks
-        hits = [j for j, (s0, s1, s2) in enumerate(zip(*rows)) if (m0 >> s0 | m1 >> s1 | m2 >> s2) & full == full]
+        (m0, m1, m2), (o0, o1, o2) = masks, offsets
+        hits = [j for j in leaders if (m0 >> z[j + o0] | m1 >> z[j + o1] | m2 >> z[j + o2]) & full == full]
         zero_passes = (m0 | m1 | m2) & full == full
-    members = hits if cosets is None else [c for j in hits for c in cosets[j]]
-    found = [exp[c + d * u] for c in members for u in range(r)]
-    if zero_passes:
-        found.append(0)
-    return [spec.decode(e) for e in sorted(found)]
+    return _orbit_union(spec, tables, r, hits, zero_passes)
 
 
 def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
@@ -352,7 +384,7 @@ def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "cri
     check_cell(spec.q, n, r)
     tables = spec.scan_tables()
     if method == "criterion":
-        return _criterion_survivors(spec, n, r)
+        return _criterion_survivors(spec, tables, n, r)
     if method == "bruteforce":
         return _brute_survivors(spec, tables, n, r)
     return _wan_lidl_survivors(spec, tables, n, r)

@@ -10,12 +10,14 @@ that, at about q shifts of q-bit masks per cell, as it evaluates one a per
 orbit of a -> a^p and a -> omega a (omega^r = 1). Every sweep runs all
 four routes.
 
-That symmetry is checked, not assumed: each criterion class set must be
-closed under both maps, on logs j -> p j and j -> j + (q-1)/r. An orbit
-the set only partly holds is a failure with route_b "symmetry" that names
-the orbit's least encoding. Wan-Lidl still scans every a, and it must
-match the criterion, so a brute force that trusted a broken symmetry
-would disagree with it.
+The criterion also tests one a per orbit, so its class sets are closed by
+construction. The symmetry is checked, not assumed, on Wan-Lidl, the one
+route that still scans every a: each Wan-Lidl class set must be closed
+under both maps, on logs j -> p j and j -> j + (q-1)/r. An orbit the set
+only partly holds is a failure ("wanlidl", "symmetry") that names the
+orbit's least encoding. Wan-Lidl must also match the criterion, so a
+criterion or brute force that trusted a broken symmetry would disagree
+with it.
 
 Disagreements are recorded as failures, never raised, so one bad cell
 cannot mask others. Cells are merged in (q, n, r) order, which makes
@@ -116,9 +118,9 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
             continue
         crit = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
         class_sets[key] = crit
-        for first, inside, size in _split_orbits(spec, r, crit):
-            failures.append((q, n, r, "criterion", "symmetry", f"orbit of a={first} split: {inside} of {size} members found"))
         wl = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl"))
+        for first, inside, size in _split_orbits(spec, r, wl):
+            failures.append((q, n, r, "wanlidl", "symmetry", f"orbit of a={first} split: {inside} of {size} members found"))
         if wl != crit:
             failures.append((q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
 

@@ -242,6 +242,13 @@ def test_degree_one_takes_the_general_path():
     assert [e.encode() for e in spec.elements()] == list(range(7))
 
 
+def test_trailing_zeros_of_a_modulus_name_the_same_field():
+    spec = make_field(7, 1, [3, 1, 0])
+    assert spec is make_field(7, 1, [3, 1]) and spec.modulus == (3, 1)
+    assert make_field(7, 2, (3, 1, 1, 0, 0)) is make_field(7, 2, (3, 1, 1))
+    assert (spec.one + make_field(7, 1, [3, 1]).one).encode() == 2  # one field, so no FieldMismatchError
+
+
 def test_zero_has_no_order():
     with pytest.raises(ZeroElementError, match="^zero has no multiplicative order$"):
         element_order(make_field(7, 2).zero)

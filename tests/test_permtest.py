@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permbinom.permtest as permtest
+from permbinom.characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from permbinom.errors import (
     BadFieldForCubicError,
     EvenCharacteristicError,
@@ -49,6 +50,27 @@ def test_r3_criterion_finds_the_cube_roots_once(monkeypatch):
     found = enumerate_perm_binomials(make_field(73), 35, 3)
     assert [a.encode() for a in found] == [0, 2, 4, 16, 18, 21, 22, 30, 32, 33, 37, 45, 55, 57, 68, 71]
     assert len(calls) == 1
+
+
+def test_criterion_tests_one_a_per_orbit(monkeypatch):
+    calls = {"quadratic": 0, "cubic": 0}
+
+    def counted(name, real):
+        def wrapper(spec, el):
+            calls[name] += 1
+            return real(spec, el)
+
+        return wrapper
+
+    monkeypatch.setattr(permtest, "quadratic_char", counted("quadratic", permtest.quadratic_char))
+    monkeypatch.setattr(permtest, "cubic_char", counted("cubic", permtest.cubic_char))
+    # F_73, r = 2: p = 1 mod d = 36, so every j < d is its own orbit, plus a = 0
+    enumerate_perm_binomials(make_field(73), 1, 2)
+    assert calls["quadratic"] == 36 + 1
+    # F_{2^12}, r = 3: 120 orbits of j -> 2 j mod 1365, plus a = 0, three characters each
+    assert len(permtest._orbit_leaders(2, 1365)) == 120
+    enumerate_perm_binomials(make_field(2, 12), 1, 3)
+    assert 0 < calls["cubic"] <= 3 * (120 + 1)
 
 
 def test_binomial_polynomial_reduces_high_exponent():
@@ -230,3 +252,43 @@ def test_orbit_brute_force_matches_the_unreduced_walk_up_to_343():
                 assert got == _unreduced_brute_encodings(spec, n, r), f"first differing cell (q, n, r) = {(q, n, r)}"
                 cells += 1
     assert cells == 9000
+
+
+def _all_a_criterion_encodings(spec, n, r):
+    """The character test at every a in F_q, no symmetry: the scan the orbit version reduces."""
+    if r == 2:
+        target = 1 if n % 2 == 1 else -1
+        return [a.encode() for a in spec.elements() if quadratic_char(spec, a * a - 1) == target]
+    one, xi, xi2 = cubic_roots_of_unity(spec)
+    excluded = {-one, -xi, -xi2}
+    t = (2 * n) % 3
+    out = []
+    for a in spec.elements():
+        if a in excluded:
+            continue
+        e1, e2, e3 = (cubic_char(spec, c + a) for c in (xi, one, xi2))
+        if t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3):
+            out.append(a.encode())
+    return out
+
+
+def _one_n_per_class(q, r):
+    """The least valid n of each class n mod r, which fixes the a-set."""
+    firsts = {}
+    for n in valid_exponents(q, r):
+        firsts.setdefault(n % r, n)
+    return sorted(firsts.values())
+
+
+def test_orbit_criterion_matches_the_all_a_scan():
+    cells = [
+        (make_field(*prime_power_decompose(q)), r)
+        for q in prime_powers_upto(343)
+        for r in (2, 3)
+        if field_admits(q, r)
+    ]
+    cells += [(make_field(2, 12), 3), (make_field(7, 4), 2), (make_field(7, 4), 3), (make_field(5, 5), 2)]
+    for spec, r in cells:
+        for n in _one_n_per_class(spec.q, r):
+            got = [a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion")]
+            assert got == _all_a_criterion_encodings(spec, n, r), f"first differing cell (q, n, r) = {(spec.q, n, r)}"

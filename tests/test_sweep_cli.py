@@ -105,10 +105,15 @@ def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
     want = {(c["q"], c["r"], c["n"] % c["r"]) for c in clean.cells if c["criterion_count"]}
     monkeypatch.setattr(sweep, "enumerate_perm_binomials", wanlidl_loses_one)
     result = run_verify_sweep(SweepConfig(q_max=13))
-    assert {(f.q, f.r, f.n % f.r) for f in result.failures} == want
-    assert len(result.failures) == len(want)
-    assert {(f.route_a, f.route_b) for f in result.failures} == {("criterion", "wanlidl")}
-    assert all(("b-only=[]" in f.diff) != swap for f in result.failures)
+    compared = [f for f in result.failures if f.route_b == "wanlidl"]
+    assert {(f.q, f.r, f.n % f.r) for f in compared} == want
+    assert len(compared) == len(want)
+    assert {f.route_a for f in compared} == {"criterion"}
+    assert all(("b-only=[]" in f.diff) != swap for f in compared)
+    # a lone a dropped or added splits its orbit too, which the closure check of Wan-Lidl names
+    split = [f for f in result.failures if f not in compared]
+    assert {(f.route_a, f.route_b) for f in split} == {("wanlidl", "symmetry")}
+    assert {(f.q, f.r, f.n % f.r) for f in split} <= want
     # every cell of a disputed class is marked bad, and only those
     assert [c["ok"] for c in result.cells] == [(c["q"], c["r"], c["n"] % c["r"]) not in want for c in result.cells]
 
@@ -118,11 +123,14 @@ def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
     assert ok_total(result) == ok_total(clean) - sum(c["criterion_count"] > 0 for c in clean.cells)
 
 
-@pytest.mark.parametrize("drop_pair", [False, True], ids=["member", "omega-pair"])
-def test_sweep_records_an_orbit_the_criterion_splits(monkeypatch, drop_pair):
-    # every a-set is a union of orbits of a -> a^p and a -> omega a (omega^r = 1);
-    # drop one member of one orbit from the criterion on F_25 and the sweep names the
-    # orbit. Dropping a and -a leaves a set that only the Frobenius check can fault.
+def _split_one_orbit(monkeypatch, route, drop_pair):
+    """Sweep q <= 25 with one member (or a and -a) of one F_25 orbit dropped from route's r = 2, odd-n set.
+
+    Every a-set is a union of orbits of a -> a^p and a -> omega a
+    (omega^r = 1). Dropping a and -a leaves a set that only the Frobenius
+    part of the closure check can fault. Returns the result, the orbit,
+    the dropped encodings and the size of the whole set.
+    """
     clean = run_verify_sweep(SweepConfig(q_max=25))
     assert clean.failures == ()
     spec = make_field(5, 2)
@@ -133,26 +141,43 @@ def test_sweep_records_an_orbit_the_criterion_splits(monkeypatch, drop_pair):
     def orbit_of(a):
         return {((w * a) ** 5**i).encode() for w in roots for i in range(2)}
 
-    # log >= (q-1)/2 = 12: not an orbit representative of the brute force;
-    # four members: the Frobenius moves it too
+    # log >= (q-1)/2 = 12: not an orbit representative of the brute force or the
+    # criterion; four members: the Frobenius moves it too
     victim = [a for a in found if not a.is_zero and log[a.encode()] >= 12 and len(orbit_of(a)) == 4][-1]
     orbit = orbit_of(victim)
     assert orbit <= {a.encode() for a in found} and min(orbit) != victim.encode()
     dropped = {victim, -victim} if drop_pair else {victim}
     real = sweep.enumerate_perm_binomials
 
-    def criterion_drops(spec, n, r, method="criterion"):
+    def drops(spec, n, r, method="criterion"):
         out = real(spec, n, r, method=method)
-        if method == "criterion" and spec.q == 25 and r == 2 and n % 2 == 1:
+        if method == route and spec.q == 25 and r == 2 and n % 2 == 1:
             out = [a for a in out if a not in dropped]
         return out
 
-    monkeypatch.setattr(sweep, "enumerate_perm_binomials", criterion_drops)
+    monkeypatch.setattr(sweep, "enumerate_perm_binomials", drops)
     result = run_verify_sweep(SweepConfig(q_max=25))
+    # every cell of the broken class fails, and only those
+    assert [c["ok"] for c in result.cells] == [(c["q"], c["r"], c["n"] % 2) != (25, 2, 1) for c in result.cells]
+    return result, orbit, sorted(a.encode() for a in dropped), len(found)
+
+
+@pytest.mark.parametrize("drop_pair", [False, True], ids=["member", "omega-pair"])
+def test_sweep_records_an_orbit_wan_lidl_splits(monkeypatch, drop_pair):
+    # Wan-Lidl scans every a, so the sweep checks the closure of its class sets
+    result, orbit, dropped, _ = _split_one_orbit(monkeypatch, "wanlidl", drop_pair)
     broken = [f for f in result.failures if f.route_b == "symmetry"]
     diff = f"orbit of a={min(orbit)} split: {len(orbit) - len(dropped)} of {len(orbit)} members found"
-    assert broken == [SweepFailure(25, 1, 2, "criterion", "symmetry", diff)]
-    assert not any(c["ok"] for c in result.cells if (c["q"], c["r"], c["n"] % 2) == (25, 2, 1))
+    assert broken == [SweepFailure(25, 1, 2, "wanlidl", "symmetry", diff)]
+
+
+@pytest.mark.parametrize("drop_pair", [False, True], ids=["member", "omega-pair"])
+def test_sweep_records_an_orbit_the_criterion_splits(monkeypatch, drop_pair):
+    # the criterion's sets are closed by construction and not closure-checked;
+    # an orbit it splits fails its cells through the comparison with Wan-Lidl
+    result, _, dropped, size = _split_one_orbit(monkeypatch, "criterion", drop_pair)
+    diff = f"|a|={size - len(dropped)} |b|={size} a-only=[] b-only={dropped}"
+    assert [f for f in result.failures if f.route_b in ("wanlidl", "symmetry")] == [SweepFailure(25, 1, 2, "criterion", "wanlidl", diff)]
 
 
 def test_sweep_records_a_divisibility_failure_per_cell(monkeypatch):
@@ -348,6 +373,14 @@ def test_cli_enumerate_accepts_custom_modulus(capsys):
     ])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["count"] == 3
+
+
+def test_cli_modulus_with_trailing_zeros_names_the_same_field(capsys):
+    outs = []
+    for modulus in ("3,1,1,0", "3,1,1"):
+        assert cli.main(["char", "--field", "7^2", "--modulus", modulus, "--x", "5"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_cli_kappa_and_trace(capsys):
