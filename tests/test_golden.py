@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("golden.json")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 A_LIST_Q_MAX = 128  # 1,606 admissible cells, every route affordable on all of them
 
 
@@ -69,6 +70,26 @@ def _refined_bounds():
             yield f"{p}^{k} {refined_bounds_r3(p**k)}"
 
 
+def _cli_queries():
+    """Exit code and stdout of each query the cli-oneshot benchmark draws from, run through cli.main."""
+    import contextlib
+    import io
+
+    from permbinom import cli
+
+    sys.path.insert(0, str(PERFBENCH))  # workloads imports its sibling tracing by bare name
+    try:
+        from workloads import _cli_pools
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for variants in _cli_pools("full").values():
+        for query in variants:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(list(query))
+            yield f"{' '.join(query)} rc={rc} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
 def _probe_findings():
     from permbinom.sharpness import decimal_string, sharpness_probe
 
@@ -86,6 +107,7 @@ ITEMS = {
     "kappa_p and s_1..s_8, 5 <= p < 5000": _traces,
     "refined_bounds_r3: q = 1 mod 3 below 10^5, 7^k and 13^k for k <= 1000": _refined_bounds,
     "sharpness_probe(73, 35) findings": _probe_findings,
+    "cli stdout of the 74 cli-oneshot queries": _cli_queries,
 }
 
 
