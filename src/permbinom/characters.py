@@ -7,19 +7,32 @@ primitive cube root of unity xi = alpha^((q-1)/3), or None on the zero
 element.  Exponents compose additively mod 3, so eta(uv) = eta(u) + eta(v)
 and eta(u/v) = eta(u) - eta(v) without any field inversions.
 
-Only here are characters read off a field's scan tables: el = alpha^i has
-chi(el) = (-1)^i and eta(el) = i mod 3. Without tables each is one power.
+Both read one exponent routine, _exponent: the e < m with
+el^((q-1)/m) = alpha^((q-1)e/m), for m = 2 (chi = (-1)^e) and m = 3
+(eta = e). Only here are characters read off a field's scan tables, as
+el = alpha^i gives e = i mod m; without tables e takes one power.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .errors import BadFieldForCubicError, EvenCharacteristicError, OutOfRangeError
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
-def _table_log(spec: FieldSpec, el: FieldElement) -> int | None:
-    """log_alpha(el) of a nonzero el when the field has its scan tables, else None."""
-    return None if spec._tables is None else spec._tables.log[el.encode()]
+def _exponent(spec: FieldSpec, el: FieldElement, m: int, roots: Callable[[], tuple[FieldElement, ...]]) -> int:
+    """The e < m with el^((q-1)/m) = alpha^((q-1)e/m) for a nonzero el.
+
+    Without tables, roots() lists those m powers of alpha, e ascending, or refuses a field where m does not divide q - 1.
+    """
+    if spec._tables is not None and (spec.q - 1) % m == 0:
+        return spec._tables.log[el.encode()] % m
+    t = el ** ((spec.q - 1) // m)
+    for e, root in enumerate(roots()):
+        if t == root:
+            return e
+    raise AssertionError(f"el^((q-1)/{m}) is no power of alpha^((q-1)/{m}); broken field arithmetic")
 
 
 def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
@@ -28,15 +41,7 @@ def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
         raise EvenCharacteristicError("quadratic character needs odd q")
     if el.is_zero:
         return 0
-    i = _table_log(spec, el)
-    if i is not None:
-        return 1 - 2 * (i & 1)  # alpha^((q-1)/2) = -1
-    t = el ** ((spec.q - 1) // 2)
-    if t == spec.one:
-        return 1
-    if t == -spec.one:
-        return -1
-    raise AssertionError("chi landed outside {1,-1}; broken field arithmetic")
+    return 1 - 2 * _exponent(spec, el, 2, lambda: (spec.one, -spec.one))  # alpha^((q-1)/2) = -1
 
 
 def cubic_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement, FieldElement]:
@@ -52,18 +57,7 @@ def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0."""
     if el.is_zero:
         return None
-    i = _table_log(spec, el)
-    if i is not None and spec.q % 3 == 1:
-        return i % 3  # el^((q-1)/3) = xi^i
-    one, xi, xi2 = cubic_roots_of_unity(spec)
-    t = el ** ((spec.q - 1) // 3)
-    if t == one:
-        return 0
-    if t == xi:
-        return 1
-    if t == xi2:
-        return 2
-    raise AssertionError("eta landed outside the cube roots of unity")
+    return _exponent(spec, el, 3, lambda: cubic_roots_of_unity(spec))
 
 
 def character_classes(spec: FieldSpec) -> dict:

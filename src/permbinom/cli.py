@@ -27,8 +27,8 @@ from .errors import (
     TraceTooLargeError,
     UnknownChoiceError,
 )
-from .fields import FieldSpec, make_field, parse_field
-from .permtest import enumerate_perm_binomials
+from .fields import FieldSpec, ensure_enumerable, make_field, parse_field
+from .permtest import ROUTES, enumerate_perm_binomials
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -62,6 +62,8 @@ def _field_spec(args) -> FieldSpec:
         modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     except ValueError:
         raise UnknownChoiceError(f"cannot parse modulus {args.modulus!r}; expected integers c0,c1,...,1") from None
+    if getattr(args, "x", None) is None:  # every field command but char --x scans the field: refuse before the modulus search
+        ensure_enumerable(p**k)
     return make_field(p, k, modulus)
 
 
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", parents=[fieldy], help="list admissible a values")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--r", type=int, choices=(2, 3), required=True)
-    p_enum.add_argument("--method", choices=("criterion", "bruteforce", "wanlidl"), default="criterion")
+    p_enum.add_argument("--method", choices=tuple(ROUTES), default="criterion")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_count = sub.add_parser("count", help="closed-form count with bounds")

@@ -27,9 +27,9 @@ from math import factorial, isqrt
 from typing import NamedTuple
 
 from .curves import pi_trace
-from .errors import BadFieldForCubicError, CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError
-from .fields import check_prime_power, make_field
-from .permtest import check_cell, enumerate_perm_binomials, set_diff
+from .errors import BadFieldForCubicError, CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, int_text
+from .fields import check_prime_power, ensure_enumerable, make_field
+from .permtest import ROUTES, check_cell, enumerate_perm_binomials, set_diff
 from .primes import exact_sqrt, prime_power_decompose
 
 _SQRT_SCALE = 10**30  # denominator of the rational upper bound on sqrt(q)
@@ -38,7 +38,7 @@ _SQRT_SCALE = 10**30  # denominator of the rational upper bound on sqrt(q)
 def closed_count_r2(q: int, n: int) -> int:
     """(q - 2 + (-1)^n) / 2 on a prime power q for an admissible cell (q, n, 2)."""
     if prime_power_decompose(q) is None:
-        raise NonPrimeError(f"q = {q} is not a prime power")
+        raise NonPrimeError(f"q = {int_text(q)} is not a prime power")
     check_cell(q, n, 2)
     return (q - 2 + (-1) ** n) // 2
 
@@ -82,7 +82,7 @@ def masuda_zieve_bounds(q: int, r: int) -> tuple[Fraction, Fraction]:
     if r < 2:
         raise OutOfRangeError("r must be >= 2")
     if (q - 1) % r != 0:
-        raise OutOfRangeError(f"r = {r} must divide q - 1 = {q - 1}")
+        raise OutOfRangeError(f"r = {r} must divide q - 1 = {int_text(q - 1)}")
     m_r = r ** (r + 1) - 2 * r**r - r ** (r - 1) + 2
     scale = Fraction(factorial(r), r**r)
     sqrt_hi = _sqrt_upper(q)
@@ -98,7 +98,7 @@ def refined_bounds_r3(q: int) -> tuple[int, int]:
     integer v is at most 4 sqrt(q) iff v <= f = isqrt(16q).
     """
     if q % 3 != 1:
-        raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
+        raise BadFieldForCubicError(f"q = {int_text(q)} is not 1 mod 3")
     f = isqrt(16 * q)
     return -((16 + f - 2 * q) // 9), (2 * q - 7 + f) // 9
 
@@ -132,6 +132,8 @@ def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> 
     check_prime_power(p, k)
     q = p**k
     check_cell(q, n, r)
+    if verify:
+        ensure_enumerable(q)  # before any work, and before make_field's modulus search
     if r == 2:
         e1 = e2 = s_k = None
         closed = closed_count_r2(q, n)
@@ -146,12 +148,12 @@ def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> 
     a_values = None
     if verify:
         spec = make_field(p, k)
-        a_values = tuple(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
+        runs = {method: tuple(a.encode() for a in enumerate_perm_binomials(spec, n, r, method=method)) for method in ROUTES}
+        a_values = runs["criterion"]
         criterion = frozenset(a_values)
-        for method in ("bruteforce", "wanlidl"):
-            found = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method=method))
-            if found != criterion:
-                diff = set_diff(criterion, found)
+        for method, found in runs.items():
+            if frozenset(found) != criterion:
+                diff = set_diff(criterion, frozenset(found))
                 raise CrossCheckFailedError(f"criterion and {method} a-sets differ at (q={q}, n={n}, r={r}): {diff}")
         if len(a_values) != closed:
             raise CrossCheckFailedError(

@@ -92,3 +92,11 @@ class OutOfRangeError(PermBinomError, ValueError):
 
 class UnknownChoiceError(PermBinomError, ValueError):
     """A method, check, report format or field string that names none of the accepted choices."""
+
+
+def int_text(n: int) -> str:
+    """n in decimal for a refusal message, or its size where it has more digits than the interpreter prints."""
+    try:
+        return str(n)
+    except ValueError:  # the int-to-str digit limit
+        return f"a {n.bit_length()}-bit integer"

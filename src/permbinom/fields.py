@@ -27,32 +27,22 @@ where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration
 guard first, on every call, so no table is built for a field the guard
 refuses.  Only the scans over a whole field call it:
 enumerate_perm_binomials, power_sum, count_points_extension,
-char2_cubic_sum and characters.character_classes.  The guard is q <= 2^20, and
+char2_cubic_sum, characters.character_classes and sweep._split_orbits,
+which checks a Wan-Lidl a-set for closure.  The guard is q <= 2^20, and
 the PERMBINOM_GUARD environment variable, read only here, is the one way
 to move it: no function takes an argument that skips it.
 
 FieldElement never reads the tables.  Its powers, inverse and
 element_order are square-and-multiply whatever scans have run, and are
 the table-free reference the tables are checked against in the tests.
-Of the single-element functions only the characters read them: on a
-scanned field chi(alpha^i) is the parity of i and eta(alpha^i) is i mod 3.
+Of the single-element functions only the characters read them, through
+characters._exponent.
 
 The scans that add elements work on logarithms and never build a
 FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
 add_logs does that addition with NO_LOG allowed on either side, so sums
 that start from zero or meet a zero coefficient need no special case.
-Brute force reads zech directly instead: alpha^(d t) + alpha^j is
-alpha^(d t + zech[j - d t]), so at a = alpha^j it reads r Zech entries,
-zech[j + d u] for u < r, with no addition or modulo, and shifts a bitmask
-of logs by each.
-
-Both enumerating routes that test one a at a time, brute force and the
-character criterion, visit only a = alpha^j with j < d, one j per orbit of
-j -> p j mod d, as a -> a^p and a -> omega a (omega^r = 1) keep the
-answer; a = 0 rides as one more entry. The criterion decodes each such
-exp[j] and tests it with FieldElement arithmetic. Each passing j is read
-back as its orbit, exp[c + d u] for c on the orbit of j and u < r. Only
-Wan-Lidl still tests every a.
+permtest says how each permutation route reads the tables.
 """
 
 from __future__ import annotations
@@ -70,6 +60,7 @@ from .errors import (
     ReducibleModulusError,
     UnknownChoiceError,
     ZeroElementError,
+    int_text,
 )
 from .primes import factorize, is_prime, prime_power_decompose
 
@@ -91,7 +82,8 @@ def ensure_enumerable(q: int) -> None:
     if limit < 1:
         raise EnumerationGuardError(f"{GUARD_ENV_VAR}={raw!r} is not a positive integer")
     if q > limit:
-        raise EnumerationGuardError(f"refusing to enumerate F_q with q = {q} > guard {limit}; set {GUARD_ENV_VAR} to at least {q}")
+        shown = int_text(q)
+        raise EnumerationGuardError(f"refusing to enumerate F_q with q = {shown} > guard {limit}; set {GUARD_ENV_VAR} to at least {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +474,9 @@ def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fiel
             raise ReducibleModulusError("modulus must be monic")
         if not _is_irreducible(mod, p):
             raise ReducibleModulusError(f"modulus {mod} is reducible over F_{p}")
-    spec = FieldSpec(p, k, mod)
-    _FIELD_CACHE[key] = spec
+    # a found modulus names the same field as when it is given, so both keys share one spec
+    spec = _FIELD_CACHE.get((p, k, mod)) or FieldSpec(p, k, mod)
+    _FIELD_CACHE[key] = _FIELD_CACHE[(p, k, mod)] = spec
     return spec
 
 

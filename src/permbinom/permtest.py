@@ -13,11 +13,14 @@ Routes:
   * criterion: the character conditions specific to r = 2 and r = 3, on
     FieldElement arithmetic.
 
+ROUTES names them; each returns the encodings of its a, ascending, and
+enumerate_perm_binomials, which dispatches through ROUTES, decodes them.
+
 The criterion and brute force test a = 0 and one a per orbit, through one
 orbit walk: _orbit_leaders picks one j per orbit of j -> p j mod
 d = (q-1)/r, and _orbit_union expands each passing alpha^j to its orbit
 under a -> a^p and a -> omega a. Wan-Lidl tests every a, so the sweep
-checks the symmetry on its sets.
+checks the symmetry on its sets, with _orbit_union naming a split orbit.
 
 The routes answer only on admissible cells (q, n, r), the ones the paper
 counts: r is 2 or 3, q is odd for r = 2 and q = 1 mod 3 for r = 3,
@@ -41,6 +44,7 @@ from .errors import (
     OutOfRangeError,
     UnknownChoiceError,
     ZeroPolynomialError,
+    int_text,
 )
 from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, add_logs, ensure_enumerable
 
@@ -184,13 +188,13 @@ def check_cell(q: int, n: int, r: int) -> None:
         raise OutOfRangeError(f"r must be 2 or 3, got {r}")
     if not field_admits(q, r):
         if r == 2:
-            raise EvenCharacteristicError(f"r = 2 needs odd q, got q = {q}")
-        raise BadFieldForCubicError(f"q = {q} is not 1 mod 3")
+            raise EvenCharacteristicError(f"r = 2 needs odd q, got q = {int_text(q)}")
+        raise BadFieldForCubicError(f"q = {int_text(q)} is not 1 mod 3")
     if not 1 <= n <= q - 1:
-        raise OutOfRangeError(f"n must lie in [1, q-1], got {n}")
+        raise OutOfRangeError(f"n must lie in [1, q-1], got {int_text(n)}")
     d = (q - 1) // r
     if gcd(n, d) != 1:
-        raise GcdViolationError(f"gcd(n={n}, (q-1)/{r}={d}) != 1")
+        raise GcdViolationError(f"gcd(n={int_text(n)}, (q-1)/{r}={int_text(d)}) != 1")
 
 
 def _orbit_leaders(p: int, d: int) -> range | list[int]:
@@ -209,11 +213,12 @@ def _orbit_leaders(p: int, d: int) -> range | list[int]:
     return leaders
 
 
-def _orbit_union(spec: FieldSpec, tables: FieldTables, r: int, hits: list[int], zero_passes: bool) -> list[FieldElement]:
-    """The a-set made of the orbits led by alpha^j for j in hits, and a = 0 if it passes, in enumeration order.
+def _orbit_union(spec: FieldSpec, tables: FieldTables, r: int, hits: list[int], zero_passes: bool) -> list[int]:
+    """The encodings, ascending, of the orbits led by alpha^j for j < d in hits, and of a = 0 if it passes.
 
     With d = (q-1)/r, the orbit of alpha^j under a -> a^p and a -> omega a
     is alpha^(c + d u) for c on the orbit of j under c -> p c mod d and u < r.
+    This is the one place an orbit is expanded.
     """
     p, d = spec.p, (spec.q - 1) // r
     members = []
@@ -228,18 +233,18 @@ def _orbit_union(spec: FieldSpec, tables: FieldTables, r: int, hits: list[int], 
     found = [exp[c + du] for c in members for du in steps]
     if zero_passes:
         found.append(0)
-    return [spec.decode(e) for e in sorted(found)]
+    return sorted(found)
 
 
-def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
+def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:
     """All a passing the character test for r = 2 or r = 3, tested once per orbit.
 
     r = 2: chi(a^2 - 1) must equal (-1)^(n+1); chi(0) matches neither sign,
     so a = +-1 always fails.
 
-    r = 3: with xi a primitive cube root of unity, a passes iff a is none of
-    -1, -xi, -xi^2 and none of the cubic-character exponents of
-    (xi+a)/(1+a), (1+a)/(xi^2+a), (xi^2+a)/(xi+a) equals 2n mod 3.
+    r = 3: with xi a primitive cube root of unity, a passes iff eta(c + a)
+    is not None for c = 1, xi, xi^2 (a is none of -1, -xi, -xi^2) and none of
+    the exponents of (xi+a)/(1+a), (1+a)/(xi^2+a), (xi^2+a)/(xi+a) is 2n mod 3.
 
     The test is exact, so its a-set is the permutation a-set, a union of
     orbits of a -> a^p and a -> omega a (omega^r = 1). It runs at a = 0 and
@@ -255,16 +260,11 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
 
     else:
         one, xi, xi2 = cubic_roots_of_unity(spec)
-        excluded = {-one, -xi, -xi2}
         t = (2 * n) % 3
 
         def passes(a: FieldElement) -> bool:
-            if a in excluded:
-                return False
             e1, e2, e3 = (cubic_char(spec, c + a) for c in (xi, one, xi2))
-            # quotients never vanish once the three excluded a are gone, so the
-            # exponents subtract cleanly
-            return t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
+            return None not in (e1, e2, e3) and t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
 
     exp = tables.exp
     hits = [j for j in _orbit_leaders(spec.p, (spec.q - 1) // r) if passes(spec.decode(exp[j]))]
@@ -278,7 +278,7 @@ def set_diff(a: frozenset, b: frozenset) -> str:
     return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
 
 
-def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
+def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:
     """All a for which the binomial permutes F_q, by evaluating it at every x, one a per orbit.
 
     Values are logarithms to base alpha; x = 0 maps to 0. At x = alpha^i
@@ -332,7 +332,7 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     return _orbit_union(spec, tables, r, hits, zero_passes)
 
 
-def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[FieldElement]:
+def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:
     """All a for which the binomial permutes F_q, by the index-form criterion.
 
     Every a is tested against the index form x^r_low h(x^s) of the a = 1
@@ -369,22 +369,22 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
                 break
             seen.add(v)
         else:
-            out.append(spec.decode(a))
+            out.append(a)
     return out
 
 
+# route(spec, tables, n, r) on an admissible cell; the CLI, the selftest and count --verify list them in this order
+ROUTES = {"criterion": _criterion_survivors, "bruteforce": _brute_survivors, "wanlidl": _wan_lidl_survivors}
+
+
 def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "criterion") -> list[FieldElement]:
-    """All a in F_q (enumeration order) making x^n (x^((q-1)/r) + a) a permutation.
+    """All a in F_q (enumeration order) making x^n (x^((q-1)/r) + a) a permutation, by the route ROUTES[method].
 
     a = 0 is included; the binomial degenerates to the monomial
     x^(n + (q-1)/r), which every route tests as an ordinary a.
     """
-    if method not in ("criterion", "bruteforce", "wanlidl"):
+    route = ROUTES.get(method) if isinstance(method, str) else None
+    if route is None:
         raise UnknownChoiceError(f"unknown method {method!r}")
     check_cell(spec.q, n, r)
-    tables = spec.scan_tables()
-    if method == "criterion":
-        return _criterion_survivors(spec, tables, n, r)
-    if method == "bruteforce":
-        return _brute_survivors(spec, tables, n, r)
-    return _wan_lidl_survivors(spec, tables, n, r)
+    return [spec.decode(a) for a in route(spec, spec.scan_tables(), n, r)]

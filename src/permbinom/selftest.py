@@ -24,7 +24,7 @@ from .curves import (
 )
 from .errors import UnknownChoiceError
 from .fields import make_field
-from .permtest import enumerate_perm_binomials, field_admits
+from .permtest import ROUTES, enumerate_perm_binomials, field_admits
 from .primes import is_prime, prime_power_decompose, prime_powers_upto
 from .sweep import BRUTE_FULL_MAX, SweepConfig, SweepResult, run_verify_sweep, valid_exponents, validate_config
 
@@ -88,7 +88,7 @@ class AcceptanceSuite:
 
     def check_exact_case_f73(self) -> tuple[bool, str]:
         spec = make_field(73)
-        for method in ("criterion", "bruteforce", "wanlidl"):
+        for method in ROUTES:
             got = frozenset(a.encode() for a in enumerate_perm_binomials(spec, 35, 3, method=method))
             if got != F73_ADMISSIBLE:
                 return False, f"{method} route gives {sorted(got)}, expected {sorted(F73_ADMISSIBLE)}"

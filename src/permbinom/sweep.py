@@ -41,7 +41,7 @@ from .counts import closed_count_r3, closed_count_r2, epsilons, masuda_zieve_bou
 from .curves import pi_trace
 from .errors import DivisibilityViolationError, SweepConfigError, UnknownChoiceError
 from .fields import FieldSpec, ensure_enumerable, make_field
-from .permtest import enumerate_perm_binomials, field_admits, set_diff
+from .permtest import _orbit_union, enumerate_perm_binomials, field_admits, set_diff
 from .primes import prime_power_decompose, prime_powers_upto
 
 BRUTE_FULL_MAX = 100  # brute force confirms every cell with q up to this
@@ -88,27 +88,28 @@ def _split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[
     """(first member, members in found, orbit size) for each orbit that found only partly holds.
 
     The orbits are those of a -> a^p and a -> omega a (omega^r = 1), on
-    logs a = alpha^j the maps j -> p j and j -> j + (q-1)/r. Every a-set
-    is a union of them, so found must hold both images of each member.
+    logs a = alpha^j the maps j -> p j and j -> j + d, d = (q-1)/r. Every
+    a-set is a union of them, so found must hold both images of each
+    member; permtest._orbit_union expands a split orbit from j mod d.
     First means least encoding. a = 0 is an orbit of its own.
     """
-    exp, log, _ = spec.scan_tables()
-    p, q1 = spec.p, spec.q - 1
+    exp, log, _ = tables = spec.scan_tables()
+    q1 = spec.q - 1
     d = q1 // r
     orbits = set()
     for a in found:
         j = log[a]
-        if a and not (exp[(j + d) % q1] in found and exp[j * p % q1] in found):
-            orbits.add(frozenset(exp[(j * p**i + d * t) % q1] for i in range(spec.k) for t in range(r)))
-    return sorted((min(orbit), len(orbit & found), len(orbit)) for orbit in orbits)
+        if a and not (exp[(j + d) % q1] in found and exp[j * spec.p % q1] in found):
+            orbits.add(tuple(_orbit_union(spec, tables, r, [j % d], False)))
+    return sorted((orbit[0], len(found.intersection(orbit)), len(orbit)) for orbit in orbits)
 
 
-def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict], list[tuple]]:
+def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict], list[SweepFailure]]:
     """All cells and failures for one (q, r) block. Top level so it pickles."""
     q = p**k
     spec = make_field(p, k)
     cells: list[dict] = []
-    failures: list[tuple] = []
+    failures: list[SweepFailure] = []
     ns = valid_exponents(q, r)
 
     class_sets: dict[int, frozenset[int]] = {}
@@ -120,11 +121,11 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
         class_sets[key] = crit
         wl = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl"))
         for first, inside, size in _split_orbits(spec, r, wl):
-            failures.append((q, n, r, "wanlidl", "symmetry", f"orbit of a={first} split: {inside} of {size} members found"))
+            failures.append(SweepFailure(q, n, r, "wanlidl", "symmetry", f"orbit of a={first} split: {inside} of {size} members found"))
         if wl != crit:
-            failures.append((q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
+            failures.append(SweepFailure(q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
 
-    disputed = {f[1] % r for f in failures}  # classes where Wan-Lidl disagrees
+    disputed = {f.n % r for f in failures}  # classes where Wan-Lidl disagrees
     mz_lo, mz_hi = masuda_zieve_bounds(q, r)
     cor_lo, cor_hi = refined_bounds_r3(q) if r == 3 else (None, None)
     s_k = pi_trace(p, k) if r == 3 else None
@@ -143,23 +144,23 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
             try:
                 closed = closed_count_r3(p, k, n)
             except DivisibilityViolationError as exc:
-                failures.append((q, n, r, "closed", "divisibility", str(exc)))
+                failures.append(SweepFailure(q, n, r, "closed", "divisibility", str(exc)))
                 closed = None
         if closed is not None and closed != crit_count:
-            failures.append((q, n, r, "closed", "criterion", f"{closed} != {crit_count}"))
+            failures.append(SweepFailure(q, n, r, "closed", "criterion", f"{closed} != {crit_count}"))
 
         brute_count = None
         if q <= BRUTE_FULL_MAX or rng.random() < BRUTE_SAMPLE_RATE:
             brute = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce"))
             brute_count = len(brute)
             if brute != crit_set:
-                failures.append((q, n, r, "criterion", "bruteforce", set_diff(crit_set, brute)))
+                failures.append(SweepFailure(q, n, r, "criterion", "bruteforce", set_diff(crit_set, brute)))
 
         if closed is not None:
             if not max(mz_lo, 0) <= closed <= mz_hi:
-                failures.append((q, n, r, "closed", "mz-bounds", f"{closed} outside [{max(mz_lo, 0)}, {mz_hi}]"))
+                failures.append(SweepFailure(q, n, r, "closed", "mz-bounds", f"{closed} outside [{max(mz_lo, 0)}, {mz_hi}]"))
             if r == 3 and not cor_lo <= closed <= cor_hi:
-                failures.append((q, n, r, "closed", "refined-bounds", f"{closed} outside [{cor_lo}, {cor_hi}]"))
+                failures.append(SweepFailure(q, n, r, "closed", "refined-bounds", f"{closed} outside [{cor_lo}, {cor_hi}]"))
 
         cells.append(
             {
@@ -212,13 +213,8 @@ def run_verify_sweep(config: SweepConfig) -> SweepResult:
             parts = list(pool.map(_field_task, *zip(*tasks)))  # one iterable per parameter
     else:
         parts = [_field_task(*t) for t in tasks]
-    cells: list[dict] = []
-    failures: list[SweepFailure] = []
-    for cell_part, fail_part in parts:
-        cells.extend(cell_part)
-        failures.extend(SweepFailure(*f) for f in fail_part)
-    cells.sort(key=lambda c: (c["q"], c["n"], c["r"]))
-    failures.sort()
+    cells = sorted((c for cell_part, _ in parts for c in cell_part), key=lambda c: (c["q"], c["n"], c["r"]))
+    failures = sorted(f for _, fail_part in parts for f in fail_part)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     return SweepResult(cells=tuple(cells), failures=tuple(failures), elapsed_ms=elapsed_ms)
 

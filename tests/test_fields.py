@@ -249,6 +249,16 @@ def test_trailing_zeros_of_a_modulus_name_the_same_field():
     assert (spec.one + make_field(7, 1, [3, 1]).one).encode() == 2  # one field, so no FieldMismatchError
 
 
+@pytest.mark.parametrize("found_first", [True, False], ids=["found-first", "given-first"])
+def test_the_found_modulus_given_names_the_same_field(monkeypatch, found_first):
+    # one FieldSpec, so one set of scan tables, whichever call comes first
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    modulus = fields._find_modulus(7, 2)
+    calls = [lambda: make_field(7, 2), lambda: make_field(7, 2, modulus)]
+    first, second = (call() for call in (calls if found_first else calls[::-1]))
+    assert first is second and first.modulus == modulus
+
+
 def test_zero_has_no_order():
     with pytest.raises(ZeroElementError, match="^zero has no multiplicative order$"):
         element_order(make_field(7, 2).zero)

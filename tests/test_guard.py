@@ -32,6 +32,16 @@ CLI_SCANS = {
 }
 
 
+# Scanning queries on fields whose modulus search alone runs for minutes
+HUGE_CLI_SCANS = {
+    "enumerate": ["enumerate", "--field", "2^20000", "--n", "1", "--r", "3"],
+    "count-verify": ["count", "--field", "2^20000", "--n", "1", "--r", "3", "--verify"],
+    "curve": ["curve", "--field", "3^9000", "--A", "0", "--B", "1"],
+    "char-power-sum": ["char", "--field", "3^9000", "--power-sum", "3"],
+    "char-classes": ["char", "--field", "3^9000"],
+}
+
+
 @pytest.fixture
 def fresh_fields(monkeypatch):
     """An empty field cache, so each FieldSpec starts without tables."""
@@ -59,3 +69,31 @@ def test_every_full_field_scan_obeys_the_guard(name, fresh_fields, monkeypatch, 
         assert capsys.readouterr().out
     else:
         LIBRARY_SCANS[name]()
+
+
+@pytest.fixture
+def no_modulus_search(fresh_fields, monkeypatch):
+    """An empty field cache, the default guard, and a modulus search that fails if it starts."""
+
+    def searched(p, k):
+        raise AssertionError(f"the modulus search for F_{p}^{k} started")
+
+    monkeypatch.delenv("PERMBINOM_GUARD", raising=False)
+    monkeypatch.setattr(fields, "_find_modulus", searched)
+    return fresh_fields
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_CLI_SCANS))
+def test_a_scan_refuses_a_huge_field_before_building_it(name, no_modulus_search, capsys):
+    assert cli.main(HUGE_CLI_SCANS[name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing to enumerate F_q with q = ")
+    assert "> guard 1048576; set PERMBINOM_GUARD to at least " in captured.err
+    assert no_modulus_search == {}
+
+
+def test_count_report_refuses_a_huge_field_before_building_it(no_modulus_search):
+    with pytest.raises(EnumerationGuardError, match="^refusing to enumerate F_q with q = a 20001-bit integer > guard 1048576"):
+        build_count_report(2, 20000, 1, 3, verify=True)
+    assert no_modulus_search == {}

@@ -312,6 +312,48 @@ def test_each_refusal_raises_its_typed_error(name):
     assert type(info.value) is error and isinstance(info.value, permbinom.PermBinomError)
 
 
+# q, q - 1 or (q - 1)/r past the int-to-str digit limit: each refusal keeps its type and names the integer by its size
+HUGE_Q_REFUSALS = {
+    "check_cell": ("GcdViolationError", "gcd(n=2, (q-1)/3=a 22458-bit integer) != 1", lambda: permbinom.permtest.check_cell(7**8000, 2, 3)),
+    "ensure_enumerable": (
+        "EnumerationGuardError",
+        "refusing to enumerate F_q with q = a 20001-bit integer > guard 1048576; set PERMBINOM_GUARD to at least a 20001-bit integer",
+        lambda: permbinom.fields.ensure_enumerable(2**20000),
+    ),
+    "refined_bounds_r3": ("BadFieldForCubicError", "q = a 20002-bit integer is not 1 mod 3", lambda: permbinom.refined_bounds_r3(2**20001)),
+    "masuda_zieve_bounds": (
+        "OutOfRangeError", "r = 3 must divide q - 1 = a 20001-bit integer", lambda: permbinom.masuda_zieve_bounds(2**20001, 3)
+    ),
+    "closed_count_r2": ("NonPrimeError", "q = a 20001-bit integer is not a prime power", lambda: permbinom.closed_count_r2(2**20000 + 1, 1)),
+    "build_count_report": (
+        "EvenCharacteristicError", "r = 2 needs odd q, got q = a 20001-bit integer", lambda: permbinom.build_count_report(2, 20000, 1, 2)
+    ),
+}
+HUGE_Q_QUERIES = {
+    "count-gcd": (["count", "--field", "7^8000", "--n", "2", "--r", "3"], HUGE_Q_REFUSALS["check_cell"][1]),
+    "count-odd-q": (["count", "--field", "2^20000", "--n", "1", "--r", "2"], HUGE_Q_REFUSALS["build_count_report"][1]),
+    "bounds-1-mod-3": (["bounds", "--field", "2^20001", "--r", "3"], HUGE_Q_REFUSALS["masuda_zieve_bounds"][1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_Q_REFUSALS))
+def test_a_refusal_on_a_huge_q_keeps_its_type(name, monkeypatch):
+    monkeypatch.delenv("PERMBINOM_GUARD", raising=False)
+    error, message, call = HUGE_Q_REFUSALS[name]
+    with pytest.raises(permbinom.PermBinomError) as info:
+        call()
+    assert type(info.value).__name__ == error and str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_Q_QUERIES))
+def test_a_query_on_a_huge_q_prints_the_typed_refusal(name, capsys):
+    from permbinom import cli
+
+    argv, message = HUGE_Q_QUERIES[name]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
