@@ -21,15 +21,15 @@ from .errors import BadFieldForCubicError, EvenCharacteristicError, OutOfRangeEr
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
-def _exponent(spec: FieldSpec, el: FieldElement, m: int, roots: Callable[[], tuple[FieldElement, ...]]) -> int:
+def _exponent(spec: FieldSpec, el: FieldElement, m: int, roots: Callable[[FieldSpec], tuple[FieldElement, ...]]) -> int:
     """The e < m with el^((q-1)/m) = alpha^((q-1)e/m) for a nonzero el.
 
-    Without tables, roots() lists those m powers of alpha, e ascending, or refuses a field where m does not divide q - 1.
+    Without tables, roots(spec) lists those m powers of alpha, e ascending, or refuses a field where m does not divide q - 1.
     """
     if spec._tables is not None and (spec.q - 1) % m == 0:
         return spec._tables.log[el.encode()] % m
     t = el ** ((spec.q - 1) // m)
-    for e, root in enumerate(roots()):
+    for e, root in enumerate(roots(spec)):
         if t == root:
             return e
     raise AssertionError(f"el^((q-1)/{m}) is no power of alpha^((q-1)/{m}); broken field arithmetic")
@@ -41,7 +41,12 @@ def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
         raise EvenCharacteristicError("quadratic character needs odd q")
     if el.is_zero:
         return 0
-    return 1 - 2 * _exponent(spec, el, 2, lambda: (spec.one, -spec.one))  # alpha^((q-1)/2) = -1
+    return 1 - 2 * _exponent(spec, el, 2, _square_roots_of_unity)
+
+
+def _square_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement]:
+    """(1, -1), as alpha^((q-1)/2) = -1 for odd q."""
+    return spec.one, -spec.one
 
 
 def cubic_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement, FieldElement]:
@@ -57,7 +62,7 @@ def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0."""
     if el.is_zero:
         return None
-    return _exponent(spec, el, 3, lambda: cubic_roots_of_unity(spec))
+    return _exponent(spec, el, 3, cubic_roots_of_unity)
 
 
 def character_classes(spec: FieldSpec) -> dict:

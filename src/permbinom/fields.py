@@ -42,7 +42,6 @@ The scans that add elements work on logarithms and never build a
 FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
 add_logs does that addition with NO_LOG allowed on either side, so sums
 that start from zero or meet a zero coefficient need no special case.
-permtest says how each permutation route reads the tables.
 """
 
 from __future__ import annotations
@@ -474,8 +473,7 @@ def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fiel
             raise ReducibleModulusError("modulus must be monic")
         if not _is_irreducible(mod, p):
             raise ReducibleModulusError(f"modulus {mod} is reducible over F_{p}")
-    # a found modulus names the same field as when it is given, so both keys share one spec
-    spec = _FIELD_CACHE.get((p, k, mod)) or FieldSpec(p, k, mod)
+    spec = _FIELD_CACHE.get((p, k, mod)) or FieldSpec(p, k, mod)  # one spec whether the modulus is found or given
     _FIELD_CACHE[key] = _FIELD_CACHE[(p, k, mod)] = spec
     return spec
 

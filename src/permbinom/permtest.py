@@ -218,7 +218,6 @@ def _orbit_union(spec: FieldSpec, tables: FieldTables, r: int, hits: list[int], 
 
     With d = (q-1)/r, the orbit of alpha^j under a -> a^p and a -> omega a
     is alpha^(c + d u) for c on the orbit of j under c -> p c mod d and u < r.
-    This is the one place an orbit is expanded.
     """
     p, d = spec.p, (spec.q - 1) // r
     members = []

@@ -94,12 +94,12 @@ def _split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[
     First means least encoding. a = 0 is an orbit of its own.
     """
     exp, log, _ = tables = spec.scan_tables()
-    q1 = spec.q - 1
+    p, q1 = spec.p, spec.q - 1
     d = q1 // r
     orbits = set()
     for a in found:
         j = log[a]
-        if a and not (exp[(j + d) % q1] in found and exp[j * spec.p % q1] in found):
+        if a and not (exp[(j + d) % q1] in found and exp[j * p % q1] in found):
             orbits.add(tuple(_orbit_union(spec, tables, r, [j % d], False)))
     return sorted((orbit[0], len(found.intersection(orbit)), len(orbit)) for orbit in orbits)
 
