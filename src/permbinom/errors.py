@@ -91,7 +91,7 @@ class OutOfRangeError(PermBinomError, ValueError):
 
 
 class UnknownChoiceError(PermBinomError, ValueError):
-    """A method, check, report format or field string that names none of the accepted choices."""
+    """A method, check, report format or field string that names none of the accepted choices, or an encoding or coefficient that is not an integer."""
 
 
 def int_text(n: int) -> str:

@@ -32,6 +32,18 @@ which checks a Wan-Lidl a-set for closure.  The guard is q <= 2^20, and
 the PERMBINOM_GUARD environment variable, read only here, is the one way
 to move it: no function takes an argument that skips it.
 
+On an extension field the first scan_tables call also builds two digit
+tables for decode, the coefficient tuples of the encodings below
+p^(k//2) and below p^(k - k//2): about p^ceil(k/2) tuples beside the 24q
+bytes, at most q^(2/3) of them (0.13 MB at F_{2^20}, 0.7 MB at F_{101^3},
+the most under the guard).  With them decode costs one divmod, two list
+lookups and one tuple concatenation; without them, on a field no scan
+has touched, it peels off the k digits one divmod at a time.  A prime
+field needs neither: its one coefficient is the encoding.  elements()
+checks the guard too but reads no table: it reverses the digit tuples of
+itertools.product, so every element costs the same few C-level steps on
+every field.
+
 FieldElement never reads the tables.  Its powers, inverse and
 element_order are square-and-multiply whatever scans have run, and are
 the table-free reference the tables are checked against in the tests.
@@ -48,6 +60,8 @@ from __future__ import annotations
 
 import os
 from array import array
+from itertools import count, product, repeat
+from operator import index, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -149,6 +163,9 @@ def _encode(coeffs: Sequence[int], p: int) -> int:
     for c in reversed(coeffs):
         e = e * p + c
     return e
+
+
+_reversed = itemgetter(slice(None, None, -1))  # t[::-1]: base-p digits, most significant first, to coefficients
 
 
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
@@ -258,7 +275,7 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.coeffs) if self._enc is None else self._enc == 0
 
     def encode(self) -> int:
         """Index of this element in the canonical enumeration order."""
@@ -299,7 +316,7 @@ class FieldTables(NamedTuple):
 class FieldSpec:
     """Immutable description of F_{p^k} plus its arithmetic."""
 
-    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_reduction", "_alpha", "_q1_factors", "_tables")
+    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_reduction", "_alpha", "_q1_factors", "_tables", "_digits")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -321,6 +338,7 @@ class FieldSpec:
         self._alpha: FieldElement | None = None
         self._q1_factors: dict[int, int] | None = None
         self._tables: FieldTables | None = None
+        self._digits: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Product modulo the modulus, which must be monic but need not be irreducible."""
@@ -349,15 +367,32 @@ class FieldSpec:
             return value
         if isinstance(value, int):
             return FieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+        try:
+            coeffs = tuple(index(c) % self.p for c in value)
+        except TypeError:
+            raise UnknownChoiceError(f"cannot read {value!r} as an integer or a sequence of integer coefficients") from None
         if len(coeffs) != self.k:
             raise DegreeMismatchError(f"expected {self.k} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
 
     def decode(self, enc: int) -> FieldElement:
-        """Element at position enc in the canonical enumeration order."""
+        """Element at position enc in the canonical enumeration order, carrying enc.
+
+        On a field whose scan tables are built, one divmod splits enc into
+        its high and low base-p halves and the digit tables give both
+        coefficient tuples; otherwise the k digits are peeled off one divmod
+        at a time. A prime field needs neither: its one coefficient is enc.
+        """
+        try:
+            enc = index(enc)
+        except TypeError:
+            raise UnknownChoiceError(f"encoding {enc!r} is not an integer") from None
         if not 0 <= enc < self.q:
             raise OutOfRangeError(f"encoding {enc} out of range for q={self.q}")
+        if self._digits is not None:
+            low, high = self._digits
+            hi, lo = divmod(enc, len(low))
+            return FieldElement(self, low[lo] + high[hi], enc)
         if self.k == 1:
             return FieldElement(self, (enc,), enc)
         coeffs, rest = [], enc
@@ -367,18 +402,28 @@ class FieldSpec:
         return FieldElement(self, tuple(coeffs), enc)
 
     def elements(self) -> Iterator[FieldElement]:
-        """All of F_q in canonical enumeration order."""
-        for enc in range(self.q):
-            yield self.decode(enc)
+        """All of F_q in canonical enumeration order, each carrying its encoding.
+
+        A full-field scan, so it checks the enumeration guard first (and
+        itertools.product, which holds range(p) as a tuple, never sees a
+        huge p). product varies its last digit fastest, so each of its
+        tuples, reversed, is the coefficient tuple of the next encoding.
+        """
+        ensure_enumerable(self.q)
+        digits = product(range(self.p), repeat=self.k)
+        return map(FieldElement, repeat(self), map(_reversed, digits), count())
 
     def scan_tables(self) -> FieldTables:
         """Check the enumeration guard, then return the tables, built on the first call.
 
         For full-field scans only: the tables cost O(q) time and memory.
+        The first call on an extension field also builds decode's digit tables.
         """
         ensure_enumerable(self.q)
         if self._tables is None:
             self._tables = _build_tables(self)
+            if self.k > 1:
+                self._digits = _digit_tables(self.p, self.k)
         return self._tables
 
     @property
@@ -442,6 +487,13 @@ def _build_tables(spec: FieldSpec) -> FieldTables:
     # adding 1 changes only the constant coefficient, the lowest base-p digit
     zech = array("l", (log[e - e % p + (e + 1) % p] for e in exp))
     return FieldTables(exp, log, zech)
+
+
+def _digit_tables(p: int, k: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The coefficient tuples of the encodings below p^(k//2) and below p^(k - k//2), in encoding order."""
+    low = list(map(_reversed, product(range(p), repeat=k // 2)))
+    high = low if k % 2 == 0 else list(map(_reversed, product(range(p), repeat=k - k // 2)))
+    return low, high
 
 
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FieldSpec] = {}

@@ -46,7 +46,7 @@ from .errors import (
     ZeroPolynomialError,
     int_text,
 )
-from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, add_logs, ensure_enumerable
+from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, ensure_enumerable
 
 Poly = Mapping[int, FieldElement]
 
@@ -340,33 +340,39 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
     Lemma 2.1), so the form serves a = 0, the monomial x^(n+d), too; there
     gcd(r_low, s) = gcd(n + d, s), as n + d = r_low mod s. That gcd is
     checked once. On logarithms to base alpha with zeta = alpha^s,
-    h(zeta^i) = zeta^(i j_a) (a + zeta^(i (j_1 - j_a))), one Zech lookup
-    (NO_LOG: h vanishes there; at a = 0 the lookup returns the 1 term),
-    and (x^r_low h(x^s))^s at x = alpha^i is alpha^(s (r_low i + log h(zeta^i))).
+    h(zeta^i) = zeta^(i j_a) (a + zeta^(i (j_1 - j_a))), so
+    (x^r_low h(x^s))^s at x = alpha^i is alpha^(s (c_i + g_i)) with
+    c_i = r_low i + s i j_a and g_i = log(a + zeta^(i (j_1 - j_a))). As
+    q - 1 = s m, those m values are distinct iff the c_i + g_i are
+    distinct mod m. At a = 0, g_i = s i (j_1 - j_a), so a = 0 is decided
+    once. At a = alpha^la, g_i = la + z_i with
+    z_i = zech[s i (j_1 - j_a) - la], one Zech lookup (NO_LOG: h vanishes
+    at zeta^i), and the common la drops out: a passes iff no z_i is
+    NO_LOG and the c_i + z_i are distinct mod m.
     """
     poly = binomial_polynomial(spec, n, r, spec.one)
     form = compute_index_form(spec, poly)
-    q1 = spec.q - 1
-    s = q1 // form.m
+    q1, m = spec.q - 1, form.m
+    s = q1 // m
     if gcd(form.r_low, s) != 1:
         return []
     (hi,) = set(poly) - {n}
     j_a, j_1 = (n - form.r_low) // s, (hi - form.r_low) // s  # where a and 1 sit in h
-    # the parts of each log that do not depend on a, for i = 0 .. m-1
-    steps = [(s * i * (j_1 - j_a) % q1, s * (form.r_low * i + s * i * j_a) % q1) for i in range(form.m)]
+    # (log zeta^(i (j_1 - j_a)), c_i mod m) for i = 0 .. m-1
+    steps = [(s * i * (j_1 - j_a) % q1, (form.r_low * i + s * i * j_a) % m) for i in range(m)]
     _, log, zech = tables
-    out = []
-    for a in range(spec.q):
+    out = [0] if len({(c + one_term) % m for one_term, c in steps}) == m else []
+    for a in range(1, spec.q):
         la = log[a]
-        seen = set()
-        for one_term, fixed in steps:
-            lh = add_logs(zech, la, one_term)
-            if lh == NO_LOG:
+        seen = []  # m = r, so a list is the cheapest set
+        for one_term, c in steps:
+            z = zech[(one_term - la) % q1]
+            if z == NO_LOG:
                 break
-            v = (fixed + s * lh) % q1
+            v = (c + z) % m
             if v in seen:
                 break
-            seen.add(v)
+            seen.append(v)
         else:
             out.append(a)
     return out

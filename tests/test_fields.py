@@ -145,6 +145,12 @@ def test_pickle_keeps_a_correct_encoding(p, k):
         assert back == el and back.encode() == el.encode() == fields._encode(el.coeffs, p)
 
 
+@pytest.mark.parametrize("bad", [[1.5, 2, 0], ["1", 2, 0], [1, None, 0], "120", 2.5, None], ids=repr)
+def test_element_refuses_non_integer_coefficients(bad):
+    with pytest.raises(UnknownChoiceError, match="as an integer or a sequence of integer coefficients"):
+        make_field(3, 3).element(bad)
+
+
 @st.composite
 def field_and_elements(draw, count=3):
     p, k = draw(st.sampled_from(FIELDS))

@@ -21,6 +21,7 @@ LIBRARY_SCANS = {
     "count_points_extension": lambda: count_points_extension(make_field(13), make_field(13).zero, make_field(13).one),
     "char2_cubic_sum": lambda: char2_cubic_sum(2),
     "is_permutation_bruteforce": lambda: is_permutation_bruteforce(make_field(13), {5: 1}),
+    "elements": lambda: list(make_field(13).elements()),
     "build_count_report": lambda: build_count_report(13, 1, 1, 2, verify=True),
     "run_verify_sweep": lambda: run_verify_sweep(SweepConfig(q_max=13)),
 }

@@ -12,10 +12,12 @@ import pytest
 from permbinom import cli
 from permbinom.characters import cubic_char, power_sum, quadratic_char
 from permbinom.curves import count_points_extension
-from permbinom.errors import BadFieldForCubicError
-from permbinom.fields import NO_LOG, FieldSpec, element_order, make_field
+from permbinom.errors import BadFieldForCubicError, EnumerationGuardError, UnknownChoiceError
+from permbinom.fields import NO_LOG, FieldSpec, add_logs, element_order, make_field
 from permbinom.permtest import (
+    ROUTES,
     binomial_polynomial,
+    compute_index_form,
     enumerate_perm_binomials,
     is_permutation_bruteforce,
     wan_lidl_check,
@@ -202,3 +204,122 @@ def test_cli_character_query_on_a_large_field_builds_no_tables(capsys):
     assert cli.main(["char", "--field", "2^20", "--x", "12345"]) == 0
     assert capsys.readouterr().out
     assert make_field(2, 20)._tables is None
+
+
+# decode and elements against the digit loop, on prime fields (no digit tables) and on even and odd k
+DECODE_FIELDS = [(2, 1), (3049, 1), (2, 12), (2, 16), (5, 5), (3, 7), (7, 4)]
+
+
+def _digit_loop(enc, p, k):
+    coeffs = []
+    for _ in range(k):
+        enc, c = divmod(enc, p)
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p,k", DECODE_FIELDS, ids=[f"{p}^{k}" for p, k in DECODE_FIELDS])
+def test_decode_and_elements_match_the_digit_loop(p, k):
+    tabled, plain = _pair(p, k, make_field(p, k).modulus)
+    q = p**k
+    want = [_digit_loop(e, p, k) for e in range(q)]
+    if k == 1:
+        assert tabled._digits is None  # a prime field's one coefficient is its encoding
+    else:
+        low, high = tabled._digits
+        assert len(low) == p ** (k // 2) and len(high) == p ** (k - k // 2)
+        assert [lo + hi for hi in high for lo in low] == want  # exactly the q coefficient tuples, in order
+    assert plain._digits is None
+    for spec in (tabled, plain):
+        decoded = [spec.decode(e) for e in range(q)]
+        listed = list(spec.elements())
+        for els in (decoded, listed):
+            assert [el.coeffs for el in els] == want
+            assert [el.encode() for el in els] == list(range(q))
+            assert [el.is_zero for el in els] == [e == 0 for e in range(q)]
+        built = [spec.element(c) for c in want[:: max(1, q // 500)]]  # no encoding carried
+        assert [el.encode() for el in built] == list(range(0, q, max(1, q // 500)))
+    assert plain._tables is None and plain._digits is None
+
+
+def test_decode_above_the_guard_builds_no_tables():
+    spec = make_field(2, 64)
+    enc = 2**64 - 5
+    assert spec.decode(enc).coeffs == _digit_loop(enc, 2, 64)
+    with pytest.raises(EnumerationGuardError):
+        spec.scan_tables()
+    assert spec.decode(enc).encode() == enc
+    assert spec._tables is None and spec._digits is None
+
+
+class _Int(int):
+    """An int subclass, as IntEnum members are; stored as a plain int, like a bool."""
+
+
+# a non-integer encoding is refused, and an integer-like one stored as an int, by the digit tables and the digit loop alike
+@pytest.mark.parametrize("p,k", [(3, 3), (7, 1), (2, 4)])
+@pytest.mark.parametrize("bad", [5.5, 2.0, "5", None, [1]], ids=["5.5", "2.0", "str", "None", "list"])
+def test_decode_refuses_a_non_integer_encoding(p, k, bad):
+    for spec in _pair(p, k, make_field(p, k).modulus):
+        with pytest.raises(UnknownChoiceError, match="is not an integer"):
+            spec.decode(bad)
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (7, 1), (2, 4)])
+def test_integer_like_values_are_stored_as_plain_ints(p, k):
+    for spec in _pair(p, k, make_field(p, k).modulus):
+        for el in (spec.decode(_Int(5)), spec.decode(True), spec.element([_Int(1)] + [True] * (k - 1)), spec.element(_Int(6))):
+            assert all(type(c) is int for c in el.coeffs) and type(el.encode()) is int, el
+        assert spec.decode(_Int(5)).coeffs == spec.decode(5).coeffs
+        assert spec.decode(True) == spec.one
+
+
+def _wan_lidl_by_add_logs(spec, tables, n, r):
+    """The Wan-Lidl enumeration with one add_logs call per step, as the package first wrote it."""
+    poly = binomial_polynomial(spec, n, r, spec.one)
+    form = compute_index_form(spec, poly)
+    q1 = spec.q - 1
+    s = q1 // form.m
+    if gcd(form.r_low, s) != 1:
+        return []
+    (hi,) = set(poly) - {n}
+    j_a, j_1 = (n - form.r_low) // s, (hi - form.r_low) // s
+    steps = [(s * i * (j_1 - j_a) % q1, s * (form.r_low * i + s * i * j_a) % q1) for i in range(form.m)]
+    _, log, zech = tables
+    out = []
+    for a in range(spec.q):
+        la = log[a]
+        seen = set()
+        for one_term, fixed in steps:
+            lh = add_logs(zech, la, one_term)
+            if lh == NO_LOG:
+                break
+            v = (fixed + s * lh) % q1
+            if v in seen:
+                break
+            seen.add(v)
+        else:
+            out.append(a)
+    return out
+
+
+def test_inline_wan_lidl_matches_the_add_logs_loop():
+    # the deep-scan fields with one of its primes, and F_{2^16}; the first admissible n of each class n mod r
+    cells = []
+    for p, k in [(2, 12), (7, 4), (13, 3), (5, 5), (3049, 1), (2, 16)]:
+        q = p**k
+        for r in (2, 3):
+            if (r == 2 and p == 2) or (r == 3 and q % 3 != 1):
+                continue
+            d = (q - 1) // r
+            firsts = {}
+            for n in range(1, q):
+                if gcd(n, d) == 1:
+                    firsts.setdefault(n % r, n)
+            cells += [(p, k, n, r) for n in firsts.values()]
+    assert len(cells) == 17
+    for p, k, n, r in cells:
+        spec = make_field(p, k)
+        tables = spec.scan_tables()
+        got, want = ROUTES["wanlidl"](spec, tables, n, r), _wan_lidl_by_add_logs(spec, tables, n, r)
+        assert got == want, f"first mismatch at (q, n, r) = {(p**k, n, r)}"
