@@ -158,6 +158,14 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+def _residues(values: Iterable[int], p: int) -> tuple[int, ...]:
+    """Each value mod p, read as an integer by operator.index, so 2.5 and "1" are refused, not truncated or parsed."""
+    try:
+        return tuple(index(c) % p for c in values)
+    except TypeError:
+        raise UnknownChoiceError(f"cannot read {values!r} as integer coefficients") from None
+
+
 def _encode(coeffs: Sequence[int], p: int) -> int:
     e = 0
     for c in reversed(coeffs):
@@ -367,10 +375,7 @@ class FieldSpec:
             return value
         if isinstance(value, int):
             return FieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
-        try:
-            coeffs = tuple(index(c) % self.p for c in value)
-        except TypeError:
-            raise UnknownChoiceError(f"cannot read {value!r} as an integer or a sequence of integer coefficients") from None
+        coeffs = _residues(value, self.p)
         if len(coeffs) != self.k:
             raise DegreeMismatchError(f"expected {self.k} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
@@ -378,10 +383,8 @@ class FieldSpec:
     def decode(self, enc: int) -> FieldElement:
         """Element at position enc in the canonical enumeration order, carrying enc.
 
-        On a field whose scan tables are built, one divmod splits enc into
-        its high and low base-p halves and the digit tables give both
-        coefficient tuples; otherwise the k digits are peeled off one divmod
-        at a time. A prime field needs neither: its one coefficient is enc.
+        One divmod and two digit-table lookups once scan_tables has run on an
+        extension field, k divmods before that; a prime field's coefficient is enc.
         """
         try:
             enc = index(enc)
@@ -511,7 +514,7 @@ def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fiel
     """Construct F_{p^k}, validating p prime, k >= 1 and the modulus irreducible."""
     check_prime_power(p, k)
     # trailing zero coefficients name the same polynomial, so they are trimmed before the lookup
-    key = (p, k, _ptrim([int(c) % p for c in modulus]) if modulus is not None else None)
+    key = (p, k, _ptrim(_residues(modulus, p)) if modulus is not None else None)
     cached = _FIELD_CACHE.get(key)
     if cached is not None:
         return cached

@@ -147,8 +147,14 @@ def test_pickle_keeps_a_correct_encoding(p, k):
 
 @pytest.mark.parametrize("bad", [[1.5, 2, 0], ["1", 2, 0], [1, None, 0], "120", 2.5, None], ids=repr)
 def test_element_refuses_non_integer_coefficients(bad):
-    with pytest.raises(UnknownChoiceError, match="as an integer or a sequence of integer coefficients"):
+    with pytest.raises(UnknownChoiceError, match="as integer coefficients"):
         make_field(3, 3).element(bad)
+
+
+@pytest.mark.parametrize("modulus", [(1.5, 2, 0, 1), (1, "2", 0, 1), 2.5], ids=repr)
+def test_make_field_refuses_a_non_integer_modulus(modulus):
+    with pytest.raises(UnknownChoiceError, match="as integer coefficients"):
+        make_field(3, 3, modulus)
 
 
 @st.composite
