@@ -32,17 +32,14 @@ which checks a Wan-Lidl a-set for closure.  The guard is q <= 2^20, and
 the PERMBINOM_GUARD environment variable, read only here, is the one way
 to move it: no function takes an argument that skips it.
 
-On an extension field the first scan_tables call also builds two digit
-tables for decode, the coefficient tuples of the encodings below
-p^(k//2) and below p^(k - k//2): about p^ceil(k/2) tuples beside the 24q
-bytes, at most q^(2/3) of them (0.13 MB at F_{2^20}, 0.7 MB at F_{101^3},
-the most under the guard).  With them decode costs one divmod, two list
-lookups and one tuple concatenation; without them, on a field no scan
-has touched, it peels off the k digits one divmod at a time.  A prime
-field needs neither: its one coefficient is the encoding.  elements()
-checks the guard too but reads no table: it reverses the digit tuples of
-itertools.product, so every element costs the same few C-level steps on
-every field.
+On an extension field the first scan_tables call also builds decode's
+two digit tables, the coefficient tuples of the encodings below p^(k//2)
+and below p^(k - k//2): about p^ceil(k/2) tuples beside the 24q bytes
+(0.13 MB at F_{2^20}, 0.7 MB at F_{101^3}, the most under the guard), so
+they wait behind the guard with the rest.  With them decode is one
+divmod and two lookups; without them it takes k divmods.  elements() is
+a full-field scan and checks the guard too: the itertools.product it
+reads holds range(p) whole.
 
 FieldElement never reads the tables.  Its powers, inverse and
 element_order are square-and-multiply whatever scans have run, and are
@@ -283,7 +280,7 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs) if self._enc is None else self._enc == 0
+        return not any(self.coeffs)
 
     def encode(self) -> int:
         """Index of this element in the canonical enumeration order."""
@@ -381,11 +378,7 @@ class FieldSpec:
         return FieldElement(self, coeffs)
 
     def decode(self, enc: int) -> FieldElement:
-        """Element at position enc in the canonical enumeration order, carrying enc.
-
-        One divmod and two digit-table lookups once scan_tables has run on an
-        extension field, k divmods before that; a prime field's coefficient is enc.
-        """
+        """Element at position enc in the canonical enumeration order, carrying enc; reads the digit tables once built."""
         try:
             enc = index(enc)
         except TypeError:
@@ -405,22 +398,15 @@ class FieldSpec:
         return FieldElement(self, tuple(coeffs), enc)
 
     def elements(self) -> Iterator[FieldElement]:
-        """All of F_q in canonical enumeration order, each carrying its encoding.
-
-        A full-field scan, so it checks the enumeration guard first (and
-        itertools.product, which holds range(p) as a tuple, never sees a
-        huge p). product varies its last digit fastest, so each of its
-        tuples, reversed, is the coefficient tuple of the next encoding.
-        """
+        """All of F_q in canonical enumeration order, each carrying its encoding; checks the enumeration guard."""
         ensure_enumerable(self.q)
         digits = product(range(self.p), repeat=self.k)
         return map(FieldElement, repeat(self), map(_reversed, digits), count())
 
     def scan_tables(self) -> FieldTables:
-        """Check the enumeration guard, then return the tables, built on the first call.
+        """Check the enumeration guard, then return the tables, built (with decode's digit tables) on the first call.
 
         For full-field scans only: the tables cost O(q) time and memory.
-        The first call on an extension field also builds decode's digit tables.
         """
         ensure_enumerable(self.q)
         if self._tables is None:
