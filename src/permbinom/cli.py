@@ -19,20 +19,24 @@ from .characters import character_classes, cubic_char, power_sum, quadratic_char
 from .counts import build_count_report, masuda_zieve_bounds, refined_bounds_r3, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
 from .errors import (
+    AnswerTooLargeError,
     CrossCheckFailedError,
     DivisibilityViolationError,
     EvenCharacteristicError,
     OutOfRangeError,
     PermBinomError,
-    TraceTooLargeError,
     UnknownChoiceError,
 )
 from .fields import FieldSpec, ensure_enumerable, make_field, parse_field
-from .permtest import ROUTES, enumerate_perm_binomials
+from .permtest import ROUTES, check_cell, enumerate_perm_binomials, field_admits
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
+
+# count and bounds print q, counts below q, s_k and the Masuda-Zieve fractions,
+# whose numerators and denominators stay below this times q
+_REPORT_SCALE = 10**32
 
 
 def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
@@ -56,14 +60,31 @@ def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
         sys.stdout.write(out)
 
 
+def _refuse_unprintable(what: str, p: int, e: int, scale: int) -> None:
+    """Refuse, before any work, an answer whose integers may reach scale * p^(e/2) and so print past the interpreter's limit.
+
+    The limit is sys.get_int_max_str_digits() (0: none). scale * p^(e/2)
+    has more than `limit` digits iff scale^2 p^e >= 10^(2 limit); the
+    logarithms decide unless they land within 1 of the edge.
+    """
+    limit = sys.get_int_max_str_digits()
+    excess = e * math.log10(p) + 2 * math.log10(scale) - 2 * limit
+    if limit and (excess > 1 or (excess > -1 and scale * scale * p**e >= 10 ** (2 * limit))):
+        raise AnswerTooLargeError(f"{what} may have more than {limit} digits, the interpreter's int-to-str limit")
+
+
 def _field_spec(args) -> FieldSpec:
     p, k = parse_field(args.field)
     try:
         modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     except ValueError:
         raise UnknownChoiceError(f"cannot parse modulus {args.modulus!r}; expected integers c0,c1,...,1") from None
-    if getattr(args, "x", None) is None:  # every field command but char --x scans the field: refuse before the modulus search
+    # refuse before the modulus search: every field command but char --x scans the field,
+    # and char --x prints q and an encoding below it
+    if getattr(args, "x", None) is None:
         ensure_enumerable(p**k)
+    else:
+        _refuse_unprintable(f"an answer on q = {p}^{k}", p, 2 * k, 1)
     return make_field(p, k, modulus)
 
 
@@ -103,6 +124,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     p, k = parse_field(args.field)
+    q = p**k
+    check_cell(q, args.n, args.r)  # build_count_report's own refusals come first
+    if args.verify:
+        ensure_enumerable(q)
+    _refuse_unprintable(f"the count for q = {p}^{k}", p, 2 * k, _REPORT_SCALE)
     _emit(args, report_to_dict(build_count_report(p, k, args.n, args.r, verify=args.verify)))
     return EXIT_OK
 
@@ -110,6 +136,8 @@ def _cmd_count(args) -> int:
 def _cmd_bounds(args) -> int:
     p, k = parse_field(args.field)
     q = p**k
+    if field_admits(q, args.r):  # on any other field masuda_zieve_bounds refuses r
+        _refuse_unprintable(f"the bounds for q = {p}^{k}", p, 2 * k, _REPORT_SCALE)
     mz_lo, mz_hi = masuda_zieve_bounds(q, args.r)
     cor_lo = cor_hi = None
     if args.r == 3:
@@ -133,13 +161,9 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    p, j, limit = args.p, args.j, sys.get_int_max_str_digits()  # limit 0: none
+    p, j = args.p, args.j
     compute_kappa(p)  # a bad p fails here, before the size check
-    # |s_j| <= 2 p^(j/2), which has more than `limit` digits iff 4 p^j >= 10^(2 limit);
-    # the logarithms decide unless they land within 1 of the edge
-    excess = j * math.log10(p) + math.log10(4) - 2 * limit
-    if limit and (excess > 1 or (excess > -1 and 4 * p**j >= 10 ** (2 * limit))):
-        raise TraceTooLargeError(f"s_{j} for p = {p} may have more than {limit} digits, the interpreter's int-to-str limit")
+    _refuse_unprintable(f"s_{j} for p = {p}", p, j, 2)  # |s_j| <= 2 p^(j/2)
     value = pi_trace(p, j)
     _emit(args, {"p": p, "j": j, "s_j": str(value)}, text=f"s_{j}(pi_{p}) = {value}\n")
     return EXIT_OK
@@ -326,8 +350,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        # only the interpreter's int-to-str digit limit: the answer for a huge
-        # q is too long to print; any other ValueError is an untyped bug
+        # only the interpreter's int-to-str digit limit, which _refuse_unprintable
+        # keeps from every answer but one: the convergents that sharpness prints
+        # at a --depth in the thousands; any other ValueError is an untyped bug
         if "integer string conversion" not in str(exc):
             raise
         print(f"error: {exc}", file=sys.stderr)

@@ -82,8 +82,8 @@ class FactorizationLimitError(PermBinomError, ValueError):
     """factorize ran out of Pollard rho steps before splitting a cofactor, so a factorization or a primality proof is refused."""
 
 
-class TraceTooLargeError(PermBinomError, ValueError):
-    """A trace s_j could have more digits than the interpreter prints."""
+class AnswerTooLargeError(PermBinomError, ValueError):
+    """An answer (a trace s_j, or q and the counts and bounds on F_q) could have more digits than the interpreter prints."""
 
 
 class OutOfRangeError(PermBinomError, ValueError):

@@ -37,7 +37,9 @@ two digit tables, the coefficient tuples of the encodings below p^(k//2)
 and below p^(k - k//2): about p^ceil(k/2) tuples beside the 24q bytes
 (0.13 MB at F_{2^20}, 0.7 MB at F_{101^3}, the most under the guard), so
 they wait behind the guard with the rest.  With them decode is one
-divmod and two lookups; without them it takes k divmods.  elements() is
+divmod and two lookups; without them it takes k divmods.
+_decode_in_range does the same for a whole list of encodings in one pass,
+without decode's type and range checks, for the routes' in-range output.  elements() is
 a full-field scan and checks the guard too: the itertools.product it
 reads holds range(p) whole.
 
@@ -173,14 +175,19 @@ def _encode(coeffs: Sequence[int], p: int) -> int:
 _reversed = itemgetter(slice(None, None, -1))  # t[::-1]: base-p digits, most significant first, to coefficients
 
 
+def _coefficients(enc: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of enc, least significant first: the coefficients it encodes."""
+    coeffs = []
+    for _ in range(k):
+        enc, c = divmod(enc, p)
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k in ascending encoding order."""
     for enc in range(p**k):
-        low, e = [], enc
-        for _ in range(k):
-            e, c = divmod(e, p)
-            low.append(c)
-        f = tuple(low) + (1,)
+        f = _coefficients(enc, p, k) + (1,)
         if _is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found; unreachable")
@@ -389,13 +396,18 @@ class FieldSpec:
             low, high = self._digits
             hi, lo = divmod(enc, len(low))
             return FieldElement(self, low[lo] + high[hi], enc)
+        return FieldElement(self, (enc,) if self.k == 1 else _coefficients(enc, self.p, self.k), enc)
+
+    def _decode_in_range(self, encs: Iterable[int]) -> list[FieldElement]:
+        """decode of each encoding, in one pass and without decode's checks: for ints in [0, q) only, as the routes return."""
         if self.k == 1:
-            return FieldElement(self, (enc,), enc)
-        coeffs, rest = [], enc
-        for _ in range(self.k):
-            rest, c = divmod(rest, self.p)
-            coeffs.append(c)
-        return FieldElement(self, tuple(coeffs), enc)
+            return [FieldElement(self, (e,), e) for e in encs]
+        if self._digits is None:
+            p, k = self.p, self.k
+            return [FieldElement(self, _coefficients(e, p, k), e) for e in encs]
+        low, high = self._digits
+        width = len(low)
+        return [FieldElement(self, low[e % width] + high[e // width], e) for e in encs]
 
     def elements(self) -> Iterator[FieldElement]:
         """All of F_q in canonical enumeration order, each carrying its encoding; checks the enumeration guard."""

@@ -8,13 +8,15 @@ Routes:
     pass or all fail, plus a = 0;
   * wanlidl: decompose into the index form x^r_low h(x^(q-1)/m) + b and
     apply the index-form permutation criterion; wan_lidl_check does so for
-    any polynomial, and enumeration builds the a = 1 binomial's form once
-    and tests every a, 0 included, on logarithms;
+    any polynomial, and enumeration builds the a = 1 binomial's form once,
+    decides a = 0 from its fixed logarithms and tests every other a at
+    once, on (q-1)-bit masks of Zech residues indexed by log a;
   * criterion: the character conditions specific to r = 2 and r = 3, on
     FieldElement arithmetic.
 
 ROUTES names them; each returns the encodings of its a, ascending, and
-enumerate_perm_binomials, which dispatches through ROUTES, decodes them.
+enumerate_perm_binomials, which dispatches through ROUTES, decodes them in
+one pass.
 
 The criterion and brute force test a = 0 and one a per orbit, through one
 orbit walk: _orbit_leaders picks one j per orbit of j -> p j mod
@@ -33,7 +35,9 @@ checks that, which is what makes the fast criterion trustworthy.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from math import gcd
+from operator import mod
 from typing import Mapping, NamedTuple
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
@@ -49,6 +53,8 @@ from .errors import (
 from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, ensure_enumerable
 
 Poly = Mapping[int, FieldElement]
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" text to 0/1 bytes, falsy and truthy for compress
 
 
 class IndexForm(NamedTuple):
@@ -332,7 +338,7 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
 
 
 def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:
-    """All a for which the binomial permutes F_q, by the index-form criterion.
+    """All a for which the binomial permutes F_q, by the index-form criterion, every a at once.
 
     Every a is tested against the index form x^r_low h(x^s) of the a = 1
     binomial, whose h has a at y^j_a and 1 at y^j_1. The criterion holds
@@ -345,10 +351,24 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
     c_i = r_low i + s i j_a and g_i = log(a + zeta^(i (j_1 - j_a))). As
     q - 1 = s m, those m values are distinct iff the c_i + g_i are
     distinct mod m. At a = 0, g_i = s i (j_1 - j_a), so a = 0 is decided
-    once. At a = alpha^la, g_i = la + z_i with
-    z_i = zech[s i (j_1 - j_a) - la], one Zech lookup (NO_LOG: h vanishes
-    at zeta^i), and the common la drops out: a passes iff no z_i is
-    NO_LOG and the c_i + z_i are distinct mod m.
+    once. At a = alpha^la, g_i = la + z_i with z_i = zech[T_i - la] and
+    T_i = s i (j_1 - j_a) mod (q - 1), one Zech lookup (NO_LOG: h vanishes
+    at zeta^i), and the common la drops out: a passes iff no z_i is NO_LOG
+    and the c_i + z_i are distinct mod m.
+
+    That test runs on every la at once, as (q-1)-bit masks indexed by la
+    (m = r for these binomials). With Z(x) = zech[-x mod (q-1)], so that
+    z_i = Z(la - T_i), let R_v have bit x set when Z(x) is not NO_LOG and
+    Z(x) = v mod m, for v < m. Then c_i + z_i = v mod m iff bit la - T_i
+    of R_((v - c_i) mod m) is set, that is bit la of that mask rotated
+    left by T_i: step i's mask for the value v. Each step takes at most one
+    value, so the m steps take m distinct values iff every v < m is taken
+    by some step, and the a that pass are the bits of the AND over v of the
+    OR over i of those masks: O(m^2) operations on big integers, not a
+    Python step per a. Each R_v is read off one byte per Zech entry,
+    zech mod m (m itself at the NO_LOG entry, which matches no v), by
+    bytes.translate and int(_, 2); a rotation is a right shift of the
+    doubled mask R_v | R_v << (q-1), kept to its low q - 1 bits at the end.
     """
     poly = binomial_polynomial(spec, n, r, spec.one)
     form = compute_index_form(spec, poly)
@@ -358,24 +378,26 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
         return []
     (hi,) = set(poly) - {n}
     j_a, j_1 = (n - form.r_low) // s, (hi - form.r_low) // s  # where a and 1 sit in h
-    # (log zeta^(i (j_1 - j_a)), c_i mod m) for i = 0 .. m-1
+    # (T_i, c_i mod m) for i = 0 .. m-1
     steps = [(s * i * (j_1 - j_a) % q1, (form.r_low * i + s * i * j_a) % m) for i in range(m)]
-    _, log, zech = tables
-    out = [0] if len({(c + one_term) % m for one_term, c in steps}) == m else []
-    for a in range(1, spec.q):
-        la = log[a]
-        seen = []  # m = r, so a list is the cheapest set
-        for one_term, c in steps:
-            z = zech[(one_term - la) % q1]
-            if z == NO_LOG:
-                break
-            v = (c + z) % m
-            if v in seen:
-                break
-            seen.append(v)
-        else:
-            out.append(a)
-    return out
+    exp, _, zech = tables
+    # int(_, 2) reads string position q1 - 1 - x as bit x, and Z(x) = zech[(q1 - 1 - x) + 1] sits there
+    residues = bytearray(map(mod, zech[1:] + zech[:1], repeat(m)))
+    residues[(q1 // 2 if spec.p != 2 else 0) - 1] = m  # zech is NO_LOG where alpha^i = -1
+    symbols = bytes(range(m + 1))
+    doubled = []
+    for v in range(m):
+        r_v = int(residues.translate(bytes.maketrans(symbols, b"0" * v + b"1" + b"0" * (m - v))), 2)
+        doubled.append(r_v | r_v << q1)
+    passing = (1 << q1) - 1
+    for v in range(m):
+        taken = 0
+        for t, c in steps:
+            taken |= doubled[(v - c) % m] >> (q1 - t)
+        passing &= taken
+    flags = format(passing, f"0{q1}b")[::-1].encode().translate(_BIT_BYTES)  # flags[la]: bit la, as 0 or 1
+    zero = [0] if len({(c + t) % m for t, c in steps}) == m else []
+    return zero + sorted(compress(exp, flags))
 
 
 # route(spec, tables, n, r) on an admissible cell; the CLI, the selftest and count --verify list them in this order
@@ -392,4 +414,4 @@ def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "cri
     if route is None:
         raise UnknownChoiceError(f"unknown method {method!r}")
     check_cell(spec.q, n, r)
-    return [spec.decode(a) for a in route(spec, spec.scan_tables(), n, r)]
+    return spec._decode_in_range(route(spec, spec.scan_tables(), n, r))

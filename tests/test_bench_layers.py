@@ -1,0 +1,42 @@
+"""The benchmark's required layers still record calls, checked here rather than first in a benchmark run.
+
+perfbench/layers.py EXPECTED_WORK names, per workload, the layers that
+must record calls in a traced pass, and perfbench/tracing.py's Tracer
+counts them. A refactor that drops a call some workload requires fails
+this test. The benchmark files are used as they are.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import permbinom.sweep  # noqa: F401  loaded before the tracer installs, so its bindings get wrapped and restored
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+    import workloads
+
+    return layers, tracing, workloads
+
+
+@pytest.mark.parametrize("workload", ["sweep", "deep-scan"])
+def test_a_traced_tiny_pass_records_every_required_layer(perfbench, workload):
+    layers, tracing, workloads = perfbench
+    wl = workloads.WORKLOADS[workload]("tiny")
+    ops = wl.ops(1)
+    for op in ops:  # an untraced pass first, as the benchmark runs one before each traced pass
+        assert wl.verify(op, wl.run(op)) is None, op
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outputs = [wl.run(op) for op in ops]
+    finally:
+        tracer.uninstall()
+    assert [wl.verify(op, out) for op, out in zip(ops, outputs)] == [None] * len(ops)
+    assert layers.coverage_failures(workload, tracing.stats_to_json(tracer)) == []

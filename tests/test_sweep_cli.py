@@ -414,14 +414,32 @@ def test_cli_trace_refuses_a_j_it_could_not_print(capsys):
         sys.set_int_max_str_digits(saved)
 
 
-def test_cli_answers_too_long_to_print_exit_2(capsys):
+def test_cli_answers_too_long_to_print_exit_2(capsys, monkeypatch):
     saved = sys.get_int_max_str_digits()
     try:
-        sys.set_int_max_str_digits(4300)  # q = 2^20000 has 6,021 digits
-        for argv in (["bounds", "--field", "2^20000", "--r", "3"], ["count", "--field", "2^20000", "--n", "1", "--r", "3"]):
+        sys.set_int_max_str_digits(limit := 4300)  # q = 2^20000 has 6,021 digits
+        # refused before any work: no report, bound or field is built
+        for name in ("build_count_report", "masuda_zieve_bounds", "refined_bounds_r3", "make_field"):
+            monkeypatch.setattr(cli, name, None)
+        for argv, what in (
+            (["bounds", "--field", "2^20000", "--r", "3"], "the bounds for q = 2^20000"),
+            (["count", "--field", "2^20000", "--n", "1", "--r", "3"], "the count for q = 2^20000"),
+            (["count", "--field", "7^99999", "--n", "1", "--r", "2"], "the count for q = 7^99999"),
+            (["bounds", "--field", "7^99999", "--r", "3"], "the bounds for q = 7^99999"),
+            (["count", "--field", "7^99999", "--n", "1", "--r", "3"], "the count for q = 7^99999"),
+            (["char", "--field", "2^20000", "--x", "5"], "an answer on q = 2^20000"),
+        ):
             assert cli.main(argv) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: ") and "integer string conversion" in err
+            assert out == "" and err == f"error: {what} may have more than {limit} digits, the interpreter's int-to-str limit\n"
+        monkeypatch.undo()
+        # every integer of a count or bounds answer is below 10^32 q: the largest q let through prints
+        k_edge = max(k for k in range(5000, 5100) if 10**64 * 7 ** (2 * k) < 10 ** (2 * limit))
+        for k, rc in ((k_edge, 0), (k_edge + 1, 2)):
+            for argv in (["bounds", "--r", "3"], ["count", "--n", "1", "--r", "3"], ["count", "--n", "1", "--r", "2"]):
+                assert cli.main(argv + ["--field", f"7^{k}"]) == rc
+                out, err = capsys.readouterr()
+                assert (json.loads(out)["q"] == 7**k) if rc == 0 else (out == "" and "may have more than" in err)
     finally:
         sys.set_int_max_str_digits(saved)
 

@@ -22,6 +22,7 @@ from permbinom.permtest import (
     is_permutation_bruteforce,
     wan_lidl_check,
 )
+from permbinom.primes import prime_power_decompose, prime_powers_upto
 
 # (p, k, modulus); the last is F_16 under x^4 + x^3 + 1 instead of the default x^4 + x + 1
 FIELDS = [
@@ -242,6 +243,19 @@ def test_decode_and_elements_match_the_digit_loop(p, k):
     assert plain._tables is None and plain._digits is None
 
 
+@pytest.mark.parametrize("p,k", DECODE_FIELDS, ids=[f"{p}^{k}" for p, k in DECODE_FIELDS])
+def test_one_pass_decode_matches_decode(p, k):
+    tabled, plain = _pair(p, k, make_field(p, k).modulus)
+    q = p**k
+    encs = [0, q - 1] + list(range(1, q, max(1, q // 2000))) + [0]  # out of order, with a repeat
+    for spec in (tabled, plain):
+        got, want = spec._decode_in_range(encs), [spec.decode(e) for e in encs]
+        assert [(el.coeffs, el.encode()) for el in got] == [(el.coeffs, el.encode()) for el in want]
+        assert all(el.spec is spec for el in got) and [el._enc for el in got] == encs  # each carries its encoding
+        assert spec._decode_in_range([]) == []
+    assert plain._tables is None and plain._digits is None
+
+
 def test_decode_above_the_guard_builds_no_tables():
     spec = make_field(2, 64)
     enc = 2**64 - 5
@@ -301,6 +315,84 @@ def _wan_lidl_by_add_logs(spec, tables, n, r):
         else:
             out.append(a)
     return out
+
+
+def _wan_lidl_by_zech_steps(spec, tables, n, r):
+    """The Wan-Lidl enumeration with one inline Zech step per root of unity and per a, as the package wrote it before its masks."""
+    poly = binomial_polynomial(spec, n, r, spec.one)
+    form = compute_index_form(spec, poly)
+    q1, m = spec.q - 1, form.m
+    s = q1 // m
+    if gcd(form.r_low, s) != 1:
+        return []
+    (hi,) = set(poly) - {n}
+    j_a, j_1 = (n - form.r_low) // s, (hi - form.r_low) // s
+    steps = [(s * i * (j_1 - j_a) % q1, (form.r_low * i + s * i * j_a) % m) for i in range(m)]
+    _, log, zech = tables
+    out = [0] if len({(c + one_term) % m for one_term, c in steps}) == m else []
+    for a in range(1, spec.q):
+        la = log[a]
+        seen = []
+        for one_term, c in steps:
+            z = zech[(one_term - la) % q1]
+            if z == NO_LOG:
+                break
+            v = (c + z) % m
+            if v in seen:
+                break
+            seen.append(v)
+        else:
+            out.append(a)
+    return out
+
+
+def _first_wan_lidl_mismatch(cells):
+    """The first (q, n, r) of cells = [(p, k, n, r), ...] where the mask route and the Zech-step loop differ, or None."""
+    for p, k, n, r in cells:
+        spec = make_field(p, k)
+        tables = spec.scan_tables()
+        if ROUTES["wanlidl"](spec, tables, n, r) != _wan_lidl_by_zech_steps(spec, tables, n, r):
+            return p**k, n, r
+    return None
+
+
+def _first_and_last_n_per_class(p, k):
+    """Per admissible r, the cells of the first and the last admissible n of each class n mod r."""
+    by_class = {}
+    for n, r in _admissible(p, k):
+        by_class.setdefault((r, n % r), []).append(n)
+    return [(p, k, n, r) for (r, _), ns in by_class.items() for n in sorted({ns[0], ns[-1]})]
+
+
+def test_wan_lidl_masks_match_the_zech_steps_on_every_cell_up_to_400():
+    cells = [(p, k, n, r) for p, k in map(prime_power_decompose, prime_powers_upto(400)) for n, r in _admissible(p, k)]
+    assert len(cells) == 12_188
+    assert _first_wan_lidl_mismatch(cells) is None
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(2, 12), (7, 4), (13, 3), (5, 5), (2953, 1), (2971, 1), (3001, 1), (3019, 1), (3037, 1), (3049, 1)],
+    ids=lambda v: str(v),
+)
+def test_wan_lidl_masks_match_the_zech_steps_on_the_deep_scan_fields(p, k):
+    assert _first_wan_lidl_mismatch(_first_and_last_n_per_class(p, k)) is None
+
+
+def test_wan_lidl_masks_match_the_zech_steps_on_large_fields():
+    # F_(2^16) r = 3, F_(3^10) r = 2 and F_(7^6) r = 2 and 3: the first admissible n of each class
+    cells = []
+    for p, k, rs in [(2, 16, (3,)), (3, 10, (2,)), (7, 6, (2, 3))]:
+        q = p**k
+        for r in rs:
+            d = (q - 1) // r
+            firsts = {}
+            for n in range(1, 100):  # every class that has an admissible n has one below 100 here
+                if gcd(n, d) == 1:
+                    firsts.setdefault(n % r, n)
+            cells += [(p, k, n, r) for n in firsts.values()]
+    assert len(cells) == 7  # d is even on F_(3^10) and F_(7^6), and a multiple of 3 on F_(7^6)
+    assert _first_wan_lidl_mismatch(cells) is None
 
 
 def test_inline_wan_lidl_matches_the_add_logs_loop():
