@@ -38,10 +38,10 @@ and below p^(k - k//2): about p^ceil(k/2) tuples beside the 24q bytes
 (0.13 MB at F_{2^20}, 0.7 MB at F_{101^3}, the most under the guard), so
 they wait behind the guard with the rest.  With them decode is one
 divmod and two lookups; without them it takes k divmods.
-_decode_in_range does the same for a whole list of encodings in one pass,
-without decode's type and range checks, for the routes' in-range output.  elements() is
-a full-field scan and checks the guard too: the itertools.product it
-reads holds range(p) whole.
+_decode_in_range does the same for a list of encodings in one pass,
+without decode's type and range checks, for the routes' in-range output.
+elements() is a full-field scan and checks the guard too: the
+itertools.product it reads holds range(p) whole.
 
 FieldElement never reads the tables.  Its powers, inverse and
 element_order are square-and-multiply whatever scans have run, and are
