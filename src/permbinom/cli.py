@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from functools import partial
 
 from .characters import character_classes, cubic_char, power_sum, quadratic_char
 from .counts import build_count_report, masuda_zieve_bounds, refined_bounds_r3, report_to_dict
@@ -28,7 +29,7 @@ from .errors import (
     UnknownChoiceError,
 )
 from .fields import FieldSpec, ensure_enumerable, make_field, parse_field
-from .permtest import ROUTES, check_cell, enumerate_perm_binomials, field_admits
+from .permtest import ROUTES, enumerate_perm_binomials, field_admits
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -124,12 +125,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     p, k = parse_field(args.field)
-    q = p**k
-    check_cell(q, args.n, args.r)  # build_count_report's own refusals come first
-    if args.verify:
-        ensure_enumerable(q)
-    _refuse_unprintable(f"the count for q = {p}^{k}", p, 2 * k, _REPORT_SCALE)
-    _emit(args, report_to_dict(build_count_report(p, k, args.n, args.r, verify=args.verify)))
+    refuse = partial(_refuse_unprintable, f"the count for q = {p}^{k}", p, 2 * k, _REPORT_SCALE)
+    _emit(args, report_to_dict(build_count_report(p, k, args.n, args.r, verify=args.verify, before_work=refuse)))
     return EXIT_OK
 
 

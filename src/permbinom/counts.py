@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .curves import pi_trace
 from .errors import BadFieldForCubicError, CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, int_text
@@ -123,17 +123,23 @@ class CountReport(NamedTuple):
     a_values: tuple[int, ...] | None  # canonical encodings, enumeration order
 
 
-def build_count_report(p: int, k: int, n: int, r: int, verify: bool = False) -> CountReport:
+def build_count_report(
+    p: int, k: int, n: int, r: int, verify: bool = False, before_work: Callable[[], None] | None = None
+) -> CountReport:
     """Closed-form count plus bounds; verify=True adds the other three routes and the a list.
 
     verify=True raises CrossCheckFailedError when brute force or Wan-Lidl and the
     criterion find different a, or the criterion finds other than the closed count.
+    before_work, if given, runs after the refusals of bad input and before any
+    count is computed: the CLI's refusal of answers too long to print.
     """
     check_prime_power(p, k)
     q = p**k
     check_cell(q, n, r)
     if verify:
         ensure_enumerable(q)  # before any work, and before make_field's modulus search
+    if before_work is not None:
+        before_work()
     if r == 2:
         e1 = e2 = s_k = None
         closed = closed_count_r2(q, n)

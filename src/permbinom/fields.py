@@ -37,11 +37,9 @@ two digit tables, the coefficient tuples of the encodings below p^(k//2)
 and below p^(k - k//2): about p^ceil(k/2) tuples beside the 24q bytes
 (0.13 MB at F_{2^20}, 0.7 MB at F_{101^3}, the most under the guard), so
 they wait behind the guard with the rest.  With them decode is one
-divmod and two lookups; without them it takes k divmods.
-_decode_in_range does the same for a list of encodings in one pass,
-without decode's type and range checks, for the routes' in-range output.
-elements() is a full-field scan and checks the guard too: the
-itertools.product it reads holds range(p) whole.
+divmod and two lookups; without them it takes k divmods.  elements() is
+a full-field scan and checks the guard too: the itertools.product it
+reads holds range(p) whole.
 
 FieldElement never reads the tables.  Its powers, inverse and
 element_order are square-and-multiply whatever scans have run, and are
@@ -397,17 +395,6 @@ class FieldSpec:
             hi, lo = divmod(enc, len(low))
             return FieldElement(self, low[lo] + high[hi], enc)
         return FieldElement(self, (enc,) if self.k == 1 else _coefficients(enc, self.p, self.k), enc)
-
-    def _decode_in_range(self, encs: Iterable[int]) -> list[FieldElement]:
-        """decode of each encoding, in one pass and without decode's checks: for ints in [0, q) only, as the routes return."""
-        if self.k == 1:
-            return [FieldElement(self, (e,), e) for e in encs]
-        if self._digits is None:
-            p, k = self.p, self.k
-            return [FieldElement(self, _coefficients(e, p, k), e) for e in encs]
-        low, high = self._digits
-        width = len(low)
-        return [FieldElement(self, low[e % width] + high[e // width], e) for e in encs]
 
     def elements(self) -> Iterator[FieldElement]:
         """All of F_q in canonical enumeration order, each carrying its encoding; checks the enumeration guard."""

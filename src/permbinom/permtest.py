@@ -15,8 +15,7 @@ Routes:
     FieldElement arithmetic.
 
 ROUTES names them; each returns the encodings of its a, ascending, and
-enumerate_perm_binomials, which dispatches through ROUTES, decodes them in
-one pass.
+enumerate_perm_binomials, which dispatches through ROUTES, decodes them.
 
 The criterion and brute force test a = 0 and one a per orbit, through one
 orbit walk: _orbit_leaders picks one j per orbit of j -> p j mod
@@ -414,4 +413,4 @@ def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "cri
     if route is None:
         raise UnknownChoiceError(f"unknown method {method!r}")
     check_cell(spec.q, n, r)
-    return spec._decode_in_range(route(spec, spec.scan_tables(), n, r))
+    return [spec.decode(a) for a in route(spec, spec.scan_tables(), n, r)]

@@ -418,9 +418,11 @@ def test_cli_answers_too_long_to_print_exit_2(capsys, monkeypatch):
     saved = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(limit := 4300)  # q = 2^20000 has 6,021 digits
-        # refused before any work: no report, bound or field is built
-        for name in ("build_count_report", "masuda_zieve_bounds", "refined_bounds_r3", "make_field"):
+        # refused before any work: no count, trace, bound or field is computed
+        for name in ("masuda_zieve_bounds", "refined_bounds_r3", "make_field"):
             monkeypatch.setattr(cli, name, None)
+        for name in ("closed_count_r2", "closed_count_r3", "epsilons", "pi_trace", "masuda_zieve_bounds", "refined_bounds_r3"):
+            monkeypatch.setattr(counts, name, None)
         for argv, what in (
             (["bounds", "--field", "2^20000", "--r", "3"], "the bounds for q = 2^20000"),
             (["count", "--field", "2^20000", "--n", "1", "--r", "3"], "the count for q = 2^20000"),

@@ -243,19 +243,6 @@ def test_decode_and_elements_match_the_digit_loop(p, k):
     assert plain._tables is None and plain._digits is None
 
 
-@pytest.mark.parametrize("p,k", DECODE_FIELDS, ids=[f"{p}^{k}" for p, k in DECODE_FIELDS])
-def test_one_pass_decode_matches_decode(p, k):
-    tabled, plain = _pair(p, k, make_field(p, k).modulus)
-    q = p**k
-    encs = [0, q - 1] + list(range(1, q, max(1, q // 2000))) + [0]  # out of order, with a repeat
-    for spec in (tabled, plain):
-        got, want = spec._decode_in_range(encs), [spec.decode(e) for e in encs]
-        assert [(el.coeffs, el.encode()) for el in got] == [(el.coeffs, el.encode()) for el in want]
-        assert all(el.spec is spec for el in got) and [el._enc for el in got] == encs  # each carries its encoding
-        assert spec._decode_in_range([]) == []
-    assert plain._tables is None and plain._digits is None
-
-
 def test_decode_above_the_guard_builds_no_tables():
     spec = make_field(2, 64)
     enc = 2**64 - 5
