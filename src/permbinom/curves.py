@@ -32,16 +32,21 @@ from .errors import (
     SmallPrimeError,
     UnsupportedPrimeError,
 )
-from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, make_field
+from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, ensure_enumerable, make_field
 from .primes import is_prime
 
 
 def count_points_prime(p: int, a4: int, a6: int) -> int:
-    """|E(F_p)| for y^2 = x^3 + a4 x + a6, projective point included."""
+    """|E(F_p)| for y^2 = x^3 + a4 x + a6, projective point included.
+
+    Walks all of F_p with a p-entry list, so p must pass the enumeration
+    guard, as every other full-field scan must.
+    """
     if p == 2:
         raise EvenPrimeError("use the characteristic-2 model instead")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
+    ensure_enumerable(p)
     roots = [0] * p
     for y in range(p):
         roots[y * y % p] += 1
@@ -60,7 +65,9 @@ def point_count_residue(p: int, a4: int, a6: int) -> int:
                           a6^((p-1)/2 - 2l) a4^(3l - (p-1)/2)   (mod p)
 
     over ceil((p-1)/6) <= l <= floor((p-1)/4), with 0^0 = 1.
-    Returned normalized into [0, p).
+    Returned normalized into [0, p).  The sum has about p/12 terms, each
+    a product of binomials up to about p bits long, so p must pass the
+    enumeration guard.
     """
     if p == 2:
         raise EvenPrimeError("p = 2 has no quadratic-character expansion")
@@ -68,6 +75,7 @@ def point_count_residue(p: int, a4: int, a6: int) -> int:
         raise SmallPrimeError("the binomial range is empty for p = 3")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
+    ensure_enumerable(p)
     a4 %= p
     a6 %= p
     half = (p - 1) // 2

@@ -26,7 +26,14 @@ N = 2 s_k + 3 (e1 + e2) + 10.  The gcd of those two terms is
 while it divides N leaves them coprime, and no gcd of numbers some
 k log2(p) bits long is taken.  For odd k, p^(k/2) is bracketed by a
 scaled integer square root, yielding a rational enclosure [lo, hi] of
-width around 10^-DIGITS.  The reported decimal is (lo + hi) / 2
+width around 10^-DIGITS.  That root is w = floor(2 10^DIGITS p^(k/2)) =
+floor(P sqrt(c)) with P = p^((k-1)/2) and c = 4p 10^(2 DIGITS), and one
+fixed-point root of c per prime serves every odd k: R_t = isqrt(c 4^t) =
+floor(sqrt(c) 2^t), so P R_t <= P sqrt(c) 2^t < P R_t + P.  With
+P < 2^t, floor(P R_t / 2^t) is w or w - 1, and only when the dropped low
+t bits plus P reach 2^t does (w + 1)^2 <= c P^2, in integers, decide
+between them.  A root R_T at a larger T serves every t <= T, as
+R_t = R_T >> (T - t) exactly.  The reported decimal is (lo + hi) / 2
 truncated at PLACES places, never reduced: it is the shared truncation
 of lo and hi when they agree, else that of (ad + cb) / 2bd for lo = a/b,
 hi = c/d.  Nothing about it depends on float rounding.
@@ -35,6 +42,7 @@ hi = c/d.  Nothing about it depends on float rounding.
 from __future__ import annotations
 
 import numbers
+from collections import OrderedDict
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -49,6 +57,10 @@ DEFAULT_K_MAX = 10_000  # deviations cost ~k digits of integer work apiece
 THETA_DIGITS = 40  # significant digits of the reported angle
 DIGITS = 50  # odd-k enclosures are about 10^-DIGITS wide
 PLACES = 42  # decimal places of a reported deviation
+GUARD_BITS = 64  # fixed-point bits of the cached root beyond those of p^((k-1)/2)
+ROOT_CACHE_PRIMES = 32  # roots kept, one per (p, DIGITS), least recently used dropped first
+
+_ROOTS: OrderedDict[tuple[int, int], tuple[int, int]] = OrderedDict()  # (p, DIGITS) -> (T, R_T)
 
 
 class ProbeFinding(NamedTuple):
@@ -214,6 +226,25 @@ def admissible_exponent(n: int, p: int, k: int) -> bool:
     return True
 
 
+def _scaled_root(p: int, t: int) -> int:
+    """R_t = isqrt(4p 10^(2 DIGITS) << 2t) = floor(2 sqrt(p) 10^DIGITS 2^t), from the cached R_T.
+
+    The cache holds R_T at the largest T asked of (p, DIGITS) so far, and
+    a larger t grows T to at least twice its size, so a probe's ascending
+    k take a handful of square roots in all.  R_T >> (T - t) is R_t
+    exactly, since floor(floor(x) / m) = floor(x / m) for integer m.
+    """
+    key = (p, DIGITS)
+    top, root = _ROOTS.pop(key, (-1, 0))
+    if t > top:
+        top = max(t, 2 * top)
+        root = isqrt(4 * p * 10 ** (2 * DIGITS) << 2 * top)
+    _ROOTS[key] = top, root
+    if len(_ROOTS) > ROOT_CACHE_PRIMES:
+        _ROOTS.popitem(last=False)
+    return root >> top - t
+
+
 def deviation_bounds(p: int, k: int, n: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure of d_k = ((3(e1+e2)+10)/2 + s_k) / p^(k/2).
 
@@ -224,7 +255,12 @@ def deviation_bounds(p: int, k: int, n: int) -> tuple[Fraction, Fraction]:
     through _Coprime, with no gcd of two k log2(p)-bit integers.  For odd
     k the ends are N 10^DIGITS / w and N 10^DIGITS / (w + 1), with
     w = floor(2 p^(k/2) 10^DIGITS), each reduced by Fraction; N = 0 gives
-    0 either way.
+    0 either way.  w is floor(P sqrt(c)) for P = p^((k-1)/2) and
+    c = 4p 10^(2 DIGITS): with t = P.bit_length() + GUARD_BITS and the
+    cached R_t = floor(sqrt(c) 2^t), the product x = P R_t has
+    x <= P sqrt(c) 2^t < x + P, so w is x >> t, or one more only if
+    (x + P) >> t exceeds it; then (w + 1)^2 <= c P^2 decides.  Neither
+    p^k nor a square root per k is formed.
     """
     _check_input(p, k=k, n=n)
     e1, e2 = epsilons(pow(p, k, 9), n)  # epsilons reads q mod 9 only
@@ -238,7 +274,12 @@ def deviation_bounds(p: int, k: int, n: int) -> tuple[Fraction, Fraction]:
         exact = Fraction(_Coprime(numerator, two * p**half))
         return exact, exact
     scale = 10**DIGITS
-    w = isqrt(4 * p**k * scale * scale)  # floor(2 p^(k/2) * scale)
+    power = p ** (k // 2)
+    t = power.bit_length() + GUARD_BITS
+    product = power * _scaled_root(p, t)
+    w = product >> t
+    if (product + power) >> t > w and (w + 1) ** 2 <= 4 * p * (scale * power) ** 2:
+        w += 1
     if numerator > 0:
         return Fraction(numerator * scale, w + 1), Fraction(numerator * scale, w)
     return Fraction(numerator * scale, w), Fraction(numerator * scale, w + 1)

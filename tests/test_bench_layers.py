@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-import permbinom.sweep  # noqa: F401  loaded before the tracer installs, so its bindings get wrapped and restored
+import permbinom.sharpness  # noqa: F401  loaded before the tracer installs, so their bindings get wrapped and restored
+import permbinom.sweep  # noqa: F401
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,7 +26,7 @@ def perfbench(monkeypatch):
     return layers, tracing, workloads
 
 
-@pytest.mark.parametrize("workload", ["sweep", "deep-scan"])
+@pytest.mark.parametrize("workload", ["sweep", "deep-scan", "exact-trace"])
 def test_a_traced_tiny_pass_records_every_required_layer(perfbench, workload):
     layers, tracing, workloads = perfbench
     wl = workloads.WORKLOADS[workload]("tiny")

@@ -2,11 +2,11 @@
 
 import pytest
 
-from permbinom import cli, fields
+from permbinom import cli, curves, fields
 from permbinom.characters import character_classes, power_sum
 from permbinom.counts import build_count_report
-from permbinom.curves import char2_cubic_sum, count_points_extension
-from permbinom.errors import EnumerationGuardError
+from permbinom.curves import char2_cubic_sum, compute_kappa, count_points_extension, count_points_prime, point_count_residue
+from permbinom.errors import EnumerationGuardError, NonPrimeError
 from permbinom.fields import make_field
 from permbinom.permtest import enumerate_perm_binomials, is_permutation_bruteforce
 from permbinom.sweep import SweepConfig, run_verify_sweep
@@ -98,3 +98,46 @@ def test_count_report_refuses_a_huge_field_before_building_it(no_modulus_search)
     with pytest.raises(EnumerationGuardError, match="^refusing to enumerate F_q with q = a 20001-bit integer > guard 1048576"):
         build_count_report(2, 20000, 1, 3, verify=True)
     assert no_modulus_search == {}
+
+
+# Queries whose only O(p) work is a point count over F_p, on primes past the guard
+POINT_COUNT_QUERIES = {
+    "kappa-13-digit": ["kappa", "--p", "1000000000039"],
+    "trace-13-digit": ["trace", "--p", "1000000000039", "--j", "10"],
+    "kappa": ["kappa", "--p", "10000141"],
+    "count-r3": ["count", "--field", "10000141^2", "--n", "1", "--r", "3"],
+    "sharpness": ["sharpness", "--p", "10000141", "--n", "5"],
+}
+
+
+@pytest.fixture
+def no_point_count(monkeypatch):
+    """The default guard, no cached kappa, and both point counts' loops over range failing if they start."""
+
+    def counted(*args):
+        raise AssertionError(f"a point count started looping over {args}")
+
+    monkeypatch.delenv("PERMBINOM_GUARD", raising=False)
+    monkeypatch.setattr(curves, "range", counted, raising=False)  # shadows the builtin in curves alone
+    compute_kappa.cache_clear()
+    yield
+    compute_kappa.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(POINT_COUNT_QUERIES))
+def test_a_point_count_past_the_guard_refuses_before_counting(name, no_point_count, capsys):
+    assert cli.main(POINT_COUNT_QUERIES[name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing to enumerate F_q with q = ") and captured.err.count("\n") == 1
+    assert "> guard 1048576; set PERMBINOM_GUARD to at least " in captured.err
+
+
+@pytest.mark.parametrize("count", [count_points_prime, point_count_residue])
+def test_both_point_counts_check_the_guard_after_primality(count, monkeypatch):
+    monkeypatch.setenv("PERMBINOM_GUARD", "10")
+    assert count(7, 0, 1) >= 0
+    with pytest.raises(EnumerationGuardError, match="^refusing to enumerate F_q with q = 11 > guard 10"):
+        count(11, 0, 1)
+    with pytest.raises(NonPrimeError):  # primality is decided first, whatever the guard
+        count(15, 0, 1)

@@ -56,6 +56,81 @@ def test_odd_k_bracket_is_tight_and_correct():
     assert hi - lo < Fraction(1, 10**25)
 
 
+def reference_bounds(p, k, n):
+    """The odd-k enclosure from one isqrt of 4 p^k 10^(2 DIGITS), reduced by Fraction."""
+    numerator = 2 * pi_trace(p, k) + 3 * sum(epsilons(pow(p, k, 9), n)) + 10
+    scale = 10**sharpness.DIGITS
+    w = math.isqrt(4 * p**k * scale * scale)
+    ends = Fraction(numerator * scale, w + 1), Fraction(numerator * scale, w)
+    return ends if numerator > 0 else ends[::-1]
+
+
+def terms(pair):
+    return [(end.numerator, end.denominator) for end in pair]
+
+
+@pytest.fixture
+def empty_roots(monkeypatch):
+    """An empty root cache, so each test grows its roots from nothing."""
+    roots = type(sharpness._ROOTS)()
+    monkeypatch.setattr(sharpness, "_ROOTS", roots)
+    return roots
+
+
+@pytest.mark.parametrize("guard_bits", [sharpness.GUARD_BITS, 0])
+def test_odd_k_enclosure_matches_one_isqrt_per_k(empty_roots, monkeypatch, guard_bits):
+    # with no guard bits the cached root is short enough that x >> t often
+    # falls one below w, so the exact (w + 1)^2 test decides many of these
+    monkeypatch.setattr(sharpness, "GUARD_BITS", guard_bits)
+    scale = 10**sharpness.DIGITS
+    corrected = set()
+    for p in (5, 7, 11, 13, 73, 199, 3001):
+        for k in range(1, 402, 2):
+            n = k % 9 + 1
+            assert terms(sharpness.deviation_bounds(p, k, n)) == terms(reference_bounds(p, k, n)), (p, k)
+            power = p ** (k // 2)
+            t = power.bit_length() + guard_bits
+            estimate = power * math.isqrt(4 * p * scale * scale << 2 * t) >> t
+            corrected.add(math.isqrt(4 * p**k * scale * scale) - estimate)
+    assert corrected == ({0, 1} if guard_bits == 0 else {0})
+
+
+@pytest.mark.parametrize("guard_bits", [sharpness.GUARD_BITS, 0])
+@pytest.mark.parametrize("p,n", [(73, 35), (199, 11)])
+def test_probe_findings_match_one_isqrt_per_k(empty_roots, monkeypatch, guard_bits, p, n):
+    monkeypatch.setattr(sharpness, "GUARD_BITS", guard_bits)
+    findings = sharpness.sharpness_probe(p, n, k_max=30_000).findings
+    odd = [f for f in findings if f.k % 2]
+    assert len(odd) >= 10 and max(f.k for f in odd) > 1000
+    for f in odd:
+        assert terms((f.deviation_lo, f.deviation_hi)) == terms(reference_bounds(p, f.k, n)), f.k
+
+
+ORDINARY_PRIMES_300 = [p for p in range(7, 10_000) if p % 3 == 1 and is_prime(p)][:300]
+
+
+def test_root_cache_keeps_at_most_its_cap(empty_roots):
+    for p in ORDINARY_PRIMES_300:
+        probe = sharpness.sharpness_probe(p, 1, depth=5, k_max=9)
+        assert any(f.k % 2 for f in probe.findings), p
+        assert (p, sharpness.DIGITS) == next(reversed(empty_roots))  # most recently used last
+        assert len(empty_roots) <= sharpness.ROOT_CACHE_PRIMES
+    assert len(ORDINARY_PRIMES_300) == 300
+    assert list(empty_roots) == [(p, sharpness.DIGITS) for p in ORDINARY_PRIMES_300[-sharpness.ROOT_CACHE_PRIMES:]]
+
+
+def test_root_cached_under_one_digits_is_not_read_under_another(empty_roots, monkeypatch):
+    want = {}
+    for digits in (50, 3, 120):
+        monkeypatch.setattr(sharpness, "DIGITS", digits)
+        want[digits] = [terms(reference_bounds(73, k, 1)) for k in (1, 101, 1001)]
+    for digits in (50, 3, 120, 50, 3):  # each root grown under one DIGITS, then asked for under the others
+        monkeypatch.setattr(sharpness, "DIGITS", digits)
+        got = [terms(sharpness.deviation_bounds(73, k, 1)) for k in (1, 101, 1001)]
+        assert got == want[digits], digits
+    assert set(empty_roots) == {(73, 50), (73, 3), (73, 120)}
+
+
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 1)])
 def test_a_zero_numerator_gives_zero_at_either_parity(monkeypatch, k, n):
     # 3 (e1 + e2) + 10 = 16 at these cells, so s_k = -8 zeroes N = 2 s_k + 16
