@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -49,6 +51,18 @@ def _sweep_report():
 
     result = run_verify_sweep(SweepConfig(q_max=A_LIST_Q_MAX))
     yield emit_report(result._replace(elapsed_ms=0), "json").decode()
+
+
+def _selftest_report():
+    """Exit code and merged report of the selftest sweeps at their default q_max (343 and 400), elapsed_ms set to 0."""
+    from permbinom import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        rc = cli.main(["selftest", "--only", "r2-sweep,r3-sweep", "--report", str(path), "--out", os.devnull])
+        report = json.loads(path.read_text())
+    yield f"rc={rc}"
+    yield json.dumps({**report, "elapsed_ms": 0}, indent=2)
 
 
 def _traces():
@@ -104,6 +118,7 @@ ITEMS = {
     "wanlidl a-lists, q <= 128": lambda: _a_lists("wanlidl"),
     "bruteforce a-lists, q <= 128": lambda: _a_lists("bruteforce"),
     "sweep json report, q <= 128, elapsed_ms 0": _sweep_report,
+    "selftest --report of r2-sweep and r3-sweep, elapsed_ms 0": _selftest_report,
     "kappa_p and s_1..s_8, 5 <= p < 5000": _traces,
     "refined_bounds_r3: q = 1 mod 3 below 10^5, 7^k and 13^k for k <= 1000": _refined_bounds,
     "sharpness_probe(73, 35) findings": _probe_findings,
