@@ -17,7 +17,7 @@ import sys
 from functools import partial
 
 from .characters import character_classes, cubic_char, power_sum, quadratic_char
-from .counts import build_count_report, masuda_zieve_bounds, refined_bounds_r3, report_to_dict
+from .counts import bound_pairs, build_count_report, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
 from .errors import (
     AnswerTooLargeError,
@@ -133,12 +133,9 @@ def _cmd_count(args) -> int:
 def _cmd_bounds(args) -> int:
     p, k = parse_field(args.field)
     q = p**k
-    if field_admits(q, args.r):  # on any other field masuda_zieve_bounds refuses r
+    if field_admits(q, args.r):  # on any other field bound_pairs refuses r
         _refuse_unprintable(f"the bounds for q = {p}^{k}", p, 2 * k, _REPORT_SCALE)
-    mz_lo, mz_hi = masuda_zieve_bounds(q, args.r)
-    cor_lo = cor_hi = None
-    if args.r == 3:
-        cor_lo, cor_hi = refined_bounds_r3(q)
+    mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, args.r)
     _emit(args, {
         "q": q, "r": args.r,
         "mz_lower": str(mz_lo), "mz_upper": str(mz_hi),
@@ -233,7 +230,7 @@ def _cmd_sharpness(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import AcceptanceSuite
-    from .sweep import SweepResult, emit_report
+    from .sweep import emit_report, merge_results
 
     suite = AcceptanceSuite(jobs=args.jobs, q_max=args.q_max)
     names = args.only.split(",") if args.only else None
@@ -254,14 +251,8 @@ def _cmd_selftest(args) -> int:
         + [(r.name, r.passed, r.elapsed_ms, r.detail) for r in results],
     )
     if args.report:
-        r2, r3 = suite.sweep(2), suite.sweep(3)
-        merged = SweepResult(
-            cells=tuple(sorted(r2.cells + r3.cells, key=lambda c: (c["q"], c["n"], c["r"]))),
-            failures=tuple(sorted(r2.failures + r3.failures)),
-            elapsed_ms=r2.elapsed_ms + r3.elapsed_ms,
-        )
         with open(args.report, "wb") as fh:
-            fh.write(emit_report(merged, args.report_format))
+            fh.write(emit_report(merge_results([suite.sweep(2), suite.sweep(3)]), args.report_format))
     return EXIT_OK if all(r.passed for r in results) else EXIT_MATH
 
 

@@ -1,7 +1,8 @@
 """Closed-form counts of permutation binomials and the bounds they obey.
 
-For r = 2 the number of working a is (q - 2 + (-1)^n)/2 on the nose.
-For r = 3 it is
+This module owns every rule of a cell: closed_count(p, k, n, r) picks its
+count and bound_pairs(q, r) its bounds, for the count report, the sweep and
+the bounds subcommand. At r = 2 the count is (q - 2 + (-1)^n)/2. At r = 3 it is
 
     T = (2q - 3(e1 + e2) - 10 - 2 s_k) / 9
 
@@ -52,6 +53,7 @@ def epsilons(q: int, n: int) -> tuple[int, int]:
 
 def closed_count_r3(p: int, k: int, n: int) -> int:
     """Exact r = 3 count over F_{p^k} from the trace of Frobenius, on an admissible cell."""
+    check_prime_power(p, k)
     q = p**k
     check_cell(q, n, 3)
     e1, e2 = epsilons(q, n)
@@ -81,6 +83,8 @@ def masuda_zieve_bounds(q: int, r: int) -> tuple[Fraction, Fraction]:
     """
     if r < 2:
         raise OutOfRangeError("r must be >= 2")
+    if q < 1:
+        raise OutOfRangeError(f"q must be positive, got {int_text(q)}")
     if (q - 1) % r != 0:
         raise OutOfRangeError(f"r = {r} must divide q - 1 = {int_text(q - 1)}")
     m_r = r ** (r + 1) - 2 * r**r - r ** (r - 1) + 2
@@ -97,10 +101,22 @@ def refined_bounds_r3(q: int) -> tuple[int, int]:
     One integer square root stands in for the irrational 4 sqrt(q): an
     integer v is at most 4 sqrt(q) iff v <= f = isqrt(16q).
     """
+    if q < 1:
+        raise OutOfRangeError(f"q must be positive, got {int_text(q)}")
     if q % 3 != 1:
         raise BadFieldForCubicError(f"q = {int_text(q)} is not 1 mod 3")
     f = isqrt(16 * q)
     return -((16 + f - 2 * q) // 9), (2 * q - 7 + f) // 9
+
+
+def closed_count(p: int, k: int, n: int, r: int) -> int:
+    """The closed count of the cell (p^k, n, r): closed_count_r2 at r = 2, closed_count_r3 at r = 3."""
+    return closed_count_r2(p**k, n) if r == 2 else closed_count_r3(p, k, n)
+
+
+def bound_pairs(q: int, r: int) -> tuple[Fraction, Fraction, int | None, int | None]:
+    """The Masuda-Zieve pair of (q, r), then the refined pair at r = 3 or (None, None) at r = 2."""
+    return (*masuda_zieve_bounds(q, r), *(refined_bounds_r3(q) if r == 3 else (None, None)))
 
 
 class CountReport(NamedTuple):
@@ -140,18 +156,11 @@ def build_count_report(
         ensure_enumerable(q)  # before any work, and before make_field's modulus search
     if before_work is not None:
         before_work()
-    if r == 2:
-        e1 = e2 = s_k = None
-        closed = closed_count_r2(q, n)
-        cor_lo = cor_hi = None
-    else:
-        e1, e2 = epsilons(q, n)
-        s_k = pi_trace(p, k)
-        closed = closed_count_r3(p, k, n)
-        cor_lo, cor_hi = refined_bounds_r3(q)
-    mz_lo, mz_hi = masuda_zieve_bounds(q, r)
-    brute_count = None
-    a_values = None
+    e1, e2 = epsilons(q, n) if r == 3 else (None, None)
+    s_k = pi_trace(p, k) if r == 3 else None
+    closed = closed_count(p, k, n, r)
+    mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, r)
+    brute_count = a_values = None
     if verify:
         spec = make_field(p, k)
         runs = {method: tuple(a.encode() for a in enumerate_perm_binomials(spec, n, r, method=method)) for method in ROUTES}

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .characters import character_classes, power_sum
+from .counts import build_count_report
 from .curves import (
     char2_cubic_sum,
     compute_kappa,
@@ -24,7 +25,7 @@ from .curves import (
 )
 from .errors import UnknownChoiceError
 from .fields import make_field
-from .permtest import ROUTES, enumerate_perm_binomials, field_admits
+from .permtest import field_admits
 from .primes import is_prime, prime_power_decompose, prime_powers_upto
 from .sweep import BRUTE_FULL_MAX, SweepConfig, SweepResult, run_verify_sweep, valid_exponents, validate_config
 
@@ -87,12 +88,11 @@ class AcceptanceSuite:
         return self._sweeps[r]
 
     def check_exact_case_f73(self) -> tuple[bool, str]:
-        spec = make_field(73)
-        for method in ROUTES:
-            got = frozenset(a.encode() for a in enumerate_perm_binomials(spec, 35, 3, method=method))
-            if got != F73_ADMISSIBLE:
-                return False, f"{method} route gives {sorted(got)}, expected {sorted(F73_ADMISSIBLE)}"
-        return True, "x^35 (x^24 + a) over F_73: all three routes give the pinned 16-element a set"
+        # count --verify's cross-check: raises unless every route and the closed count agree
+        got = frozenset(build_count_report(73, 1, 35, 3, verify=True).a_values)
+        if got != F73_ADMISSIBLE:
+            return False, f"the routes give {sorted(got)}, expected {sorted(F73_ADMISSIBLE)}"
+        return True, "x^35 (x^24 + a) over F_73: all three routes and the closed count give the pinned 16-element a set"
 
     def check_kappa_table(self) -> tuple[bool, str]:
         for p, want in ((7, 1), (13, -5), (73, 7)):

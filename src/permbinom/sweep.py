@@ -20,9 +20,10 @@ criterion or brute force that trusted a broken symmetry would disagree
 with it.
 
 Disagreements are recorded as failures, never raised, so one bad cell
-cannot mask others. Cells are merged in (q, n, r) order, which makes
-reports byte-identical across runs and worker counts; elapsed_ms is the
-one field that varies.
+cannot mask others. The closed form and both bound pairs come from counts.
+merge_results alone sets the report order, cells by (q, n, r) and failures
+sorted, for every sweep and for selftest --report: reports are byte-identical
+across runs and worker counts, and elapsed_ms is the one field that varies.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 from typing import NamedTuple
 
-from .counts import closed_count_r3, closed_count_r2, epsilons, masuda_zieve_bounds, refined_bounds_r3
+from .counts import bound_pairs, closed_count, epsilons
 from .curves import pi_trace
 from .errors import DivisibilityViolationError, SweepConfigError, UnknownChoiceError
 from .fields import FieldSpec, ensure_enumerable, make_field
@@ -104,8 +105,8 @@ def _split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[
     return sorted((orbit[0], len(found.intersection(orbit)), len(orbit)) for orbit in orbits)
 
 
-def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict], list[SweepFailure]]:
-    """All cells and failures for one (q, r) block. Top level so it pickles."""
+def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
+    """All cells and failures for one (q, r) block, elapsed_ms 0. Top level so it pickles."""
     q = p**k
     spec = make_field(p, k)
     cells: list[dict] = []
@@ -126,8 +127,7 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
             failures.append(SweepFailure(q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
 
     disputed = {f.n % r for f in failures}  # classes where Wan-Lidl disagrees
-    mz_lo, mz_hi = masuda_zieve_bounds(q, r)
-    cor_lo, cor_hi = refined_bounds_r3(q) if r == 3 else (None, None)
+    mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, r)
     s_k = pi_trace(p, k) if r == 3 else None
     rng = random.Random(f"{config.seed}:{q}:{r}")
 
@@ -135,17 +135,13 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
         crit_set = class_sets[n % r]
         crit_count = len(crit_set)
         recorded = len(failures)
-        e1 = e2 = None
+        e1, e2 = epsilons(q, n) if r == 3 else (None, None)
         closed: int | None
-        if r == 2:
-            closed = closed_count_r2(q, n)
-        else:
-            e1, e2 = epsilons(q, n)
-            try:
-                closed = closed_count_r3(p, k, n)
-            except DivisibilityViolationError as exc:
-                failures.append(SweepFailure(q, n, r, "closed", "divisibility", str(exc)))
-                closed = None
+        try:
+            closed = closed_count(p, k, n, r)
+        except DivisibilityViolationError as exc:
+            failures.append(SweepFailure(q, n, r, "closed", "divisibility", str(exc)))
+            closed = None
         if closed is not None and closed != crit_count:
             failures.append(SweepFailure(q, n, r, "closed", "criterion", f"{closed} != {crit_count}"))
 
@@ -157,10 +153,9 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
                 failures.append(SweepFailure(q, n, r, "criterion", "bruteforce", set_diff(crit_set, brute)))
 
         if closed is not None:
-            if not max(mz_lo, 0) <= closed <= mz_hi:
-                failures.append(SweepFailure(q, n, r, "closed", "mz-bounds", f"{closed} outside [{max(mz_lo, 0)}, {mz_hi}]"))
-            if r == 3 and not cor_lo <= closed <= cor_hi:
-                failures.append(SweepFailure(q, n, r, "closed", "refined-bounds", f"{closed} outside [{cor_lo}, {cor_hi}]"))
+            for pair, lo, hi in (("mz-bounds", max(mz_lo, 0), mz_hi), ("refined-bounds", cor_lo, cor_hi)):
+                if lo is not None and not lo <= closed <= hi:
+                    failures.append(SweepFailure(q, n, r, "closed", pair, f"{closed} outside [{lo}, {hi}]"))
 
         cells.append(
             {
@@ -182,7 +177,14 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> tuple[list[dict]
                 "ok": len(failures) == recorded and n % r not in disputed,
             }
         )
-    return cells, failures
+    return SweepResult(tuple(cells), tuple(failures), 0)
+
+
+def merge_results(results: list[SweepResult]) -> SweepResult:
+    """One report from several, in the report order: cells by (q, n, r), failures sorted; elapsed_ms summed."""
+    cells = sorted((c for res in results for c in res.cells), key=lambda c: (c["q"], c["n"], c["r"]))
+    failures = sorted(f for res in results for f in res.failures)
+    return SweepResult(tuple(cells), tuple(failures), sum(res.elapsed_ms for res in results))
 
 
 def validate_config(config: SweepConfig) -> None:
@@ -213,10 +215,7 @@ def run_verify_sweep(config: SweepConfig) -> SweepResult:
             parts = list(pool.map(_field_task, *zip(*tasks)))  # one iterable per parameter
     else:
         parts = [_field_task(*t) for t in tasks]
-    cells = sorted((c for cell_part, _ in parts for c in cell_part), key=lambda c: (c["q"], c["n"], c["r"]))
-    failures = sorted(f for _, fail_part in parts for f in fail_part)
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    return SweepResult(cells=tuple(cells), failures=tuple(failures), elapsed_ms=elapsed_ms)
+    return merge_results(parts)._replace(elapsed_ms=int((time.monotonic() - started) * 1000))
 
 
 CSV_COLUMNS = (

@@ -3,7 +3,8 @@
 No module imports a name it never uses, imports dataclasses, or imports
 anything outside the standard library and the package; no function or
 subcommand takes a force switch past the enumeration guard; only fields.py
-reads the environment; no module touches the private parts of Fraction;
+reads the environment; only counts.py calls the per-r closed forms and
+bounds; no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception.
 A CLI query loads neither the sweep and selftest machinery nor the
 sharpness module, nothing loads mpmath, and the lazily loaded public names
@@ -94,6 +95,32 @@ def test_no_force_switch(path):
 def test_only_fields_reads_the_environment():
     readers = {p.name for p in ALL_SOURCES if environment_reads(p.read_text())}
     assert readers == {"fields.py"}
+
+
+# counts alone picks a cell's closed form and bound pairs by r; every other module calls closed_count and bound_pairs
+PER_R_RULES = ("closed_count_r2", "closed_count_r3", "masuda_zieve_bounds", "refined_bounds_r3")
+
+
+def per_r_rule_calls(source: str) -> list[str]:
+    """Calls of a per-r closed form or bound function, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in PER_R_RULES:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_per_r_rule_call_detector():
+    src = "from .counts import closed_count_r2\nx = closed_count_r2(7, 1)\ny = counts.refined_bounds_r3(7)\nz = closed_count(7, 1, 1, 3)\n"
+    assert per_r_rule_calls(src) == ["closed_count_r2 (line 2)", "refined_bounds_r3 (line 3)"]
+
+
+def test_only_counts_picks_a_closed_form_or_bound_pair_by_r():
+    callers = {p.name for p in ALL_SOURCES if per_r_rule_calls(p.read_text())}
+    assert callers == {"counts.py"}
 
 
 def dataclass_imports(source: str) -> list[str]:
@@ -292,6 +319,11 @@ def _refusals():
         "power_sum": (OutOfRangeError, lambda: power_sum(f7, -1)),
         "mz-r-below-2": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(13, 1)),
         "mz-r-not-dividing": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(13, 5)),
+        "mz-q-negative-r2": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(-1, 2)),
+        "mz-q-negative-r3": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(-5, 3)),
+        "refined-q-negative": (OutOfRangeError, lambda: counts.refined_bounds_r3(-2)),
+        "closed_count_r3-k-negative": (DegreeMismatchError, lambda: counts.closed_count_r3(7, -1, 1)),
+        "closed_count_r3-k-zero": (DegreeMismatchError, lambda: counts.closed_count_r3(7, 0, 1)),
         "pi_trace": (OutOfRangeError, lambda: curves.pi_trace(7, -1)),
         "char2_cubic_sum": (DegreeMismatchError, lambda: curves.char2_cubic_sum(0)),
         "decode": (OutOfRangeError, lambda: f7.decode(7)),
