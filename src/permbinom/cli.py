@@ -12,32 +12,27 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from functools import partial
 
 from .characters import character_classes, cubic_char, power_sum, quadratic_char
-from .counts import bound_pairs, build_count_report, report_to_dict
+from .counts import REPORT_SCALE, bound_pairs, build_count_report, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
 from .errors import (
-    AnswerTooLargeError,
     CrossCheckFailedError,
     DivisibilityViolationError,
     EvenCharacteristicError,
     OutOfRangeError,
     PermBinomError,
     UnknownChoiceError,
+    refuse_unprintable,
 )
 from .fields import FieldSpec, ensure_enumerable, make_field, parse_field
-from .permtest import ROUTES, enumerate_perm_binomials, field_admits
+from .permtest import ROUTES, check_field, enumerate_perm_binomials
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
-
-# count and bounds print q, counts below q, s_k and the Masuda-Zieve fractions,
-# whose numerators and denominators stay below this times q
-_REPORT_SCALE = 10**32
 
 
 def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
@@ -61,19 +56,6 @@ def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
         sys.stdout.write(out)
 
 
-def _refuse_unprintable(what: str, p: int, e: int, scale: int) -> None:
-    """Refuse, before any work, an answer whose integers may reach scale * p^(e/2) and so print past the interpreter's limit.
-
-    The limit is sys.get_int_max_str_digits() (0: none). scale * p^(e/2)
-    has more than `limit` digits iff scale^2 p^e >= 10^(2 limit); the
-    logarithms decide unless they land within 1 of the edge.
-    """
-    limit = sys.get_int_max_str_digits()
-    excess = e * math.log10(p) + 2 * math.log10(scale) - 2 * limit
-    if limit and (excess > 1 or (excess > -1 and scale * scale * p**e >= 10 ** (2 * limit))):
-        raise AnswerTooLargeError(f"{what} may have more than {limit} digits, the interpreter's int-to-str limit")
-
-
 def _field_spec(args) -> FieldSpec:
     p, k = parse_field(args.field)
     try:
@@ -85,7 +67,7 @@ def _field_spec(args) -> FieldSpec:
     if getattr(args, "x", None) is None:
         ensure_enumerable(p**k)
     else:
-        _refuse_unprintable(f"an answer on q = {p}^{k}", p, 2 * k, 1)
+        refuse_unprintable(f"an answer on q = {p}^{k}", p, 2 * k, 1)
     return make_field(p, k, modulus)
 
 
@@ -125,7 +107,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     p, k = parse_field(args.field)
-    refuse = partial(_refuse_unprintable, f"the count for q = {p}^{k}", p, 2 * k, _REPORT_SCALE)
+    refuse = partial(refuse_unprintable, f"the count for q = {p}^{k}", p, 2 * k, REPORT_SCALE)
     _emit(args, report_to_dict(build_count_report(p, k, args.n, args.r, verify=args.verify, before_work=refuse)))
     return EXIT_OK
 
@@ -133,8 +115,8 @@ def _cmd_count(args) -> int:
 def _cmd_bounds(args) -> int:
     p, k = parse_field(args.field)
     q = p**k
-    if field_admits(q, args.r):  # on any other field bound_pairs refuses r
-        _refuse_unprintable(f"the bounds for q = {p}^{k}", p, 2 * k, _REPORT_SCALE)
+    check_field(q, args.r)
+    refuse_unprintable(f"the bounds for q = {p}^{k}", p, 2 * k, REPORT_SCALE)
     mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, args.r)
     _emit(args, {
         "q": q, "r": args.r,
@@ -157,7 +139,7 @@ def _cmd_kappa(args) -> int:
 def _cmd_trace(args) -> int:
     p, j = args.p, args.j
     compute_kappa(p)  # a bad p fails here, before the size check
-    _refuse_unprintable(f"s_{j} for p = {p}", p, j, 2)  # |s_j| <= 2 p^(j/2)
+    refuse_unprintable(f"s_{j} for p = {p}", p, j, 2)  # |s_j| <= 2 p^(j/2)
     value = pi_trace(p, j)
     _emit(args, {"p": p, "j": j, "s_j": str(value)}, text=f"s_{j}(pi_{p}) = {value}\n")
     return EXIT_OK
@@ -200,6 +182,8 @@ def _cmd_sharpness(args) -> int:
     from .sharpness import decimal_string, sharpness_probe  # local: only this query compiles it
 
     probe = sharpness_probe(args.p, args.n, depth=args.depth, k_max=args.k_max)
+    convergents = probe.convergents_two_pi + probe.convergents_pi
+    refuse_unprintable(f"the convergents at depth {probe.depth}", max(map(max, convergents), default=1), 2, 1)
     findings = [
         {
             "k": f.k,
@@ -335,14 +319,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (PermBinomError, OSError) as exc:  # OSError: --out or --report not writable
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # only the interpreter's int-to-str digit limit, which _refuse_unprintable
-        # keeps from every answer but one: the convergents that sharpness prints
-        # at a --depth in the thousands; any other ValueError is an untyped bug
-        if "integer string conversion" not in str(exc):
-            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,12 +28,14 @@ from math import factorial, isqrt
 from typing import Callable, NamedTuple
 
 from .curves import pi_trace
-from .errors import BadFieldForCubicError, CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, int_text
+from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, int_text, refuse_unprintable
 from .fields import check_prime_power, ensure_enumerable, make_field
-from .permtest import ROUTES, check_cell, enumerate_perm_binomials, set_diff
+from .permtest import ROUTES, check_cell, check_field, enumerate_perm_binomials, set_diff
 from .primes import exact_sqrt, prime_power_decompose
 
 _SQRT_SCALE = 10**30  # denominator of the rational upper bound on sqrt(q)
+# a report's q, counts below q, s_k and the numerators and denominators of its bounds stay below this times q
+REPORT_SCALE = 10**32
 
 
 def closed_count_r2(q: int, n: int) -> int:
@@ -103,8 +105,7 @@ def refined_bounds_r3(q: int) -> tuple[int, int]:
     """
     if q < 1:
         raise OutOfRangeError(f"q must be positive, got {int_text(q)}")
-    if q % 3 != 1:
-        raise BadFieldForCubicError(f"q = {int_text(q)} is not 1 mod 3")
+    check_field(q, 3)
     f = isqrt(16 * q)
     return -((16 + f - 2 * q) // 9), (2 * q - 7 + f) // 9
 
@@ -195,7 +196,8 @@ def build_count_report(
 
 
 def report_to_dict(report: CountReport) -> dict:
-    """JSON-ready dict: stable key order, fractions and big ints as strings."""
+    """JSON-ready dict: stable key order, fractions and big ints as strings, or AnswerTooLargeError past the digit limit."""
+    refuse_unprintable(f"the count for q = {report.p}^{report.k}", report.p, 2 * report.k, REPORT_SCALE)
     out = report._asdict()
     out["s_k"] = None if report.s_k is None else str(report.s_k)
     out["mz_lower"], out["mz_upper"] = str(report.mz_lower), str(report.mz_upper)

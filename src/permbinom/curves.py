@@ -27,13 +27,11 @@ from .errors import (
     DegreeMismatchError,
     EvenCharacteristicError,
     EvenPrimeError,
-    NonPrimeError,
     OutOfRangeError,
     SmallPrimeError,
     UnsupportedPrimeError,
 )
-from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, ensure_enumerable, make_field
-from .primes import is_prime
+from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, check_prime_power, ensure_enumerable, make_field
 
 
 def count_points_prime(p: int, a4: int, a6: int) -> int:
@@ -44,8 +42,7 @@ def count_points_prime(p: int, a4: int, a6: int) -> int:
     """
     if p == 2:
         raise EvenPrimeError("use the characteristic-2 model instead")
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
+    check_prime_power(p, 1)
     ensure_enumerable(p)
     roots = [0] * p
     for y in range(p):
@@ -73,8 +70,7 @@ def point_count_residue(p: int, a4: int, a6: int) -> int:
         raise EvenPrimeError("p = 2 has no quadratic-character expansion")
     if p == 3:
         raise SmallPrimeError("the binomial range is empty for p = 3")
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
+    check_prime_power(p, 1)
     ensure_enumerable(p)
     a4 %= p
     a6 %= p
@@ -111,8 +107,7 @@ def compute_kappa(p: int) -> KappaRecord:
     CrossCheckFailedError unless kappa_p = 0 for p = 2 (mod 3), or else
     kappa_p = -C((p-1)/2, (p-1)/3) 4^(-(p-1)/6) (mod p) and kappa_p^2 <= 4p.
     """
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
+    check_prime_power(p, 1)
     if p == 3:
         raise UnsupportedPrimeError("kappa is undefined at the characteristic 3")
     count = _char2_model_count() if p == 2 else count_points_prime(p, 0, pow(4, p - 2, p))

@@ -5,6 +5,9 @@ sweep harness, which must never die mid-run) can tell configuration
 mistakes apart from genuine mathematical disagreements.
 """
 
+import math
+import sys
+
 
 class PermBinomError(Exception):
     """Base class for all errors raised by this package."""
@@ -100,3 +103,16 @@ def int_text(n: int) -> str:
         return str(n)
     except ValueError:  # the int-to-str digit limit
         return f"a {n.bit_length()}-bit integer"
+
+
+def refuse_unprintable(what: str, p: int, e: int, scale: int) -> None:
+    """Raise AnswerTooLargeError if integers up to scale * p^(e/2) may print past the interpreter's limit.
+
+    The limit is sys.get_int_max_str_digits() (0: none). scale * p^(e/2)
+    has more than `limit` digits iff scale^2 p^e >= 10^(2 limit); the
+    logarithms decide unless they land within 1 of the edge.
+    """
+    limit = sys.get_int_max_str_digits()
+    excess = e * math.log10(p) + 2 * math.log10(scale) - 2 * limit
+    if limit and (excess > 1 or (excess > -1 and scale * scale * p**e >= 10 ** (2 * limit))):
+        raise AnswerTooLargeError(f"{what} may have more than {limit} digits, the interpreter's int-to-str limit")

@@ -26,7 +26,7 @@ checks the symmetry on its sets, with _orbit_union naming a split orbit.
 The routes answer only on admissible cells (q, n, r), the ones the paper
 counts: r is 2 or 3, q is odd for r = 2 and q = 1 mod 3 for r = 3,
 1 <= n <= q - 1, and gcd(n, (q-1)/r) = 1. check_cell is the one place that
-rule is written; field_admits is its field half.
+rule is written; check_field, on the test field_admits, is its field half.
 
 All three agree on every field this package enumerates; the test suite
 checks that, which is what makes the fast criterion trustworthy.
@@ -184,17 +184,22 @@ def field_admits(q: int, r: int) -> bool:
     return (r == 2 and q % 2 == 1) or (r == 3 and q % 3 == 1)
 
 
-def check_cell(q: int, n: int, r: int) -> None:
-    """Raise unless (q, n, r) is an admissible cell.
-
-    Works on q alone and never factors it, so it costs nothing at huge q.
-    """
+def check_field(q: int, r: int) -> None:
+    """Raise unless r is 2 or 3 and the counts cover F_q at r: the field half of check_cell."""
     if r not in (2, 3):
         raise OutOfRangeError(f"r must be 2 or 3, got {r}")
     if not field_admits(q, r):
         if r == 2:
             raise EvenCharacteristicError(f"r = 2 needs odd q, got q = {int_text(q)}")
         raise BadFieldForCubicError(f"q = {int_text(q)} is not 1 mod 3")
+
+
+def check_cell(q: int, n: int, r: int) -> None:
+    """Raise unless (q, n, r) is an admissible cell.
+
+    Works on q alone and never factors it, so it costs nothing at huge q.
+    """
+    check_field(q, r)
     if not 1 <= n <= q - 1:
         raise OutOfRangeError(f"n must lie in [1, q-1], got {int_text(n)}")
     d = (q - 1) // r

@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 from .counts import epsilons
 from .curves import compute_kappa, pi_trace
-from .errors import ProbeConfigError, UnsupportedPrimeError
+from .errors import BadFieldForCubicError, ProbeConfigError, UnsupportedPrimeError
+from .fields import check_prime_power
 from .primes import factorize
 
 DEFAULT_DEPTH = 30
@@ -213,12 +214,15 @@ numbers.Rational.register(_Coprime)
 
 
 def admissible_exponent(n: int, p: int, k: int) -> bool:
-    """gcd(n, (p^k - 1)/3) = 1, decided by modular orders only.
+    """gcd(n, (p^k - 1)/3) = 1, decided by modular orders only, for a prime p with p^k = 1 mod 3.
 
     A prime l | n divides (p^k - 1)/3 iff p^k = 1 mod 3l (or mod 9 when
     l = 3), so no giant integers are ever formed.
     """
     _check_input(p, n=n, k=k)
+    check_prime_power(p, k)
+    if pow(p, k, 3) != 1:
+        raise BadFieldForCubicError(f"q = {p}^{k} is not 1 mod 3")
     for prime in factorize(n):
         modulus = 9 if prime == 3 else 3 * prime
         if pow(p, k, modulus) == 1:

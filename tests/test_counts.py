@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +22,7 @@ from permbinom.counts import (
     report_to_dict,
 )
 from permbinom.errors import (
+    AnswerTooLargeError,
     BadFieldForCubicError,
     DegreeMismatchError,
     DivisibilityViolationError,
@@ -108,6 +110,27 @@ def test_every_entry_point_rejects_an_inadmissible_cell_alike(p, k, n, r, error)
     if r == 3:
         raised["closed_count_r3"] = _error_type(closed_count_r3, p, k, n)
     assert raised == dict.fromkeys(raised, error)
+
+
+# (field, r, error): a field the counts do not cover at r, refused by count and bounds alike
+INADMISSIBLE_FIELDS = [
+    ("8", 2, EvenCharacteristicError),
+    ("2^3", 2, EvenCharacteristicError),
+    ("11", 3, BadFieldForCubicError),
+    ("5^3", 3, BadFieldForCubicError),
+]
+
+
+@pytest.mark.parametrize("field,r,error", INADMISSIBLE_FIELDS)
+def test_count_and_bounds_refuse_an_inadmissible_field_alike(field, r, error, capsys):
+    raised = {}
+    for kind in (["count", "--n", "1"], ["bounds"]):
+        args = cli.build_parser().parse_args([kind[0], "--field", field, "--r", str(r), *kind[1:]])
+        raised[kind[0]] = _error_type(args.handler, args)
+        assert cli.main([kind[0], "--field", field, "--r", str(r), *kind[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert raised == {"count": error, "bounds": error}
 
 
 def test_check_cell_never_factors_q(monkeypatch):
@@ -343,6 +366,19 @@ def test_build_count_report_rejects_a_degree_below_one(p, k):
     # k = -1 would otherwise form the float q = 1/7
     with pytest.raises(DegreeMismatchError):
         build_count_report(p, k, 1, 2)
+
+
+def test_report_dict_refuses_a_report_too_long_to_print():
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # q = 7^6000 has 5,071 digits
+        report = build_count_report(7, 6000, 1, 3)
+        with pytest.raises(AnswerTooLargeError, match="^the count for q = 7\\^6000 may have more than 4300 digits"):
+            report_to_dict(report)
+        sys.set_int_max_str_digits(0)  # no limit: the same report renders
+        assert report_to_dict(report)["q"] == 7**6000
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_report_dict_layout():

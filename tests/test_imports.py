@@ -5,7 +5,8 @@ anything outside the standard library and the package; no function or
 subcommand takes a force switch past the enumeration guard; only fields.py
 reads the environment; only counts.py calls the per-r closed forms and
 bounds; no module touches the private parts of Fraction;
-every refusal is a typed PermBinomError, not a bare built-in exception.
+every refusal is a typed PermBinomError, not a bare built-in exception,
+and cli.main catches nothing else but OSError.
 A CLI query loads neither the sweep and selftest machinery nor the
 sharpness module, nothing loads mpmath, and the lazily loaded public names
 still behave like the eager ones.
@@ -305,6 +306,41 @@ def test_no_bare_builtin_refusal(path):
     assert builtin_raises(path.read_text()) == []
 
 
+def foreign_handlers(source: str, function: str = "main") -> list[str]:
+    """What the except clauses of the named function catch besides PermBinomError types and OSError."""
+    functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef) and node.name == function]
+    if not functions:
+        return [f"no function {function}"]
+    found = []
+    for node in ast.walk(functions[0]):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            found.append(f"bare except (line {node.lineno})")
+            continue
+        for exc in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+            name = ast.unparse(exc)
+            error = getattr(permbinom.errors, name, None)
+            if name != "OSError" and not (isinstance(error, type) and issubclass(error, permbinom.PermBinomError)):
+                found.append(f"{name} (line {exc.lineno})")
+    return found
+
+
+def test_foreign_handler_detector():
+    src = (
+        "def main():\n    try:\n        pass\n    except (NonPrimeError, OSError):\n        pass\n"
+        "    except (ValueError, errors.NonPrimeError) as exc:\n        pass\n    except:\n        pass\n"
+        "def other():\n    try:\n        pass\n    except KeyError:\n        pass\n"
+    )
+    assert foreign_handlers(src) == ["ValueError (line 6)", "errors.NonPrimeError (line 6)", "bare except (line 8)"]
+    assert foreign_handlers(src, "missing") == ["no function missing"]
+
+
+def test_cli_main_catches_only_package_errors_and_os_errors():
+    # any other exception is a bug, and surfaces as a traceback
+    assert foreign_handlers((SRC / "cli.py").read_text()) == []
+
+
 def _refusals():
     from permbinom import cli, counts, curves, fields, permtest, primes, selftest, sweep
     from permbinom.characters import power_sum
@@ -364,7 +400,7 @@ HUGE_Q_REFUSALS = {
 HUGE_Q_QUERIES = {
     "count-gcd": (["count", "--field", "7^8000", "--n", "2", "--r", "3"], HUGE_Q_REFUSALS["check_cell"][1]),
     "count-odd-q": (["count", "--field", "2^20000", "--n", "1", "--r", "2"], HUGE_Q_REFUSALS["build_count_report"][1]),
-    "bounds-1-mod-3": (["bounds", "--field", "2^20001", "--r", "3"], HUGE_Q_REFUSALS["masuda_zieve_bounds"][1]),
+    "bounds-1-mod-3": (["bounds", "--field", "2^20001", "--r", "3"], HUGE_Q_REFUSALS["refined_bounds_r3"][1]),
 }
 
 

@@ -1,6 +1,7 @@
 """Sharpness probe: exact deviation enclosures and convergent hunting."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from mpmath import mp, mpf
 from permbinom import cli, sharpness
 from permbinom.counts import epsilons
 from permbinom.curves import compute_kappa, pi_trace
-from permbinom.errors import ProbeConfigError, UnsupportedPrimeError
+from permbinom.errors import BadFieldForCubicError, NonPrimeError, ProbeConfigError, UnsupportedPrimeError
 from permbinom.primes import is_prime
 
 
@@ -296,6 +297,33 @@ def test_deviation_and_admissibility_refuse_bad_input_before_any_work(no_work, p
 def test_admissible_exponent_refuses_n_zero_with_a_typed_error():
     with pytest.raises(ProbeConfigError, match="^n must be at least 1, got 0"):
         sharpness.admissible_exponent(0, 7, 3)
+
+
+@pytest.mark.parametrize(
+    "n,p,k,error,message",
+    [
+        (1, 15, 2, NonPrimeError, "^15 is not prime$"),
+        (2, 5, 1, BadFieldForCubicError, "^q = 5\\^1 is not 1 mod 3$"),  # (5 - 1)/3 is not an integer
+        (1, 11, 10**30 + 1, BadFieldForCubicError, "^q = 11\\^1000000000000000000000000000001 is not 1 mod 3$"),
+    ],
+)
+def test_admissible_exponent_refuses_a_field_outside_its_domain(no_work, n, p, k, error, message):
+    with pytest.raises(error, match=message):
+        sharpness.admissible_exponent(n, p, k)
+
+
+def test_cli_sharpness_refuses_convergents_too_long_to_print(capsys):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)  # the least limit the interpreter accepts
+        assert cli.main(["sharpness", "--p", "73", "--n", "35", "--depth", "1400", "--k-max", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the convergents at depth 1400 may have more than 640 digits, the interpreter's int-to-str limit\n"
+        assert cli.main(["sharpness", "--p", "73", "--n", "35", "--depth", "100", "--k-max", "2", "--format", "text"]) == 0
+        assert capsys.readouterr().out.startswith("p=73 n=35 kappa=7 theta=")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.parametrize("flags", [["--n", "5", "--depth", "-1"], ["--n", "0"], ["--n", "5", "--k-max", "0"]])
