@@ -88,7 +88,7 @@ def _element(spec: FieldSpec, text: str):
 
 def _cmd_enumerate(args) -> int:
     spec = _field_spec(args)
-    a_values = [a.encode() for a in enumerate_perm_binomials(spec, args.n, args.r, method=args.method)]
+    a_values = enumerate_perm_binomials(spec, args.n, args.r, method=args.method, encoded=True)
     cell = (spec.q, spec.p, spec.k, args.n, args.r, args.method)
     _emit(
         args,

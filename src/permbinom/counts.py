@@ -164,7 +164,7 @@ def build_count_report(
     brute_count = a_values = None
     if verify:
         spec = make_field(p, k)
-        runs = {method: tuple(a.encode() for a in enumerate_perm_binomials(spec, n, r, method=method)) for method in ROUTES}
+        runs = {method: tuple(enumerate_perm_binomials(spec, n, r, method=method, encoded=True)) for method in ROUTES}
         a_values = runs["criterion"]
         criterion = frozenset(a_values)
         for method, found in runs.items():

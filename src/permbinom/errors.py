@@ -74,7 +74,7 @@ class EnumerationGuardError(PermBinomError, ValueError):
 
 
 class SweepConfigError(PermBinomError, ValueError):
-    """A sweep's q_max, r_set or jobs is out of range."""
+    """A sweep's q_max, r_set or jobs is not an integer or out of range."""
 
 
 class ProbeConfigError(PermBinomError, ValueError):
@@ -94,7 +94,7 @@ class OutOfRangeError(PermBinomError, ValueError):
 
 
 class UnknownChoiceError(PermBinomError, ValueError):
-    """A method, check, report format or field string that names none of the accepted choices, or an encoding or coefficient that is not an integer."""
+    """A method, check, report format or field string that names none of the accepted choices, or an encoding, coefficient or cell's q, n or r that is not an integer."""
 
 
 def int_text(n: int) -> str:

@@ -14,8 +14,10 @@ Routes:
   * criterion: the character conditions specific to r = 2 and r = 3, on
     FieldElement arithmetic.
 
-ROUTES names them; each returns the encodings of its a, ascending, and
-enumerate_perm_binomials, which dispatches through ROUTES, decodes them.
+ROUTES names them; each returns the encodings of its a, ascending.
+enumerate_perm_binomials, which dispatches through ROUTES, decodes them,
+or with encoded=True hands them on as they are: callers that want
+encodings pass it, and never decode an element only to encode it again.
 
 The criterion and brute force test a = 0 and one a per orbit, through one
 orbit walk: _orbit_leaders picks one j per orbit of j -> p j mod
@@ -24,9 +26,10 @@ under a -> a^p and a -> omega a. Wan-Lidl tests every a, so the sweep
 checks the symmetry on its sets, with _orbit_union naming a split orbit.
 
 The routes answer only on admissible cells (q, n, r), the ones the paper
-counts: r is 2 or 3, q is odd for r = 2 and q = 1 mod 3 for r = 3,
-1 <= n <= q - 1, and gcd(n, (q-1)/r) = 1. check_cell is the one place that
-rule is written; check_field, on the test field_admits, is its field half.
+counts: q, n and r are integers, r is 2 or 3, q is odd for r = 2 and
+q = 1 mod 3 for r = 3, 1 <= n <= q - 1, and gcd(n, (q-1)/r) = 1.
+check_cell is the one place that rule is written; check_field, on the test
+field_admits, is its field half.
 
 All three agree on every field this package enumerates; the test suite
 checks that, which is what makes the fast criterion trustworthy.
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from math import gcd
-from operator import mod
+from operator import index, mod
 from typing import Mapping, NamedTuple
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
@@ -49,7 +52,7 @@ from .errors import (
     ZeroPolynomialError,
     int_text,
 )
-from .fields import NO_LOG, FieldElement, FieldSpec, FieldTables, ensure_enumerable
+from .fields import FieldElement, FieldSpec, FieldTables, ensure_enumerable
 
 Poly = Mapping[int, FieldElement]
 
@@ -184,8 +187,18 @@ def field_admits(q: int, r: int) -> bool:
     return (r == 2 and q % 2 == 1) or (r == 3 and q % 3 == 1)
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise UnknownChoiceError unless value is an integer to operator.index, so 2.0 and "2" are refused, not truncated."""
+    try:
+        index(value)
+    except TypeError:
+        raise UnknownChoiceError(f"{name} must be an integer, got a {type(value).__name__}") from None
+
+
 def check_field(q: int, r: int) -> None:
-    """Raise unless r is 2 or 3 and the counts cover F_q at r: the field half of check_cell."""
+    """Raise unless q and r are integers, r is 2 or 3 and the counts cover F_q at r: the field half of check_cell."""
+    _check_integer("q", q)
+    _check_integer("r", r)
     if r not in (2, 3):
         raise OutOfRangeError(f"r must be 2 or 3, got {r}")
     if not field_admits(q, r):
@@ -200,6 +213,7 @@ def check_cell(q: int, n: int, r: int) -> None:
     Works on q alone and never factors it, so it costs nothing at huge q.
     """
     check_field(q, r)
+    _check_integer("n", n)
     if not 1 <= n <= q - 1:
         raise OutOfRangeError(f"n must lie in [1, q-1], got {int_text(n)}")
     d = (q - 1) // r
@@ -263,9 +277,10 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
     """
     if r == 2:
         target = 1 if n % 2 == 1 else -1
+        one = spec.one
 
         def passes(a: FieldElement) -> bool:
-            return quadratic_char(spec, a * a - 1) == target
+            return quadratic_char(spec, a * a - one) == target
 
     else:
         one, xi, xi2 = cubic_roots_of_unity(spec)
@@ -278,6 +293,11 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
     exp = tables.exp
     hits = [j for j in _orbit_leaders(spec.p, (spec.q - 1) // r) if passes(spec.decode(exp[j]))]
     return _orbit_union(spec, tables, r, hits, passes(spec.zero))
+
+
+def _minus_one_log(spec: FieldSpec) -> int:
+    """log(-1) to base alpha: (q-1)/2 for odd p, 0 for p = 2; the one i where zech[i] is NO_LOG."""
+    return (spec.q - 1) // 2 if spec.p != 2 else 0
 
 
 def set_diff(a: frozenset, b: frozenset) -> str:
@@ -326,7 +346,7 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
         mask = (mask0 >> (n + d) * t % q1) & full
         masks.append(mask | mask << q1)
     z = tables.zech.tolist()
-    z[z.index(NO_LOG)] = 2 * q1
+    z[_minus_one_log(spec)] = 2 * q1
     # row t at j is zech[j - d t], read as zech[j + d u] with u = -t mod r
     offsets = [d * (-t % r) for t in range(r)]
     leaders = _orbit_leaders(spec.p, d)
@@ -387,7 +407,7 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
     exp, _, zech = tables
     # int(_, 2) reads string position q1 - 1 - x as bit x, and Z(x) = zech[(q1 - 1 - x) + 1] sits there
     residues = bytearray(map(mod, zech[1:] + zech[:1], repeat(m)))
-    residues[(q1 // 2 if spec.p != 2 else 0) - 1] = m  # zech is NO_LOG where alpha^i = -1
+    residues[_minus_one_log(spec) - 1] = m  # zech is NO_LOG where alpha^i = -1
     symbols = bytes(range(m + 1))
     doubled = []
     for v in range(m):
@@ -408,14 +428,19 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
 ROUTES = {"criterion": _criterion_survivors, "bruteforce": _brute_survivors, "wanlidl": _wan_lidl_survivors}
 
 
-def enumerate_perm_binomials(spec: FieldSpec, n: int, r: int, method: str = "criterion") -> list[FieldElement]:
+def enumerate_perm_binomials(
+    spec: FieldSpec, n: int, r: int, method: str = "criterion", *, encoded: bool = False
+) -> list[FieldElement] | list[int]:
     """All a in F_q (enumeration order) making x^n (x^((q-1)/r) + a) a permutation, by the route ROUTES[method].
 
     a = 0 is included; the binomial degenerates to the monomial
     x^(n + (q-1)/r), which every route tests as an ordinary a.
+    encoded=True returns the route's ascending encodings as they are;
+    callers that want encodings pass it rather than encode each element.
     """
     route = ROUTES.get(method) if isinstance(method, str) else None
     if route is None:
         raise UnknownChoiceError(f"unknown method {method!r}")
     check_cell(spec.q, n, r)
-    return [spec.decode(a) for a in route(spec, spec.scan_tables(), n, r)]
+    found = route(spec, spec.scan_tables(), n, r)
+    return found if encoded else [spec.decode(a) for a in found]

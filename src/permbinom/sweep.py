@@ -36,6 +36,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
 from .counts import bound_pairs, closed_count, epsilons
@@ -118,17 +119,20 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
         key = n % r
         if key in class_sets:
             continue
-        crit = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion"))
+        crit = frozenset(enumerate_perm_binomials(spec, n, r, method="criterion", encoded=True))
         class_sets[key] = crit
-        wl = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="wanlidl"))
+        wl = frozenset(enumerate_perm_binomials(spec, n, r, method="wanlidl", encoded=True))
         for first, inside, size in _split_orbits(spec, r, wl):
             failures.append(SweepFailure(q, n, r, "wanlidl", "symmetry", f"orbit of a={first} split: {inside} of {size} members found"))
         if wl != crit:
             failures.append(SweepFailure(q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
 
     disputed = {f.n % r for f in failures}  # classes where Wan-Lidl disagrees
+    # what every cell of the block shares, formed once
     mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, r)
-    s_k = pi_trace(p, k) if r == 3 else None
+    pairs = (("mz-bounds", max(mz_lo, 0), mz_hi), ("refined-bounds", cor_lo, cor_hi))
+    mz_lower, mz_upper = str(mz_lo), str(mz_hi)
+    s_k = str(pi_trace(p, k)) if r == 3 else None
     rng = random.Random(f"{config.seed}:{q}:{r}")
 
     for n in ns:
@@ -147,13 +151,13 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
 
         brute_count = None
         if q <= BRUTE_FULL_MAX or rng.random() < BRUTE_SAMPLE_RATE:
-            brute = frozenset(a.encode() for a in enumerate_perm_binomials(spec, n, r, method="bruteforce"))
+            brute = frozenset(enumerate_perm_binomials(spec, n, r, method="bruteforce", encoded=True))
             brute_count = len(brute)
             if brute != crit_set:
                 failures.append(SweepFailure(q, n, r, "criterion", "bruteforce", set_diff(crit_set, brute)))
 
         if closed is not None:
-            for pair, lo, hi in (("mz-bounds", max(mz_lo, 0), mz_hi), ("refined-bounds", cor_lo, cor_hi)):
+            for pair, lo, hi in pairs:
                 if lo is not None and not lo <= closed <= hi:
                     failures.append(SweepFailure(q, n, r, "closed", pair, f"{closed} outside [{lo}, {hi}]"))
 
@@ -166,12 +170,12 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
                 "r": r,
                 "epsilon1": e1,
                 "epsilon2": e2,
-                "s_k": None if s_k is None else str(s_k),
+                "s_k": s_k,
                 "closed_count": closed,
                 "criterion_count": crit_count,
                 "brute_count": brute_count,
-                "mz_lower": str(mz_lo),
-                "mz_upper": str(mz_hi),
+                "mz_lower": mz_lower,
+                "mz_upper": mz_upper,
                 "cor_lower": cor_lo,
                 "cor_upper": cor_hi,
                 "ok": len(failures) == recorded and n % r not in disputed,
@@ -189,6 +193,11 @@ def merge_results(results: list[SweepResult]) -> SweepResult:
 
 def validate_config(config: SweepConfig) -> None:
     """Raise SweepConfigError, or EnumerationGuardError above the guard, before any work starts."""
+    try:
+        for value in (config.q_max, config.jobs, *config.r_set):
+            index(value)
+    except TypeError:
+        raise SweepConfigError("q_max, jobs and each entry of r_set must be integers") from None
     if config.q_max < 2:
         raise SweepConfigError("q_max must be at least 2")
     ensure_enumerable(config.q_max)

@@ -4,7 +4,8 @@ No module imports a name it never uses, imports dataclasses, or imports
 anything outside the standard library and the package; no function or
 subcommand takes a force switch past the enumeration guard; only fields.py
 reads the environment; only counts.py calls the per-r closed forms and
-bounds; no module touches the private parts of Fraction;
+bounds; no module encodes the elements enumerate_perm_binomials decoded;
+no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception,
 and cli.main catches nothing else but OSError.
 A CLI query loads neither the sweep and selftest machinery nor the
@@ -122,6 +123,66 @@ def test_per_r_rule_call_detector():
 def test_only_counts_picks_a_closed_form_or_bound_pair_by_r():
     callers = {p.name for p in ALL_SOURCES if per_r_rule_calls(p.read_text())}
     assert callers == {"counts.py"}
+
+
+def _calls(tree: ast.AST, name: str) -> bool:
+    """Whether tree holds a call of name, by bare name or as an attribute."""
+    return any(
+        isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def encode_round_trips(source: str) -> list[str]:
+    """Loops and comprehensions that call .encode() while iterating what enumerate_perm_binomials returned.
+
+    The iterable is the call itself or a name assigned from it. A caller
+    that wants encodings passes encoded=True instead.
+    """
+    tree = ast.parse(source)
+    results = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _calls(node.value, "enumerate_perm_binomials")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            iters, body = [g.iter for g in node.generators], [node.elt]
+        elif isinstance(node, ast.DictComp):
+            iters, body = [g.iter for g in node.generators], [node.key, node.value]
+        elif isinstance(node, ast.For):
+            iters, body = [node.iter], node.body
+        else:
+            continue
+        over_result = any(
+            _calls(it, "enumerate_perm_binomials") or any(isinstance(n, ast.Name) and n.id in results for n in ast.walk(it))
+            for it in iters
+        )
+        if over_result and any(_calls(b, "encode") for b in body):
+            found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_encode_round_trip_detector():
+    src = (
+        "xs = [a.encode() for a in enumerate_perm_binomials(spec, n, r)]\n"
+        "ys = frozenset(a.encode() for a in permtest.enumerate_perm_binomials(spec, n, r, method=m))\n"
+        "found = enumerate_perm_binomials(spec, n, r)\n"
+        "for a in found:\n    out.append(a.encode())\n"
+        "zs = {m: tuple(a.encode() for a in enumerate_perm_binomials(spec, n, r, method=m)) for m in ROUTES}\n"
+        "ok = frozenset(enumerate_perm_binomials(spec, n, r, encoded=True))\n"
+        "fine = [x.encode() for x in spec.elements()]\n"
+    )
+    assert encode_round_trips(src) == ["line 1", "line 2", "line 4", "line 6"]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_module_encodes_what_it_had_decoded(path):
+    # the routes return encodings; enumerate_perm_binomials(..., encoded=True) hands them on without a decode
+    assert encode_round_trips(path.read_text()) == []
 
 
 def dataclass_imports(source: str) -> list[str]:

@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 import permbinom.permtest as permtest
 from permbinom.characters import cubic_char, cubic_roots_of_unity, quadratic_char
+from permbinom.counts import closed_count_r2, closed_count_r3
 from permbinom.errors import (
     BadFieldForCubicError,
     EvenCharacteristicError,
     GcdViolationError,
+    UnknownChoiceError,
     ZeroPolynomialError,
 )
-from permbinom.fields import NO_LOG, FieldSpec, make_field
+from permbinom.fields import NO_LOG, FieldElement, FieldSpec, make_field
 from permbinom.permtest import (
     binomial_polynomial,
     compute_index_form,
@@ -201,6 +203,69 @@ def test_enumerate_validations():
         enumerate_perm_binomials(make_field(11), 1, 3)
     with pytest.raises(ValueError):
         enumerate_perm_binomials(f13, 1, 2, method="magic")
+
+
+class _Int(int):
+    """An int subclass, as IntEnum members are: integer-like, so accepted."""
+
+
+f13 = make_field(13)
+NON_INTEGER_CELLS = {
+    "enumerate-n": lambda: enumerate_perm_binomials(f13, 1.0, 2),
+    "enumerate-r": lambda: enumerate_perm_binomials(f13, 1, 2.0),
+    "enumerate-n-str": lambda: enumerate_perm_binomials(f13, "1", 2),
+    "enumerate-r-str": lambda: enumerate_perm_binomials(f13, 1, "2", method="bruteforce"),
+    "closed_count_r2": lambda: closed_count_r2(13, 1.0),
+    "closed_count_r3": lambda: closed_count_r3(7, 1, 1.0),
+    "check_cell-q": lambda: permtest.check_cell(13.0, 1, 2),
+    "check_field-q": lambda: permtest.check_field(7.0, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CELLS))
+def test_a_non_integer_cell_is_refused_as_decode_refuses_5_5(name):
+    with pytest.raises(UnknownChoiceError, match=r"^[qnr] must be an integer, got a (float|str)$"):
+        NON_INTEGER_CELLS[name]()
+
+
+def test_an_integer_like_cell_is_accepted():
+    want = enumerate_perm_binomials(f13, 1, 2)
+    assert enumerate_perm_binomials(f13, True, 2) == want
+    assert enumerate_perm_binomials(f13, _Int(1), _Int(2)) == want
+    assert closed_count_r2(_Int(13), True) == closed_count_r2(13, 1) == len(want)
+    assert closed_count_r3(7, 1, _Int(1)) == closed_count_r3(7, 1, 1)
+
+
+def _encoded_cells():
+    """(spec, n, r): one n per class on every admissible (q, r) with q <= 128, then F_(2^6) and F_(2^8) at r = 3, F_(3^5) at r = 2."""
+    cells = [
+        (make_field(*prime_power_decompose(q)), n, r)
+        for q in prime_powers_upto(128)
+        for r in (2, 3)
+        if field_admits(q, r)
+        for n in _one_n_per_class(q, r)
+    ]
+    for p, k, r in ((2, 6, 3), (2, 8, 3), (3, 5, 2)):
+        cells += [(make_field(p, k), n, r) for n in _one_n_per_class(p**k, r)]
+    return cells
+
+
+@pytest.mark.parametrize("method", list(permtest.ROUTES))
+def test_encoded_returns_the_route_encodings_the_default_decodes(method):
+    cells = _encoded_cells()
+    for spec, n, r in cells:
+        decoded = enumerate_perm_binomials(spec, n, r, method=method)
+        got = enumerate_perm_binomials(spec, n, r, method=method, encoded=True)
+        assert all(type(a) is FieldElement for a in decoded)
+        assert all(type(a) is int for a in got)
+        assert got == sorted(set(got)) == [a.encode() for a in decoded], (spec.q, n, r)
+    assert len(cells) == 115
+
+
+def test_encoded_is_keyword_only():
+    # method stays the fourth positional argument, which the benchmark's tracer reads
+    with pytest.raises(TypeError):
+        enumerate_perm_binomials(f13, 1, 2, "criterion", True)
 
 
 def _bitmask(positions, width):

@@ -92,13 +92,13 @@ def test_wanlidl_route_agrees_in_sweep():
 def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
     real = sweep.enumerate_perm_binomials
 
-    def wanlidl_loses_one(spec, n, r, method="criterion"):
+    def wanlidl_loses_one(spec, n, r, method="criterion", *, encoded=False):
         found = real(spec, n, r, method=method)
-        if method != "wanlidl" or not found:
-            return found
-        # drop the last a, or trade it for one outside the set (same count)
-        outside = [next(x for x in spec.elements() if x not in found)] if swap else []
-        return found[:-1] + outside
+        if method == "wanlidl" and found:
+            # drop the last a, or trade it for one outside the set (same count)
+            outside = [next(x for x in spec.elements() if x not in found)] if swap else []
+            found = found[:-1] + outside
+        return [a.encode() for a in found] if encoded else found
 
     # one failure per (q, r, class of n) whose a-set is not empty
     clean = run_verify_sweep(SweepConfig(q_max=13))
@@ -149,11 +149,11 @@ def _split_one_orbit(monkeypatch, route, drop_pair):
     dropped = {victim, -victim} if drop_pair else {victim}
     real = sweep.enumerate_perm_binomials
 
-    def drops(spec, n, r, method="criterion"):
+    def drops(spec, n, r, method="criterion", *, encoded=False):
         out = real(spec, n, r, method=method)
         if method == route and spec.q == 25 and r == 2 and n % 2 == 1:
             out = [a for a in out if a not in dropped]
-        return out
+        return [a.encode() for a in out] if encoded else out
 
     monkeypatch.setattr(sweep, "enumerate_perm_binomials", drops)
     result = run_verify_sweep(SweepConfig(q_max=25))
@@ -238,6 +238,28 @@ def test_config_validation(bad):
 def test_config_errors_are_typed(bad):
     with pytest.raises(SweepConfigError):
         run_verify_sweep(bad)
+
+
+class _Int(int):
+    """An int subclass, as IntEnum members are: integer-like, so accepted."""
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"q_max": 50.5}, {"q_max": "50"}, {"jobs": 1.5}, {"r_set": (2.0,)}, {"r_set": (2, "3")}, {"r_set": 2}],
+    ids=["q_max-float", "q_max-str", "jobs-float", "r_set-float", "r_set-str", "r_set-int"],
+)
+def test_a_non_integer_config_is_refused_before_any_work(kwargs, monkeypatch):
+    monkeypatch.setattr(sweep, "_field_task", lambda *args: pytest.fail("a block ran"))
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool was started"))
+    with pytest.raises(SweepConfigError, match="^q_max, jobs and each entry of r_set must be integers$"):
+        run_verify_sweep(SweepConfig(**{"q_max": 13, **kwargs}))
+
+
+def test_an_integer_like_config_is_accepted():
+    want = run_verify_sweep(SweepConfig(q_max=13, r_set=(2,)))
+    got = run_verify_sweep(SweepConfig(q_max=_Int(13), r_set=(_Int(2),), jobs=True))
+    assert got.cells == want.cells and got.failures == want.failures == ()
 
 
 @pytest.mark.parametrize("kwargs", [{"q_max": 1}, {"q_max": 0}, {"jobs": 0}])
@@ -631,12 +653,12 @@ def test_cli_cross_check_mismatch_exits_1(capsys, monkeypatch):
 def test_cli_count_verify_compares_a_sets(capsys, monkeypatch):
     real = counts.enumerate_perm_binomials
 
-    def brute_swaps_one(spec, n, r, method="criterion"):
+    def brute_swaps_one(spec, n, r, method="criterion", *, encoded=False):
         found = real(spec, n, r, method=method)
         if method == "bruteforce":  # same count, one a traded for another
             outside = next(x for x in spec.elements() if x not in found)
             found = found[1:] + [outside]
-        return found
+        return [a.encode() for a in found] if encoded else found
 
     monkeypatch.setattr(counts, "enumerate_perm_binomials", brute_swaps_one)
     rc = cli.main(["count", "--field", "73", "--n", "35", "--r", "3", "--verify"])
@@ -652,10 +674,11 @@ def test_cli_count_verify_runs_wan_lidl(capsys, monkeypatch):
     real = counts.enumerate_perm_binomials
     methods = []
 
-    def wan_lidl_drops_one(spec, n, r, method="criterion"):
+    def wan_lidl_drops_one(spec, n, r, method="criterion", *, encoded=False):
         methods.append(method)
         found = real(spec, n, r, method=method)
-        return found[1:] if method == "wanlidl" else found
+        found = found[1:] if method == "wanlidl" else found
+        return [a.encode() for a in found] if encoded else found
 
     monkeypatch.setattr(counts, "enumerate_perm_binomials", wan_lidl_drops_one)
     assert cli.main(["count", "--field", "73", "--n", "35", "--r", "3", "--verify"]) == 1

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from permbinom import cli
+from permbinom import cli, permtest
 from permbinom.characters import cubic_char, power_sum, quadratic_char
 from permbinom.curves import count_points_extension
 from permbinom.errors import BadFieldForCubicError, EnumerationGuardError, UnknownChoiceError
@@ -82,6 +82,16 @@ def test_tables_match_polynomial_arithmetic(p, k, modulus):
         assert log[exp[i]] == i
         one_plus = (plain.one + power).encode()
         assert zech[i] == (NO_LOG if one_plus == 0 else log[one_plus])
+
+
+def test_zech_is_no_log_only_where_alpha_i_is_minus_one():
+    # brute force and Wan-Lidl write to this slot without searching for it
+    for q in prime_powers_upto(1024):
+        spec = make_field(*prime_power_decompose(q))
+        zech = spec.scan_tables().zech
+        where = (q - 1) // 2 if spec.p != 2 else 0
+        assert zech.count(NO_LOG) == 1 and zech[where] == NO_LOG, q
+        assert permtest._minus_one_log(spec) == where
 
 
 @pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
