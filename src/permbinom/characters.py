@@ -10,14 +10,16 @@ and eta(u/v) = eta(u) - eta(v) without any field inversions.
 Both read one exponent routine, _exponent: the e < m with
 el^((q-1)/m) = alpha^((q-1)e/m), for m = 2 (chi = (-1)^e) and m = 3
 (eta = e). Only here are characters read off a field's scan tables, as
-el = alpha^i gives e = i mod m; without tables e takes one power.
+el = alpha^i gives e = i mod m: by _exponent one element at a time, and
+by character_classes over the whole log table; without tables e takes
+one power.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .errors import BadFieldForCubicError, EvenCharacteristicError, OutOfRangeError
+from .errors import BadFieldForCubicError, EvenCharacteristicError, check_integer
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
@@ -36,7 +38,9 @@ def _exponent(spec: FieldSpec, el: FieldElement, m: int, roots: Callable[[FieldS
 
 
 def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
-    """chi(el) = el^((q-1)/2) read as -1, 0, or +1."""
+    """chi(el) = el^((q-1)/2) read as -1, 0, or +1; el is an element of spec, or an int it lifts."""
+    if type(el) is not FieldElement or el.spec is not spec:
+        el = spec.element(el)
     if spec.p == 2:
         raise EvenCharacteristicError("quadratic character needs odd q")
     if el.is_zero:
@@ -59,23 +63,27 @@ def cubic_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement, F
 
 
 def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
-    """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0."""
+    """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0; el is an element of spec, or an int it lifts."""
+    if type(el) is not FieldElement or el.spec is not spec:
+        el = spec.element(el)
     if el.is_zero:
         return None
     return _exponent(spec, el, 3, cubic_roots_of_unity)
 
 
 def character_classes(spec: FieldSpec) -> dict:
-    """How many nonzero elements take each value of chi and of eta; None for a character F_q lacks."""
-    spec.scan_tables()  # the guard, then the tables both characters read
-    quad = None
+    """How many nonzero elements take each value of chi and of eta; None for a character F_q lacks.
+
+    Counted on the logs of the nonzero elements: chi(alpha^i) = (-1)^i and eta(alpha^i) = i mod 3.
+    """
+    logs = spec.scan_tables().log[1:]
+    quad = cubic = None
     if spec.p != 2:
-        vals = [quadratic_char(spec, x) for x in spec.elements() if not x.is_zero]
-        quad = {"1": vals.count(1), "-1": vals.count(-1), "zero": 1}
-    cubic = None
+        odd = sum(i & 1 for i in logs)
+        quad = {"1": len(logs) - odd, "-1": odd, "zero": 1}
     if spec.q % 3 == 1:
-        exps = [cubic_char(spec, x) for x in spec.elements() if not x.is_zero]
-        cubic = {"0": exps.count(0), "1": exps.count(1), "2": exps.count(2), "zero": 1}
+        etas = bytes(i % 3 for i in logs)
+        cubic = {"0": etas.count(0), "1": etas.count(1), "2": etas.count(2), "zero": 1}
     return {"q": spec.q, "quadratic_classes": quad, "cubic_classes": cubic}
 
 
@@ -85,8 +93,7 @@ def power_sum(spec: FieldSpec, m: int) -> FieldElement:
     Equals -1 when (q-1) | m and m > 0, and 0 otherwise (for m = 0 the
     q copies of 1 sum to q * 1 = 0 in characteristic p).
     """
-    if m < 0:
-        raise OutOfRangeError("exponent must be nonnegative")
+    check_integer("m", m, 0)
     exp, _, zech = spec.scan_tables()
     q1 = spec.q - 1
     total = 0 if m == 0 else NO_LOG  # log of the running sum, starting from 0^m

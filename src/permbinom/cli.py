@@ -22,7 +22,6 @@ from .errors import (
     CrossCheckFailedError,
     DivisibilityViolationError,
     EvenCharacteristicError,
-    OutOfRangeError,
     PermBinomError,
     UnknownChoiceError,
     refuse_unprintable,
@@ -81,9 +80,7 @@ def _element(spec: FieldSpec, text: str):
         enc = int(text)
     except ValueError:
         raise UnknownChoiceError(f"cannot parse element {text!r}; expected an encoding or inv4") from None
-    if not 0 <= enc < spec.q:
-        raise OutOfRangeError(f"element encoding {enc} outside [0, {spec.q})")
-    return spec.decode(enc)
+    return spec.decode(enc)  # refuses an encoding outside [0, q)
 
 
 def _cmd_enumerate(args) -> int:

@@ -28,7 +28,7 @@ from math import factorial, isqrt
 from typing import Callable, NamedTuple
 
 from .curves import pi_trace
-from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, int_text, refuse_unprintable
+from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, check_integer, int_text, refuse_unprintable
 from .fields import check_prime_power, ensure_enumerable, make_field
 from .permtest import ROUTES, check_cell, check_field, enumerate_perm_binomials, set_diff
 from .primes import exact_sqrt, prime_power_decompose
@@ -40,14 +40,16 @@ REPORT_SCALE = 10**32
 
 def closed_count_r2(q: int, n: int) -> int:
     """(q - 2 + (-1)^n) / 2 on a prime power q for an admissible cell (q, n, 2)."""
+    check_cell(q, n, 2)
     if prime_power_decompose(q) is None:
         raise NonPrimeError(f"q = {int_text(q)} is not a prime power")
-    check_cell(q, n, 2)
     return (q - 2 + (-1) ** n) // 2
 
 
 def epsilons(q: int, n: int) -> tuple[int, int]:
-    """The two correction terms of the r = 3 count."""
+    """The two correction terms of the r = 3 count; any integers q and n, as sharpness passes q mod 9."""
+    check_integer("q", q)
+    check_integer("n", n)
     e1 = -2 if (q - 3 * n) % 9 == 1 else 1
     e2 = -2 if n % 3 == 0 else 1
     return e1, e2
@@ -83,10 +85,8 @@ def masuda_zieve_bounds(q: int, r: int) -> tuple[Fraction, Fraction]:
     replaced by a rational just above it, so the returned interval always
     contains the true one.
     """
-    if r < 2:
-        raise OutOfRangeError("r must be >= 2")
-    if q < 1:
-        raise OutOfRangeError(f"q must be positive, got {int_text(q)}")
+    check_integer("r", r, 2)
+    check_integer("q", q, 1)
     if (q - 1) % r != 0:
         raise OutOfRangeError(f"r = {r} must divide q - 1 = {int_text(q - 1)}")
     m_r = r ** (r + 1) - 2 * r**r - r ** (r - 1) + 2
@@ -103,8 +103,7 @@ def refined_bounds_r3(q: int) -> tuple[int, int]:
     One integer square root stands in for the irrational 4 sqrt(q): an
     integer v is at most 4 sqrt(q) iff v <= f = isqrt(16q).
     """
-    if q < 1:
-        raise OutOfRangeError(f"q must be positive, got {int_text(q)}")
+    check_integer("q", q, 1)
     check_field(q, 3)
     f = isqrt(16 * q)
     return -((16 + f - 2 * q) // 9), (2 * q - 7 + f) // 9

@@ -27,9 +27,9 @@ from .errors import (
     DegreeMismatchError,
     EvenCharacteristicError,
     EvenPrimeError,
-    OutOfRangeError,
     SmallPrimeError,
     UnsupportedPrimeError,
+    check_integer,
 )
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, check_prime_power, ensure_enumerable, make_field
 
@@ -40,15 +40,14 @@ def count_points_prime(p: int, a4: int, a6: int) -> int:
     Walks all of F_p with a p-entry list, so p must pass the enumeration
     guard, as every other full-field scan must.
     """
+    check_prime_power(p, 1)
+    a4, a6 = check_integer("a4", a4) % p, check_integer("a6", a6) % p
     if p == 2:
         raise EvenPrimeError("use the characteristic-2 model instead")
-    check_prime_power(p, 1)
     ensure_enumerable(p)
     roots = [0] * p
     for y in range(p):
         roots[y * y % p] += 1
-    a4 %= p
-    a6 %= p
     return 1 + sum(roots[(x * x * x + a4 * x + a6) % p] for x in range(p))
 
 
@@ -66,14 +65,13 @@ def point_count_residue(p: int, a4: int, a6: int) -> int:
     a product of binomials up to about p bits long, so p must pass the
     enumeration guard.
     """
+    check_prime_power(p, 1)
+    a4, a6 = check_integer("a4", a4) % p, check_integer("a6", a6) % p
     if p == 2:
         raise EvenPrimeError("p = 2 has no quadratic-character expansion")
     if p == 3:
         raise SmallPrimeError("the binomial range is empty for p = 3")
-    check_prime_power(p, 1)
     ensure_enumerable(p)
-    a4 %= p
-    a6 %= p
     half = (p - 1) // 2
     total = 0
     for l in range(-(-(p - 1) // 6), (p - 1) // 4 + 1):
@@ -100,7 +98,7 @@ def _char2_model_count() -> int:
     return affine + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 13.0 == 13, but only 13 is a prime
 def compute_kappa(p: int) -> KappaRecord:
     """kappa_p = |E(F_p)| - p - 1 (on the characteristic-2 model at p = 2), checked against the theory.
 
@@ -129,8 +127,7 @@ def pi_trace(p: int, j: int) -> int:
     with s_{2m} = s_m^2 - 2 p^m and s_{2m+1} = s_m s_{m+1} + kappa p^m: three
     big products per bit, one for the last bit, where only s_j is needed.
     """
-    if j < 0:
-        raise OutOfRangeError("trace index must be nonnegative")
+    check_integer("j", j, 0)
     kappa = compute_kappa(p).kappa
     s, t, pm = 2, -kappa, 1
     for bit in bin(j)[2:-1]:
@@ -174,7 +171,7 @@ def char2_cubic_sum(k: int) -> int:
     i = 0 mod (q-1)/3. At a = alpha^i both sides are summed on logarithms
     through the Zech table, and eta(alpha^j) = j mod 3.
     """
-    if k < 1:
+    if check_integer("k", k) < 1:
         raise DegreeMismatchError("k must be >= 1")
     spec = make_field(2, 2 * k)
     _, _, zech = spec.scan_tables()

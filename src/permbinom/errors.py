@@ -1,4 +1,4 @@
-"""Exception types for contract violations.
+"""Exception types for contract violations, and the shared checks that raise them.
 
 Every precondition failure raises a distinct class so callers (and the
 sweep harness, which must never die mid-run) can tell configuration
@@ -7,6 +7,7 @@ mistakes apart from genuine mathematical disagreements.
 
 import math
 import sys
+from operator import index
 
 
 class PermBinomError(Exception):
@@ -94,7 +95,7 @@ class OutOfRangeError(PermBinomError, ValueError):
 
 
 class UnknownChoiceError(PermBinomError, ValueError):
-    """A method, check, report format or field string that names none of the accepted choices, or an encoding, coefficient or cell's q, n or r that is not an integer."""
+    """A method, check, report format or field string that names none of the accepted choices, or an integer argument, encoding or coefficient that is not an integer."""
 
 
 def int_text(n: int) -> str:
@@ -103,6 +104,21 @@ def int_text(n: int) -> str:
         return str(n)
     except ValueError:  # the int-to-str digit limit
         return f"a {n.bit_length()}-bit integer"
+
+
+def check_integer(name: str, value, low: int | None = None) -> int:
+    """value as an int by operator.index, so 2.0 and "2" raise UnknownChoiceError, not truncated or parsed; below low, OutOfRangeError.
+
+    The one integer refusal: every validator and public entry point that
+    takes an integer runs it first.
+    """
+    try:
+        value = index(value)
+    except TypeError:
+        raise UnknownChoiceError(f"{name} must be an integer, got a {type(value).__name__}") from None
+    if low is not None and value < low:
+        raise OutOfRangeError(f"{name} must be at least {low}, got {int_text(value)}")
+    return value
 
 
 def refuse_unprintable(what: str, p: int, e: int, scale: int) -> None:

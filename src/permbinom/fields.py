@@ -70,6 +70,7 @@ from .errors import (
     ReducibleModulusError,
     UnknownChoiceError,
     ZeroElementError,
+    check_integer,
     int_text,
 )
 from .primes import factorize, is_prime, prime_power_decompose
@@ -488,7 +489,9 @@ _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FieldSpec] = {}
 
 
 def check_prime_power(p: int, k: int) -> None:
-    """Raise NonPrimeError unless p is prime, then DegreeMismatchError unless k >= 1."""
+    """Raise unless p and k are integers, then NonPrimeError unless p is prime, then DegreeMismatchError unless k >= 1."""
+    check_integer("p", p)
+    check_integer("k", k)
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     if k < 1:
@@ -520,6 +523,8 @@ def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fiel
 
 def element_order(el: FieldElement) -> int:
     """Multiplicative order, via the factorization of q - 1."""
+    if not isinstance(el, FieldElement):
+        raise UnknownChoiceError(f"element_order needs a FieldElement, got a {type(el).__name__}")
     if el.is_zero:
         raise ZeroElementError("zero has no multiplicative order")
     order = el.spec.q - 1
@@ -533,10 +538,10 @@ def parse_field(text: str) -> tuple[int, int]:
     """Parse a CLI field string 'p^k', or a plain prime-power order q, into (p, k).
 
     Raises as check_prime_power does, NonPrimeError when q is not a
-    prime power, or UnknownChoiceError when the text is neither form.
+    prime power, or UnknownChoiceError when text is not a string of either form.
     """
     try:
-        numbers = [int(part) for part in text.split("^")]
+        numbers = [int(part) for part in text.split("^")] if isinstance(text, str) else []
     except ValueError:
         numbers = []  # not integers: refused below like any other shape
     if len(numbers) == 2:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from math import gcd
-from operator import index, mod
+from operator import mod
 from typing import Mapping, NamedTuple
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
@@ -50,6 +50,7 @@ from .errors import (
     OutOfRangeError,
     UnknownChoiceError,
     ZeroPolynomialError,
+    check_integer,
     int_text,
 )
 from .fields import FieldElement, FieldSpec, FieldTables, ensure_enumerable
@@ -75,9 +76,9 @@ def _as_sparse(spec: FieldSpec, f) -> dict[int, FieldElement]:
         items = enumerate(f)
     out: dict[int, FieldElement] = {}
     for e, c in items:
-        c = spec.element(c)
+        e, c = check_integer("exponent", e, 0), spec.element(c)
         if not c.is_zero:
-            out[int(e)] = c
+            out[e] = c
     return out
 
 
@@ -89,8 +90,11 @@ def evaluate_poly(spec: FieldSpec, f: Poly, x: FieldElement) -> FieldElement:
 
 
 def binomial_polynomial(spec: FieldSpec, n: int, r: int, a: FieldElement) -> dict[int, FieldElement]:
-    """Sparse form of x^n (x^((q-1)/r) + a), exponents reduced below q."""
+    """Sparse form of x^n (x^((q-1)/r) + a), exponents reduced below q, for n >= 0 and r | q - 1; n need not be admissible."""
     q = spec.q
+    check_integer("n", n, 0)
+    if (q - 1) % check_integer("r", r, 1):
+        raise OutOfRangeError(f"r = {r} must divide q - 1 = {int_text(q - 1)}")
     d = (q - 1) // r
     hi = n + d
     if hi > q - 1:
@@ -187,18 +191,10 @@ def field_admits(q: int, r: int) -> bool:
     return (r == 2 and q % 2 == 1) or (r == 3 and q % 3 == 1)
 
 
-def _check_integer(name: str, value) -> None:
-    """Raise UnknownChoiceError unless value is an integer to operator.index, so 2.0 and "2" are refused, not truncated."""
-    try:
-        index(value)
-    except TypeError:
-        raise UnknownChoiceError(f"{name} must be an integer, got a {type(value).__name__}") from None
-
-
 def check_field(q: int, r: int) -> None:
     """Raise unless q and r are integers, r is 2 or 3 and the counts cover F_q at r: the field half of check_cell."""
-    _check_integer("q", q)
-    _check_integer("r", r)
+    check_integer("q", q)
+    check_integer("r", r)
     if r not in (2, 3):
         raise OutOfRangeError(f"r must be 2 or 3, got {r}")
     if not field_admits(q, r):
@@ -213,7 +209,7 @@ def check_cell(q: int, n: int, r: int) -> None:
     Works on q alone and never factors it, so it costs nothing at huge q.
     """
     check_field(q, r)
-    _check_integer("n", n)
+    check_integer("n", n)
     if not 1 <= n <= q - 1:
         raise OutOfRangeError(f"n must lie in [1, q-1], got {int_text(n)}")
     d = (q - 1) // r

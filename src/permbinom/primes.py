@@ -3,7 +3,7 @@
 from itertools import count
 from math import gcd, isqrt, log2
 
-from .errors import FactorizationLimitError, OutOfRangeError
+from .errors import FactorizationLimitError, check_integer
 
 # Miller-Rabin to the first 13 prime bases proves every n below psi13, the
 # least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
@@ -83,8 +83,7 @@ def factorize(n: int) -> dict[int, int]:
     Raises FactorizationLimitError, naming n and the cofactor, when the
     rho steps run out: a cofactor with two very large prime factors.
     """
-    if n < 1:
-        raise OutOfRangeError("factorize expects a positive integer")
+    check_integer("n", n, 1)
     whole = n
     out: dict[int, int] = {}
     d = 2

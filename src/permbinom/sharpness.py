@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .counts import epsilons
 from .curves import compute_kappa, pi_trace
-from .errors import BadFieldForCubicError, ProbeConfigError, UnsupportedPrimeError
+from .errors import BadFieldForCubicError, ProbeConfigError, UnsupportedPrimeError, check_integer
 from .fields import check_prime_power
 from .primes import factorize
 
@@ -190,11 +190,11 @@ def _frobenius_angle(p: int, kappa: int, depth: int) -> tuple[str, list[tuple[in
 
 
 def _check_input(p: int, **positive: int) -> None:
-    """Refuse p < 5 or a named value below 1, before any work."""
-    if p < 5:
+    """Refuse a non-integer, p < 5 or a named value below 1, before any work."""
+    if check_integer("p", p) < 5:
         raise UnsupportedPrimeError(f"probe needs p >= 5, got {p}")
     for name, value in positive.items():
-        if value < 1:
+        if check_integer(name, value) < 1:
             raise ProbeConfigError(f"{name} must be at least 1, got {value}")
 
 

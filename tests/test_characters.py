@@ -11,7 +11,7 @@ from permbinom.characters import (
     power_sum,
     quadratic_char,
 )
-from permbinom.errors import BadFieldForCubicError, EnumerationGuardError, EvenCharacteristicError
+from permbinom.errors import BadFieldForCubicError, EnumerationGuardError, EvenCharacteristicError, FieldMismatchError, UnknownChoiceError
 from permbinom.fields import make_field
 
 ODD_FIELDS = [(7, 1), (3, 2), (13, 1), (5, 2), (3, 3)]
@@ -41,6 +41,20 @@ def test_quadratic_char_multiplicative(field, data):
     a = spec.decode(data.draw(st.integers(0, p**k - 1)))
     b = spec.decode(data.draw(st.integers(0, p**k - 1)))
     assert quadratic_char(spec, a * b) == quadratic_char(spec, a) * quadratic_char(spec, b)
+
+
+def test_a_character_refuses_an_element_of_another_field():
+    a, b = make_field(7, 2, [1, 0, 1]), make_field(7, 2, [3, 1, 1])  # x^2 + 1 and x^2 + x + 3
+    for e in range(1, 49):
+        with pytest.raises(FieldMismatchError):
+            quadratic_char(a, b.decode(e))
+        with pytest.raises(FieldMismatchError):
+            cubic_char(a, b.decode(e))
+    for not_an_element in (None, 2.5, "3", object()):
+        with pytest.raises(UnknownChoiceError):
+            quadratic_char(a, not_an_element)
+        with pytest.raises(UnknownChoiceError):
+            cubic_char(a, not_an_element)
 
 
 @pytest.mark.parametrize("p,k", CUBIC_FIELDS)

@@ -1,0 +1,161 @@
+"""The library contract: a bad integer argument is refused with a typed PermBinomError.
+
+Every callable in permbinom.__all__ that takes an integer is called once
+per integer parameter, with the other arguments valid, on 2.0, 2.5, "7",
+None, True, False, 0 and negatives. Each call either returns or raises a
+PermBinomError; none may raise TypeError, AttributeError,
+ZeroDivisionError, a bare ValueError or MemoryError. An element parameter
+counts as an integer parameter where an int is lifted into the field, and
+so do a polynomial's exponents and coefficients and a modulus entry.
+AcceptanceSuite is constructed but never run, so no process starts.
+
+Left out, for the bounded-time half of the contract (ROADMAP item 9):
+- huge ints: is_prime(10**6000 + 1) spends about 19 s inside one pow,
+  which signal.alarm cannot interrupt, so no per-call budget could hold;
+- huge values of the exponent-like parameters (k, j, char2_cubic_sum's k
+  and masuda_zieve_bounds' r): a 10^5-digit k forms p**k before any
+  check can refuse it, and masuda_zieve_bounds forms r^(r+1);
+- FieldSpec arguments (a spec that is not a FieldSpec, and the FieldSpec
+  and FieldElement constructors, which trust what make_field and decode
+  hand them) and evaluate_poly's f, which must already be sparse.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import permbinom as pb
+from permbinom import sharpness
+
+f7, f13, f49 = pb.make_field(7), pb.make_field(13), pb.make_field(7, 2)
+SUITE_OK = {"jobs": 1, "q_max": None}
+SWEEP_OK = {"q_max": 8, "r_set": (2, 3), "seed": 0, "jobs": 1}
+
+# (callable, parameter) -> the call with value in that parameter
+CALLS = {
+    ("AcceptanceSuite", "jobs"): lambda v: pb.AcceptanceSuite(**{**SUITE_OK, "jobs": v}),
+    ("AcceptanceSuite", "q_max"): lambda v: pb.AcceptanceSuite(**{**SUITE_OK, "q_max": v}),
+    ("binomial_polynomial", "n"): lambda v: pb.binomial_polynomial(f13, v, 2, f13.one),
+    ("binomial_polynomial", "r"): lambda v: pb.binomial_polynomial(f13, 1, v, f13.one),
+    ("build_count_report", "p"): lambda v: pb.build_count_report(v, 1, 1, 3),
+    ("build_count_report", "k"): lambda v: pb.build_count_report(7, v, 1, 3),
+    ("build_count_report", "n"): lambda v: pb.build_count_report(7, 1, v, 3),
+    ("build_count_report", "r"): lambda v: pb.build_count_report(7, 1, 1, v),
+    ("char2_cubic_sum", "k"): lambda v: pb.char2_cubic_sum(v),
+    ("closed_count_r2", "q"): lambda v: pb.closed_count_r2(v, 1),
+    ("closed_count_r2", "n"): lambda v: pb.closed_count_r2(13, v),
+    ("closed_count_r3", "p"): lambda v: pb.closed_count_r3(v, 1, 1),
+    ("closed_count_r3", "k"): lambda v: pb.closed_count_r3(7, v, 1),
+    ("closed_count_r3", "n"): lambda v: pb.closed_count_r3(7, 1, v),
+    ("compute_index_form", "exponent"): lambda v: pb.compute_index_form(f7, {v: 1, 1: 2}),
+    ("compute_index_form", "coefficient"): lambda v: pb.compute_index_form(f7, {3: v, 1: 1}),
+    ("compute_kappa", "p"): lambda v: pb.compute_kappa(v),
+    ("count_points_extension", "a4"): lambda v: pb.count_points_extension(f49, v, 1),
+    ("count_points_extension", "a6"): lambda v: pb.count_points_extension(f49, 1, v),
+    ("count_points_prime", "p"): lambda v: pb.count_points_prime(v, 0, 1),
+    ("count_points_prime", "a4"): lambda v: pb.count_points_prime(7, v, 1),
+    ("count_points_prime", "a6"): lambda v: pb.count_points_prime(7, 0, v),
+    ("cubic_char", "el"): lambda v: pb.cubic_char(f13, v),
+    ("element_order", "el"): lambda v: pb.element_order(v),
+    ("enumerate_perm_binomials", "n"): lambda v: pb.enumerate_perm_binomials(f13, v, 2),
+    ("enumerate_perm_binomials", "r"): lambda v: pb.enumerate_perm_binomials(f13, 1, v),
+    ("epsilons", "q"): lambda v: pb.epsilons(v, 1),
+    ("epsilons", "n"): lambda v: pb.epsilons(13, v),
+    ("is_permutation_bruteforce", "exponent"): lambda v: pb.is_permutation_bruteforce(f7, {v: 1}),
+    ("is_permutation_bruteforce", "coefficient"): lambda v: pb.is_permutation_bruteforce(f7, {5: v}),
+    ("make_field", "p"): lambda v: pb.make_field(v),
+    ("make_field", "k"): lambda v: pb.make_field(7, v),
+    ("make_field", "modulus"): lambda v: pb.make_field(7, 2, [v, 0, 1]),
+    ("masuda_zieve_bounds", "q"): lambda v: pb.masuda_zieve_bounds(v, 2),
+    ("masuda_zieve_bounds", "r"): lambda v: pb.masuda_zieve_bounds(13, v),
+    ("parse_field", "text"): lambda v: pb.parse_field(v),
+    ("pi_trace", "p"): lambda v: pb.pi_trace(v, 3),
+    ("pi_trace", "j"): lambda v: pb.pi_trace(7, v),
+    ("point_count_residue", "p"): lambda v: pb.point_count_residue(v, 0, 1),
+    ("point_count_residue", "a4"): lambda v: pb.point_count_residue(7, v, 1),
+    ("point_count_residue", "a6"): lambda v: pb.point_count_residue(7, 0, v),
+    ("power_sum", "m"): lambda v: pb.power_sum(f7, v),
+    ("quadratic_char", "el"): lambda v: pb.quadratic_char(f13, v),
+    ("refined_bounds_r3", "q"): lambda v: pb.refined_bounds_r3(v),
+    ("run_verify_sweep", "q_max"): lambda v: pb.run_verify_sweep(pb.SweepConfig(**{**SWEEP_OK, "q_max": v})),
+    ("run_verify_sweep", "r_set"): lambda v: pb.run_verify_sweep(pb.SweepConfig(**{**SWEEP_OK, "r_set": (v,)})),
+    ("run_verify_sweep", "seed"): lambda v: pb.run_verify_sweep(pb.SweepConfig(**{**SWEEP_OK, "seed": v})),
+    ("run_verify_sweep", "jobs"): lambda v: pb.run_verify_sweep(pb.SweepConfig(**{**SWEEP_OK, "jobs": v})),
+    ("wan_lidl_check", "exponent"): lambda v: pb.wan_lidl_check(f7, {v: 1, 1: 1}),
+    ("wan_lidl_check", "coefficient"): lambda v: pb.wan_lidl_check(f7, {5: v}),
+}
+NO_INTEGER_PARAMETER = {"character_classes", "cubic_roots_of_unity", "emit_report", "report_to_dict"}
+# NamedTuple records hold what they are given; SweepConfig is checked by run_verify_sweep
+RECORDS = {"CheckResult", "CountReport", "IndexForm", "KappaRecord", "SweepConfig", "SweepFailure", "SweepResult"}
+LEFT_OUT = {"FieldElement", "FieldSpec", "evaluate_poly"}  # see the module docstring
+ODD_VALUES = (2.0, 2.5, "7", None, True, False, 0, -1, -7)
+
+
+def _returns_or_refuses(call, value) -> None:
+    try:
+        call(value)
+    except pb.PermBinomError:
+        pass
+
+
+def test_every_public_callable_is_covered():
+    errors = {name for name in pb.__all__ if isinstance(getattr(pb, name), type) and issubclass(getattr(pb, name), Exception)}
+    covered = {name for name, _ in CALLS} | NO_INTEGER_PARAMETER | RECORDS | LEFT_OUT | errors | {"__version__"}
+    assert covered == set(pb.__all__)
+
+
+@pytest.mark.parametrize("value", ODD_VALUES, ids=repr)
+@pytest.mark.parametrize("case", sorted(CALLS), ids="-".join)
+def test_an_odd_integer_argument_returns_or_raises_a_typed_refusal(case, value):
+    _returns_or_refuses(CALLS[case], value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(CALLS)),
+    st.one_of(st.integers(-(10**30), 0), st.floats(), st.text(max_size=4), st.booleans(), st.none()),
+)
+def test_any_drawn_odd_argument_returns_or_raises_a_typed_refusal(case, value):
+    _returns_or_refuses(CALLS[case], value)
+
+
+A, B = pb.make_field(7, 2, [1, 0, 1]), pb.make_field(7, 2, [3, 1, 1])  # x^2 + 1 and x^2 + x + 3
+REFUSALS = {
+    "make_field-float-p": ("UnknownChoiceError", lambda: pb.make_field(13.0)),
+    "closed_count_r2-str-q": ("UnknownChoiceError", lambda: pb.closed_count_r2("13", 1)),
+    "masuda_zieve_bounds-float-q": ("UnknownChoiceError", lambda: pb.masuda_zieve_bounds(13.0, 2)),
+    # 13.0 == 13 and hashes alike, so its refusal must not be a cache hit on 13
+    "compute_kappa-float-p": ("UnknownChoiceError", lambda: (pb.compute_kappa(13), pb.compute_kappa(13.0))),
+    "epsilons-str-q": ("UnknownChoiceError", lambda: pb.epsilons("13", 1)),
+    "parse_field-int": ("UnknownChoiceError", lambda: pb.parse_field(13)),
+    "binomial_polynomial-r-zero": ("OutOfRangeError", lambda: pb.binomial_polynomial(f13, 1, 0, f13.one)),
+    "binomial_polynomial-r-not-dividing": ("OutOfRangeError", lambda: pb.binomial_polynomial(f13, 1, 5, f13.one)),
+    "bruteforce-float-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {2.5: 1})),
+    "bruteforce-str-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {"5": 1})),
+    "index-form-float-exponent": ("UnknownChoiceError", lambda: pb.compute_index_form(f7, {"5": 1, 0.9: 3})),
+    "bruteforce-zero-coefficient-float-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {2.5: 0, 1: 1})),
+    "quadratic_char-other-field": ("FieldMismatchError", lambda: pb.quadratic_char(A, B.decode(7))),
+    "cubic_char-other-field": ("FieldMismatchError", lambda: pb.cubic_char(f13, f7.one)),
+    "quadratic_char-non-element": ("UnknownChoiceError", lambda: pb.quadratic_char(f13, "x")),
+    "element_order-int": ("UnknownChoiceError", lambda: pb.element_order(3)),
+    "sharpness_probe-str-n": ("UnknownChoiceError", lambda: sharpness.sharpness_probe(7, "1")),
+    "deviation_bounds-float-p": ("UnknownChoiceError", lambda: sharpness.deviation_bounds(7.0, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_escape_is_a_typed_refusal(name):
+    error, call = REFUSALS[name]
+    with pytest.raises(pb.PermBinomError) as info:
+        call()
+    assert type(info.value).__name__ == error
+
+
+def test_an_int_is_lifted_into_the_field_by_both_characters():
+    assert pb.quadratic_char(f13, 4) == pb.quadratic_char(f13, f13.element(4)) == 1
+    assert pb.cubic_char(f13, 5) == pb.cubic_char(f13, f13.element(5))
+    assert pb.quadratic_char(f13, True) == 1 and pb.cubic_char(f13, 0) is None
+
+
+def test_an_element_of_an_equal_spec_is_accepted():
+    twin = pb.FieldSpec(7, 2, A.modulus)  # equal to A, but not the cached object
+    assert all(pb.quadratic_char(A, twin.decode(e)) == pb.quadratic_char(A, A.decode(e)) for e in range(49))

@@ -7,7 +7,8 @@ reads the environment; only counts.py calls the per-r closed forms and
 bounds; no module encodes the elements enumerate_perm_binomials decoded;
 no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception,
-and cli.main catches nothing else but OSError.
+and cli.main catches nothing else but OSError; only errors.check_integer
+and three refusals with messages of their own catch TypeError.
 A CLI query loads neither the sweep and selftest machinery nor the
 sharpness module, nothing loads mpmath, and the lazily loaded public names
 still behave like the eager ones.
@@ -400,6 +401,45 @@ def test_foreign_handler_detector():
 def test_cli_main_catches_only_package_errors_and_os_errors():
     # any other exception is a bug, and surfaces as a traceback
     assert foreign_handlers((SRC / "cli.py").read_text()) == []
+
+
+# errors.check_integer is the one integer refusal; these three keep their own messages and types
+OWN_INTEGER_REFUSALS = {"errors.py": {"check_integer"}, "fields.py": {"FieldSpec.decode", "_residues"}, "sweep.py": {"validate_config"}}
+
+
+def type_error_handlers(source: str) -> list[str]:
+    """except clauses that catch TypeError, alone or in a tuple, by the qualified name of the function around them."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(ast.unparse(exc) in ("TypeError", "builtins.TypeError") for exc in caught):
+                    found.append(f"{'.'.join(scope) or '<module>'} (line {child.lineno})")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_type_error_handler_detector():
+    src = (
+        "def f(x):\n    try:\n        return index(x)\n    except TypeError:\n        raise Refused from None\n"
+        "class S:\n    def g(self):\n        try:\n            pass\n        except (ValueError, builtins.TypeError):\n            pass\n"
+        "try:\n    import x\nexcept (ImportError, TypeError):\n    pass\n"
+        "def h():\n    try:\n        pass\n    except ValueError:\n        pass\n"
+    )
+    assert type_error_handlers(src) == ["f (line 4)", "S.g (line 10)", "<module> (line 14)"]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_the_integer_refusal_is_stated_once(path):
+    allowed = OWN_INTEGER_REFUSALS.get(path.name, set())
+    assert [h for h in type_error_handlers(path.read_text()) if h.split(" (line ")[0] not in allowed] == []
 
 
 def _refusals():
