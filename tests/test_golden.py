@@ -113,6 +113,35 @@ def _probe_findings():
         yield " ".join(hex(x) for end in (f.deviation_lo, f.deviation_hi) for x in (end.numerator, end.denominator))
 
 
+# one query of each subcommand but selftest, whose own lines carry elapsed times, and the formats each accepts
+CLI_FORMAT_QUERIES = (
+    (("enumerate", "--field", "3^3", "--n", "1", "--r", "2"), ("json", "text", "csv")),
+    (("count", "--field", "73", "--n", "35", "--r", "3", "--verify"), ("json", "text")),
+    (("count", "--field", "7^200", "--n", "1", "--r", "2"), ("json", "text")),
+    (("bounds", "--field", "73", "--r", "3"), ("json", "text")),
+    (("kappa", "--p", "73"), ("json", "text")),
+    (("trace", "--p", "73", "--j", "10"), ("json", "text")),
+    (("curve", "--field", "5^2", "--A", "1", "--B", "inv4"), ("json", "text")),
+    (("char", "--field", "7^2", "--x", "3"), ("json", "text")),
+    (("char", "--field", "7^2", "--power-sum", "8"), ("json", "text")),
+    (("char", "--field", "7^2"), ("json", "text")),
+    (("sharpness", "--p", "73", "--n", "35", "--depth", "12"), ("json", "text")),
+)
+
+
+def _cli_formats():
+    """Exit code and the bytes each query writes through --out, in every format its subcommand accepts."""
+    from permbinom import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "answer"
+        for query, formats in CLI_FORMAT_QUERIES:
+            for fmt in formats:
+                rc = cli.main([*query, "--format", fmt, "--out", str(path)])
+                yield f"{' '.join(query)} --format {fmt} rc={rc}"
+                yield path.read_bytes().decode()
+
+
 ITEMS = {
     "criterion a-lists, q <= 128": lambda: _a_lists("criterion"),
     "wanlidl a-lists, q <= 128": lambda: _a_lists("wanlidl"),
@@ -123,6 +152,7 @@ ITEMS = {
     "refined_bounds_r3: q = 1 mod 3 below 10^5, 7^k and 13^k for k <= 1000": _refined_bounds,
     "sharpness_probe(73, 35) findings": _probe_findings,
     "cli stdout of the 74 cli-oneshot queries": _cli_queries,
+    "cli --out bytes of each subcommand in each --format": _cli_formats,
 }
 
 
