@@ -2,21 +2,19 @@
 
 Exit codes: 0 all verified / computed, 1 a mathematical cross-check
 disagreed, 2 usage or configuration error, or an output file that cannot
-be written. Big integers travel as decimal strings in JSON output so
-downstream parsers never see overflow.
+be written. In JSON, s_j, s_k and the sharpness convergents are decimal
+strings and the Masuda-Zieve bounds "num/den" strings; q, the counts and
+the refined bounds are JSON numbers, however large.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from functools import partial
 
 from .characters import character_classes, cubic_char, power_sum, quadratic_char
-from .counts import REPORT_SCALE, bound_pairs, build_count_report, report_to_dict
+from .counts import REPORT_SCALE, bound_pairs, build_count_report, render, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
 from .errors import (
     CrossCheckFailedError,
@@ -34,25 +32,18 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
-    """Write the output in args.format, to args.out or else stdout.
+def _write(path: str | None, data: bytes) -> None:
+    """The one writer of the CLI: data to the file at path, or else to stdout."""
+    if path:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    else:
+        sys.stdout.write(data.decode())
 
-    JSON is the payload; text is the given string, or else one `key: value`
-    line per payload key; CSV is the rows.
-    """
-    if args.format == "json":
-        out = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        out = buf.getvalue()
-    else:
-        out = text if text is not None else "".join(f"{key}: {value}\n" for key, value in payload.items())
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(out.encode())
-    else:
-        sys.stdout.write(out)
+
+def _emit(args, payload: dict, text: str | None = None, rows=None) -> None:
+    """Write the answer, rendered in args.format, to args.out or else stdout."""
+    _write(args.out, render(args.format, payload, text, rows))
 
 
 def _field_spec(args) -> FieldSpec:
@@ -232,8 +223,7 @@ def _cmd_selftest(args) -> int:
         + [(r.name, r.passed, r.elapsed_ms, r.detail) for r in results],
     )
     if args.report:
-        with open(args.report, "wb") as fh:
-            fh.write(emit_report(merge_results([suite.sweep(2), suite.sweep(3)]), args.report_format))
+        _write(args.report, emit_report(merge_results([suite.sweep(2), suite.sweep(3)]), args.report_format))
     return EXIT_OK if all(r.passed for r in results) else EXIT_MATH
 
 
@@ -250,20 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", parents=[fieldy], help="list admissible a values")
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--r", type=int, choices=(2, 3), required=True)
+    p_enum.add_argument("--r", type=int, required=True, help="2 or 3")
     p_enum.add_argument("--method", choices=tuple(ROUTES), default="criterion")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_count = sub.add_parser("count", help="closed-form count with bounds")
     p_count.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
     p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--r", type=int, choices=(2, 3), required=True)
+    p_count.add_argument("--r", type=int, required=True, help="2 or 3")
     p_count.add_argument("--verify", action="store_true", help="confirm by brute force, the criterion and Wan-Lidl")
     p_count.set_defaults(handler=_cmd_count)
 
     p_bounds = sub.add_parser("bounds", help="Masuda-Zieve and refined count bounds")
     p_bounds.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
-    p_bounds.add_argument("--r", type=int, choices=(2, 3), required=True)
+    p_bounds.add_argument("--r", type=int, required=True, help="2 or 3")
     p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_kappa = sub.add_parser("kappa", help="Frobenius trace of y^2 = x^3 + 1/4 at p")

@@ -23,12 +23,15 @@ evaluated exactly from the one integer isqrt(16q) (no floating point).
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from fractions import Fraction
 from math import factorial, isqrt
 from typing import Callable, NamedTuple
 
 from .curves import pi_trace
-from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, check_integer, int_text, refuse_unprintable
+from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, UnknownChoiceError, check_integer, int_text, refuse_unprintable
 from .fields import check_prime_power, ensure_enumerable, make_field
 from .permtest import ROUTES, check_cell, check_field, enumerate_perm_binomials, set_diff
 from .primes import exact_sqrt, prime_power_decompose
@@ -195,10 +198,26 @@ def build_count_report(
 
 
 def report_to_dict(report: CountReport) -> dict:
-    """JSON-ready dict: stable key order, fractions and big ints as strings, or AnswerTooLargeError past the digit limit."""
+    """JSON-ready dict in a stable key order, s_k and the Masuda-Zieve fractions as strings, or AnswerTooLargeError past the digit limit."""
     refuse_unprintable(f"the count for q = {report.p}^{report.k}", report.p, 2 * report.k, REPORT_SCALE)
     out = report._asdict()
     out["s_k"] = None if report.s_k is None else str(report.s_k)
     out["mz_lower"], out["mz_upper"] = str(report.mz_lower), str(report.mz_upper)
     out["a_values"] = None if report.a_values is None else list(report.a_values)
     return out
+
+
+def render(fmt: str, payload: dict, text: str | None = None, rows=None) -> bytes:
+    """The one serializer of CLI answers and sweep reports: JSON is the payload, CSV the rows, text the
+    given string or else one `key: value` line per payload key; any other fmt raises UnknownChoiceError."""
+    if fmt == "json":
+        out = json.dumps(payload, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        out = buf.getvalue()
+    elif fmt == "text":
+        out = text if text is not None else "".join(f"{key}: {value}\n" for key, value in payload.items())
+    else:
+        raise UnknownChoiceError(f"unknown format {fmt!r}")
+    return out.encode()

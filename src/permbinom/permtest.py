@@ -82,19 +82,21 @@ def _as_sparse(spec: FieldSpec, f) -> dict[int, FieldElement]:
     return out
 
 
-def evaluate_poly(spec: FieldSpec, f: Poly, x: FieldElement) -> FieldElement:
+def evaluate_poly(spec: FieldSpec, f: Poly, x: FieldElement | int) -> FieldElement:
+    x = spec.element(x)
     total = spec.zero
     for e, c in f.items():
         total = total + c * x**e
     return total
 
 
-def binomial_polynomial(spec: FieldSpec, n: int, r: int, a: FieldElement) -> dict[int, FieldElement]:
+def binomial_polynomial(spec: FieldSpec, n: int, r: int, a: FieldElement | int) -> dict[int, FieldElement]:
     """Sparse form of x^n (x^((q-1)/r) + a), exponents reduced below q, for n >= 0 and r | q - 1; n need not be admissible."""
     q = spec.q
     check_integer("n", n, 0)
     if (q - 1) % check_integer("r", r, 1):
         raise OutOfRangeError(f"r = {r} must divide q - 1 = {int_text(q - 1)}")
+    a = spec.element(a)
     d = (q - 1) // r
     hi = n + d
     if hi > q - 1:

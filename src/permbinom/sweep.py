@@ -28,20 +28,18 @@ across runs and worker counts, and elapsed_ms is the one field that varies.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from .counts import bound_pairs, closed_count, epsilons
+from .counts import bound_pairs, closed_count, epsilons, render
 from .curves import pi_trace
-from .errors import DivisibilityViolationError, SweepConfigError, UnknownChoiceError
+from .errors import DivisibilityViolationError, SweepConfigError
 from .fields import FieldSpec, ensure_enumerable, make_field
 from .permtest import _orbit_union, enumerate_perm_binomials, field_admits, set_diff
 from .primes import prime_power_decompose, prime_powers_upto
@@ -234,32 +232,22 @@ CSV_COLUMNS = (
 
 
 def emit_report(result: SweepResult, fmt: str = "json") -> bytes:
-    """Serialize a sweep result; big integers ride as decimal strings."""
-    if fmt == "json":
-        payload = {
-            "cells": list(result.cells),
-            "failures": [f._asdict() for f in result.failures],
-            "elapsed_ms": result.elapsed_ms,
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode()
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for cell in result.cells:
-            writer.writerow(["" if cell[col] is None else cell[col] for col in CSV_COLUMNS])
-        return buf.getvalue().encode()
-    if fmt == "text":
-        lines = [f"cells={len(result.cells)} failures={len(result.failures)} elapsed_ms={result.elapsed_ms}"]
-        blocks: dict[tuple[int, int], list[dict]] = {}
-        for cell in result.cells:
-            blocks.setdefault((cell["q"], cell["r"]), []).append(cell)
-        for (q, r), group in sorted(blocks.items()):
-            n_ok = sum(1 for c in group if c["ok"])
-            n_brute = sum(1 for c in group if c["brute_count"] is not None)
-            counts = sorted({c["criterion_count"] for c in group})
-            lines.append(f"q={q} r={r} cells={len(group)} ok={n_ok} brute={n_brute} counts={counts}")
-        for f in result.failures:
-            lines.append(f"FAIL q={f.q} n={f.n} r={f.r} {f.route_a} vs {f.route_b}: {f.diff}")
-        return ("\n".join(lines) + "\n").encode()
-    raise UnknownChoiceError(f"unknown format {fmt!r}")
+    """A sweep result rendered in fmt: s_k and the Masuda-Zieve bounds ride as strings, q and counts as numbers."""
+    payload = {
+        "cells": list(result.cells),
+        "failures": [f._asdict() for f in result.failures],
+        "elapsed_ms": result.elapsed_ms,
+    }
+    rows = chain([CSV_COLUMNS], (["" if cell[col] is None else cell[col] for col in CSV_COLUMNS] for cell in result.cells))
+    lines = [f"cells={len(result.cells)} failures={len(result.failures)} elapsed_ms={result.elapsed_ms}"]
+    blocks: dict[tuple[int, int], list[dict]] = {}
+    for cell in result.cells:
+        blocks.setdefault((cell["q"], cell["r"]), []).append(cell)
+    for (q, r), group in sorted(blocks.items()):
+        n_ok = sum(1 for c in group if c["ok"])
+        n_brute = sum(1 for c in group if c["brute_count"] is not None)
+        counts = sorted({c["criterion_count"] for c in group})
+        lines.append(f"q={q} r={r} cells={len(group)} ok={n_ok} brute={n_brute} counts={counts}")
+    for f in result.failures:
+        lines.append(f"FAIL q={f.q} n={f.n} r={f.r} {f.route_a} vs {f.route_b}: {f.diff}")
+    return render(fmt, payload, "\n".join(lines) + "\n", rows)

@@ -36,6 +36,7 @@ CALLS = {
     ("AcceptanceSuite", "q_max"): lambda v: pb.AcceptanceSuite(**{**SUITE_OK, "q_max": v}),
     ("binomial_polynomial", "n"): lambda v: pb.binomial_polynomial(f13, v, 2, f13.one),
     ("binomial_polynomial", "r"): lambda v: pb.binomial_polynomial(f13, 1, v, f13.one),
+    ("binomial_polynomial", "a"): lambda v: pb.binomial_polynomial(f13, 1, 2, v),
     ("build_count_report", "p"): lambda v: pb.build_count_report(v, 1, 1, 3),
     ("build_count_report", "k"): lambda v: pb.build_count_report(7, v, 1, 3),
     ("build_count_report", "n"): lambda v: pb.build_count_report(7, 1, v, 3),
@@ -60,6 +61,7 @@ CALLS = {
     ("enumerate_perm_binomials", "r"): lambda v: pb.enumerate_perm_binomials(f13, 1, v),
     ("epsilons", "q"): lambda v: pb.epsilons(v, 1),
     ("epsilons", "n"): lambda v: pb.epsilons(13, v),
+    ("evaluate_poly", "x"): lambda v: pb.evaluate_poly(f7, {1: f7.one}, v),
     ("is_permutation_bruteforce", "exponent"): lambda v: pb.is_permutation_bruteforce(f7, {v: 1}),
     ("is_permutation_bruteforce", "coefficient"): lambda v: pb.is_permutation_bruteforce(f7, {5: v}),
     ("make_field", "p"): lambda v: pb.make_field(v),
@@ -86,7 +88,7 @@ CALLS = {
 NO_INTEGER_PARAMETER = {"character_classes", "cubic_roots_of_unity", "emit_report", "report_to_dict"}
 # NamedTuple records hold what they are given; SweepConfig is checked by run_verify_sweep
 RECORDS = {"CheckResult", "CountReport", "IndexForm", "KappaRecord", "SweepConfig", "SweepFailure", "SweepResult"}
-LEFT_OUT = {"FieldElement", "FieldSpec", "evaluate_poly"}  # see the module docstring
+LEFT_OUT = {"FieldElement", "FieldSpec"}  # see the module docstring
 ODD_VALUES = (2.0, 2.5, "7", None, True, False, 0, -1, -7)
 
 
@@ -129,6 +131,8 @@ REFUSALS = {
     "parse_field-int": ("UnknownChoiceError", lambda: pb.parse_field(13)),
     "binomial_polynomial-r-zero": ("OutOfRangeError", lambda: pb.binomial_polynomial(f13, 1, 0, f13.one)),
     "binomial_polynomial-r-not-dividing": ("OutOfRangeError", lambda: pb.binomial_polynomial(f13, 1, 5, f13.one)),
+    "binomial_polynomial-other-field-a": ("FieldMismatchError", lambda: pb.binomial_polynomial(f13, 1, 2, f7.one)),
+    "evaluate_poly-float-x": ("UnknownChoiceError", lambda: pb.evaluate_poly(f7, {1: f7.one}, 2.5)),
     "bruteforce-float-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {2.5: 1})),
     "bruteforce-str-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {"5": 1})),
     "index-form-float-exponent": ("UnknownChoiceError", lambda: pb.compute_index_form(f7, {"5": 1, 0.9: 3})),
@@ -154,6 +158,12 @@ def test_an_int_is_lifted_into_the_field_by_both_characters():
     assert pb.quadratic_char(f13, 4) == pb.quadratic_char(f13, f13.element(4)) == 1
     assert pb.cubic_char(f13, 5) == pb.cubic_char(f13, f13.element(5))
     assert pb.quadratic_char(f13, True) == 1 and pb.cubic_char(f13, 0) is None
+
+
+def test_an_int_is_lifted_into_the_field_by_both_polynomial_helpers():
+    assert pb.binomial_polynomial(f13, 1, 2, 0) == {7: f13.one}
+    assert pb.binomial_polynomial(f13, 1, 2, 3) == pb.binomial_polynomial(f13, 1, 2, f13.element(3))
+    assert pb.evaluate_poly(f7, {2: f7.one}, 3) == pb.evaluate_poly(f7, {2: f7.one}, f7.element(3)) == f7.element(2)
 
 
 def test_an_element_of_an_equal_spec_is_accepted():

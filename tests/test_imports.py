@@ -8,7 +8,8 @@ bounds; no module encodes the elements enumerate_perm_binomials decoded;
 no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception,
 and cli.main catches nothing else but OSError; only errors.check_integer
-and three refusals with messages of their own catch TypeError.
+and three refusals with messages of their own catch TypeError; only
+counts.render calls json.dumps or csv.writer, and only cli._write opens a file.
 A CLI query loads neither the sweep and selftest machinery nor the
 sharpness module, nothing loads mpmath, and the lazily loaded public names
 still behave like the eager ones.
@@ -124,6 +125,50 @@ def test_per_r_rule_call_detector():
 def test_only_counts_picks_a_closed_form_or_bound_pair_by_r():
     callers = {p.name for p in ALL_SOURCES if per_r_rule_calls(p.read_text())}
     assert callers == {"counts.py"}
+
+
+# counts.render is the one serializer and cli._write the one writer of every CLI answer and sweep report
+SERIALIZERS = {("json", "dumps"), ("csv", "writer")}
+
+
+def serializer_uses(source: str) -> list[str]:
+    """Calls of json.dumps and csv.writer, and imports of either name from its module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+            if (node.func.value.id, node.func.attr) in SERIALIZERS:
+                found.append(f"{node.func.value.id}.{node.func.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"from {node.module} import {a.name} (line {node.lineno})" for a in node.names if (node.module, a.name) in SERIALIZERS]
+    return found
+
+
+def file_openers(source: str) -> list[str]:
+    """Top-level functions that call open, by bare name or as an attribute, or write_text or write_bytes."""
+    names = {"open", "write_text", "write_bytes"}
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and any(_calls(node, name) for name in names)
+    ]
+
+
+def test_output_edge_detectors():
+    src = (
+        "import csv, json\nfrom json import dumps\n"
+        "def f(x):\n    return json.dumps(x) + str(csv.writer(x)) + json.loads(x)\n"
+        "def g(path):\n    with open(path) as fh:\n        return fh.read()\n"
+        "def h(path):\n    path.write_bytes(b'') ; return os.open(path)\n"
+        "def k(x):\n    return csv.reader(x)\n"
+    )
+    assert serializer_uses(src) == ["from json import dumps (line 2)", "json.dumps (line 4)", "csv.writer (line 4)"]
+    assert file_openers(src) == ["g (line 5)", "h (line 8)"]
+
+
+def test_one_renderer_and_one_writer_serialize_and_write_every_answer():
+    serializers = {p.name for p in ALL_SOURCES if serializer_uses(p.read_text())}
+    assert serializers == {"counts.py"}
+    assert [line.split()[0] for line in file_openers((SRC / "cli.py").read_text())] == ["_write"]
 
 
 def _calls(tree: ast.AST, name: str) -> bool:

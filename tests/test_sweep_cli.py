@@ -586,6 +586,17 @@ def test_cli_rejects_bad_cells_and_fields(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--field", "7", "--n", "1"], ["count", "--field", "7", "--n", "1"], ["bounds", "--field", "7"]], ids=lambda a: a[0]
+)
+def test_cli_r_outside_2_and_3_gets_the_one_typed_refusal(argv, capsys):
+    # the admissibility rule refuses r, not an argparse choice list with its usage text
+    assert cli.main(argv + ["--r", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: r must be 2 or 3, got 4\n"
+
+
 def test_cli_curve_reads_inv4_as_the_inverse_of_4(capsys):
     # y^2 = x^3 + 1/4 over F_13 has 13 + 1 + kappa_13 = 9 points
     assert cli.main(["curve", "--field", "13", "--A", "0", "--B", "inv4"]) == 0
