@@ -2,7 +2,9 @@
 
 This module owns every rule of a cell: closed_count(p, k, n, r) picks its
 count and bound_pairs(q, r) its bounds, for the count report, the sweep and
-the bounds subcommand. At r = 2 the count is (q - 2 + (-1)^n)/2. At r = 3 it is
+the bounds subcommand, and class_failures and cell_failures hold the routes
+to them, for the sweep and count --verify. At r = 2 the count is
+(q - 2 + (-1)^n)/2. At r = 3 it is
 
     T = (2q - 3(e1 + e2) - 10 - 2 s_k) / 9
 
@@ -28,12 +30,12 @@ import io
 import json
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .curves import pi_trace
 from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, UnknownChoiceError, check_integer, int_text, refuse_unprintable
-from .fields import check_prime_power, ensure_enumerable, make_field
-from .permtest import ROUTES, check_cell, check_field, enumerate_perm_binomials, set_diff
+from .fields import FieldSpec, check_prime_power, ensure_enumerable, make_field
+from .permtest import check_cell, check_field, enumerate_perm_binomials, split_orbits
 from .primes import exact_sqrt, prime_power_decompose
 
 _SQRT_SCALE = 10**30  # denominator of the rational upper bound on sqrt(q)
@@ -122,6 +124,39 @@ def bound_pairs(q: int, r: int) -> tuple[Fraction, Fraction, int | None, int | N
     return (*masuda_zieve_bounds(q, r), *(refined_bounds_r3(q) if r == 3 else (None, None)))
 
 
+def checked_pairs(mz_lo: Fraction, mz_hi: Fraction, cor_lo: int | None, cor_hi: int | None) -> tuple:
+    """bound_pairs' four bounds as the (name, lo, hi) pairs cell_failures holds a closed count to, mz_lo clamped at 0."""
+    return ("mz-bounds", max(mz_lo, 0), mz_hi), ("refined-bounds", cor_lo, cor_hi)
+
+
+def set_diff(a: frozenset, b: frozenset) -> str:
+    """How two routes' a-sets (as encodings) differ: both sizes and up to 8 members only in each."""
+    only_a = sorted(a - b)[:8]
+    only_b = sorted(b - a)[:8]
+    return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
+
+
+def class_failures(spec: FieldSpec, n: int, r: int) -> tuple[frozenset[int], list[tuple[str, str, str]]]:
+    """The criterion's a-set for n's class, and (route_a, route_b, diff) for each orbit Wan-Lidl's set splits and for their difference."""
+    crit = frozenset(enumerate_perm_binomials(spec, n, r, method="criterion", encoded=True))
+    wl = frozenset(enumerate_perm_binomials(spec, n, r, method="wanlidl", encoded=True))
+    failures = [("wanlidl", "symmetry", f"orbit of a={first} split: {inside} of {size} members found") for first, inside, size in split_orbits(spec, r, wl)]
+    if wl != crit:
+        failures.append(("criterion", "wanlidl", set_diff(crit, wl)))
+    return crit, failures
+
+
+def cell_failures(closed: int | None, crit: frozenset[int], brute: frozenset[int] | None, pairs: tuple) -> Iterator[tuple[str, str, str]]:
+    """One cell's (route_a, route_b, diff): closed count vs class size, brute force's set where it ran, closed count vs each checked pair."""
+    if closed is not None and closed != len(crit):
+        yield "closed", "criterion", f"{closed} != {len(crit)}"
+    if brute is not None and brute != crit:
+        yield "criterion", "bruteforce", set_diff(crit, brute)
+    for pair, lo, hi in pairs if closed is not None else ():
+        if lo is not None and not lo <= closed <= hi:
+            yield "closed", pair, f"{closed} outside [{lo}, {hi}]"
+
+
 class CountReport(NamedTuple):
     """Everything the count route knows about one (q, n, r) case."""
 
@@ -147,8 +182,8 @@ def build_count_report(
 ) -> CountReport:
     """Closed-form count plus bounds; verify=True adds the other three routes and the a list.
 
-    verify=True raises CrossCheckFailedError when brute force or Wan-Lidl and the
-    criterion find different a, or the criterion finds other than the closed count.
+    verify=True raises the first of class_failures and cell_failures as
+    CrossCheckFailedError, in the sweep's wording: q=.. n=.. r=.. route_a vs route_b: diff.
     before_work, if given, runs after the refusals of bad input and before any
     count is computed: the CLI's refusal of answers too long to print.
     """
@@ -162,22 +197,16 @@ def build_count_report(
     e1, e2 = epsilons(q, n) if r == 3 else (None, None)
     s_k = pi_trace(p, k) if r == 3 else None
     closed = closed_count(p, k, n, r)
-    mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, r)
+    mz_lo, mz_hi, cor_lo, cor_hi = bounds = bound_pairs(q, r)
     brute_count = a_values = None
     if verify:
         spec = make_field(p, k)
-        runs = {method: tuple(enumerate_perm_binomials(spec, n, r, method=method, encoded=True)) for method in ROUTES}
-        a_values = runs["criterion"]
-        criterion = frozenset(a_values)
-        for method, found in runs.items():
-            if frozenset(found) != criterion:
-                diff = set_diff(criterion, frozenset(found))
-                raise CrossCheckFailedError(f"criterion and {method} a-sets differ at (q={q}, n={n}, r={r}): {diff}")
-        if len(a_values) != closed:
-            raise CrossCheckFailedError(
-                f"closed form and criterion counts differ at (q={q}, n={n}, r={r}): closed={closed} criterion={len(a_values)}"
-            )
-        brute_count = len(criterion)  # brute force found the same set
+        crit, failures = class_failures(spec, n, r)
+        brute = frozenset(enumerate_perm_binomials(spec, n, r, method="bruteforce", encoded=True))
+        failures += cell_failures(closed, crit, brute, checked_pairs(*bounds))
+        if failures:
+            raise CrossCheckFailedError("q={} n={} r={} {} vs {}: {}".format(q, n, r, *failures[0]))
+        a_values, brute_count = tuple(sorted(crit)), len(brute)
     return CountReport(
         q=q,
         p=p,

@@ -121,6 +121,13 @@ def check_integer(name: str, value, low: int | None = None) -> int:
     return value
 
 
+def integer(text: str) -> int:
+    """The int text spells in ASCII digits after an optional "-", the one CLI integer reader; int() alone also reads "_", spaces and other scripts' digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise UnknownChoiceError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def refuse_unprintable(what: str, p: int, e: int, scale: int) -> None:
     """Raise AnswerTooLargeError if integers up to scale * p^(e/2) may print past the interpreter's limit.
 

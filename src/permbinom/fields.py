@@ -27,7 +27,7 @@ where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration
 guard first, on every call, so no table is built for a field the guard
 refuses.  Only the scans over a whole field call it:
 enumerate_perm_binomials, power_sum, count_points_extension,
-char2_cubic_sum, characters.character_classes and sweep._split_orbits,
+char2_cubic_sum, characters.character_classes and permtest.split_orbits,
 which checks a Wan-Lidl a-set for closure.  The guard is q <= 2^20, and
 the PERMBINOM_GUARD environment variable, read only here, is the one way
 to move it: no function takes an argument that skips it.
@@ -72,6 +72,7 @@ from .errors import (
     ZeroElementError,
     check_integer,
     int_text,
+    integer,
 )
 from .primes import factorize, is_prime, prime_power_decompose
 
@@ -87,7 +88,7 @@ def ensure_enumerable(q: int) -> None:
     """
     raw = os.environ.get(GUARD_ENV_VAR)
     try:
-        limit = ENUMERATION_GUARD_DEFAULT if raw is None else int(raw)
+        limit = ENUMERATION_GUARD_DEFAULT if raw is None else integer(raw)
     except ValueError:
         limit = 0  # malformed: refused below like a non-positive value
     if limit < 1:
@@ -541,7 +542,7 @@ def parse_field(text: str) -> tuple[int, int]:
     prime power, or UnknownChoiceError when text is not a string of either form.
     """
     try:
-        numbers = [int(part) for part in text.split("^")] if isinstance(text, str) else []
+        numbers = [integer(part) for part in text.split("^")] if isinstance(text, str) else []
     except ValueError:
         numbers = []  # not integers: refused below like any other shape
     if len(numbers) == 2:

@@ -22,8 +22,8 @@ encodings pass it, and never decode an element only to encode it again.
 The criterion and brute force test a = 0 and one a per orbit, through one
 orbit walk: _orbit_leaders picks one j per orbit of j -> p j mod
 d = (q-1)/r, and _orbit_union expands each passing alpha^j to its orbit
-under a -> a^p and a -> omega a. Wan-Lidl tests every a, so the sweep
-checks the symmetry on its sets, with _orbit_union naming a split orbit.
+under a -> a^p and a -> omega a. Wan-Lidl tests every a, so
+counts.class_failures checks its sets for that symmetry with split_orbits.
 
 The routes answer only on admissible cells (q, n, r), the ones the paper
 counts: q, n and r are integers, r is 2 or 3, q is odd for r = 2 and
@@ -257,6 +257,26 @@ def _orbit_union(spec: FieldSpec, tables: FieldTables, r: int, hits: list[int], 
     return sorted(found)
 
 
+def split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[int, int, int]]:
+    """(first member, members in found, orbit size) for each orbit that found only partly holds.
+
+    The orbits are those of a -> a^p and a -> omega a (omega^r = 1), on
+    logs a = alpha^j the maps j -> p j and j -> j + d, d = (q-1)/r. Every
+    a-set is a union of them, so found must hold both images of each
+    member; _orbit_union expands a split orbit from j mod d.
+    First means least encoding. a = 0 is an orbit of its own.
+    """
+    exp, log, _ = tables = spec.scan_tables()
+    p, q1 = spec.p, spec.q - 1
+    d = q1 // r
+    orbits = set()
+    for a in found:
+        j = log[a]
+        if a and not (exp[(j + d) % q1] in found and exp[j * p % q1] in found):
+            orbits.add(tuple(_orbit_union(spec, tables, r, [j % d], False)))
+    return sorted((orbit[0], len(found.intersection(orbit)), len(orbit)) for orbit in orbits)
+
+
 def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:
     """All a passing the character test for r = 2 or r = 3, tested once per orbit.
 
@@ -296,13 +316,6 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
 def _minus_one_log(spec: FieldSpec) -> int:
     """log(-1) to base alpha: (q-1)/2 for odd p, 0 for p = 2; the one i where zech[i] is NO_LOG."""
     return (spec.q - 1) // 2 if spec.p != 2 else 0
-
-
-def set_diff(a: frozenset, b: frozenset) -> str:
-    """How two routes' a-sets (as encodings) differ: both sizes and up to 8 members only in each."""
-    only_a = sorted(a - b)[:8]
-    only_b = sorted(b - a)[:8]
-    return f"|a|={len(a)} |b|={len(b)} a-only={only_a} b-only={only_b}"
 
 
 def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:

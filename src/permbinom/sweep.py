@@ -10,17 +10,10 @@ that, at about q shifts of q-bit masks per cell, as it evaluates one a per
 orbit of a -> a^p and a -> omega a (omega^r = 1). Every sweep runs all
 four routes.
 
-The criterion also tests one a per orbit, so its class sets are closed by
-construction. The symmetry is checked, not assumed, on Wan-Lidl, the one
-route that still scans every a: each Wan-Lidl class set must be closed
-under both maps, on logs j -> p j and j -> j + (q-1)/r. An orbit the set
-only partly holds is a failure ("wanlidl", "symmetry") that names the
-orbit's least encoding. Wan-Lidl must also match the criterion, so a
-criterion or brute force that trusted a broken symmetry would disagree
-with it.
-
-Disagreements are recorded as failures, never raised, so one bad cell
-cannot mask others. The closed form and both bound pairs come from counts.
+counts.class_failures and counts.cell_failures make every comparison, as
+for count --verify. The sweep keeps the policy: which cells brute force
+samples, and which are ok. It records each disagreement as a SweepFailure
+and raises none, so one bad cell cannot mask others.
 merge_results alone sets the report order, cells by (q, n, r) and failures
 sorted, for every sweep and for selftest --report: reports are byte-identical
 across runs and worker counts, and elapsed_ms is the one field that varies.
@@ -37,11 +30,11 @@ from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from .counts import bound_pairs, closed_count, epsilons, render
+from .counts import bound_pairs, cell_failures, checked_pairs, class_failures, closed_count, epsilons, render
 from .curves import pi_trace
 from .errors import DivisibilityViolationError, SweepConfigError
-from .fields import FieldSpec, ensure_enumerable, make_field
-from .permtest import _orbit_union, enumerate_perm_binomials, field_admits, set_diff
+from .fields import ensure_enumerable, make_field
+from .permtest import enumerate_perm_binomials, field_admits
 from .primes import prime_power_decompose, prime_powers_upto
 
 BRUTE_FULL_MAX = 100  # brute force confirms every cell with q up to this
@@ -84,26 +77,6 @@ def valid_exponents(q: int, r: int) -> list[int]:
     return [n for n in range(1, q) if gcd(n, d) == 1]
 
 
-def _split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[int, int, int]]:
-    """(first member, members in found, orbit size) for each orbit that found only partly holds.
-
-    The orbits are those of a -> a^p and a -> omega a (omega^r = 1), on
-    logs a = alpha^j the maps j -> p j and j -> j + d, d = (q-1)/r. Every
-    a-set is a union of them, so found must hold both images of each
-    member; permtest._orbit_union expands a split orbit from j mod d.
-    First means least encoding. a = 0 is an orbit of its own.
-    """
-    exp, log, _ = tables = spec.scan_tables()
-    p, q1 = spec.p, spec.q - 1
-    d = q1 // r
-    orbits = set()
-    for a in found:
-        j = log[a]
-        if a and not (exp[(j + d) % q1] in found and exp[j * p % q1] in found):
-            orbits.add(tuple(_orbit_union(spec, tables, r, [j % d], False)))
-    return sorted((orbit[0], len(found.intersection(orbit)), len(orbit)) for orbit in orbits)
-
-
 def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
     """All cells and failures for one (q, r) block, elapsed_ms 0. Top level so it pickles."""
     q = p**k
@@ -114,50 +87,31 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
 
     class_sets: dict[int, frozenset[int]] = {}
     for n in ns:
-        key = n % r
-        if key in class_sets:
-            continue
-        crit = frozenset(enumerate_perm_binomials(spec, n, r, method="criterion", encoded=True))
-        class_sets[key] = crit
-        wl = frozenset(enumerate_perm_binomials(spec, n, r, method="wanlidl", encoded=True))
-        for first, inside, size in _split_orbits(spec, r, wl):
-            failures.append(SweepFailure(q, n, r, "wanlidl", "symmetry", f"orbit of a={first} split: {inside} of {size} members found"))
-        if wl != crit:
-            failures.append(SweepFailure(q, n, r, "criterion", "wanlidl", set_diff(crit, wl)))
+        if n % r not in class_sets:
+            class_sets[n % r], found = class_failures(spec, n, r)
+            failures += [SweepFailure(q, n, r, *f) for f in found]
 
     disputed = {f.n % r for f in failures}  # classes where Wan-Lidl disagrees
     # what every cell of the block shares, formed once
-    mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, r)
-    pairs = (("mz-bounds", max(mz_lo, 0), mz_hi), ("refined-bounds", cor_lo, cor_hi))
+    mz_lo, mz_hi, cor_lo, cor_hi = bounds = bound_pairs(q, r)
+    pairs = checked_pairs(*bounds)
     mz_lower, mz_upper = str(mz_lo), str(mz_hi)
     s_k = str(pi_trace(p, k)) if r == 3 else None
     rng = random.Random(f"{config.seed}:{q}:{r}")
 
     for n in ns:
         crit_set = class_sets[n % r]
-        crit_count = len(crit_set)
         recorded = len(failures)
         e1, e2 = epsilons(q, n) if r == 3 else (None, None)
-        closed: int | None
+        closed: int | None = None
         try:
             closed = closed_count(p, k, n, r)
         except DivisibilityViolationError as exc:
             failures.append(SweepFailure(q, n, r, "closed", "divisibility", str(exc)))
-            closed = None
-        if closed is not None and closed != crit_count:
-            failures.append(SweepFailure(q, n, r, "closed", "criterion", f"{closed} != {crit_count}"))
-
-        brute_count = None
+        brute = None
         if q <= BRUTE_FULL_MAX or rng.random() < BRUTE_SAMPLE_RATE:
             brute = frozenset(enumerate_perm_binomials(spec, n, r, method="bruteforce", encoded=True))
-            brute_count = len(brute)
-            if brute != crit_set:
-                failures.append(SweepFailure(q, n, r, "criterion", "bruteforce", set_diff(crit_set, brute)))
-
-        if closed is not None:
-            for pair, lo, hi in pairs:
-                if lo is not None and not lo <= closed <= hi:
-                    failures.append(SweepFailure(q, n, r, "closed", pair, f"{closed} outside [{lo}, {hi}]"))
+        failures += [SweepFailure(q, n, r, *f) for f in cell_failures(closed, crit_set, brute, pairs)]
 
         cells.append(
             {
@@ -170,8 +124,8 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
                 "epsilon2": e2,
                 "s_k": s_k,
                 "closed_count": closed,
-                "criterion_count": crit_count,
-                "brute_count": brute_count,
+                "criterion_count": len(crit_set),
+                "brute_count": None if brute is None else len(brute),
                 "mz_lower": mz_lower,
                 "mz_upper": mz_upper,
                 "cor_lower": cor_lo,

@@ -41,3 +41,15 @@ def test_a_traced_tiny_pass_records_every_required_layer(perfbench, workload):
         tracer.uninstall()
     assert [wl.verify(op, out) for op, out in zip(ops, outputs)] == [None] * len(ops)
     assert layers.coverage_failures(workload, tracing.stats_to_json(tracer)) == []
+
+
+def test_a_traced_tiny_cli_pass_records_every_required_layer(perfbench):
+    # each query runs in a child interpreter under perfbench/child.py, as the benchmark's traced pass runs it
+    layers, tracing, workloads = perfbench
+    wl = workloads.WORKLOADS["cli-oneshot"]("tiny")
+    stats = {}
+    for op in wl.ops(1):
+        output, payload = wl.run_traced(op)
+        assert wl.verify(op, output) is None, op
+        tracing.merge_stats(stats, payload.get("stats", {}))
+    assert layers.coverage_failures("cli-oneshot", stats) == []

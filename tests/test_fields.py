@@ -14,6 +14,7 @@ from permbinom.errors import (
     ReducibleModulusError,
     UnknownChoiceError,
     ZeroElementError,
+    integer,
 )
 from permbinom import fields
 from permbinom.fields import (
@@ -316,3 +317,21 @@ def test_parse_field():
     for text in ("7^0", "7^-1"):
         with pytest.raises(DegreeMismatchError):
             parse_field(text)
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-1", "007", "1048576"])
+def test_integer_reads_ascii_digits_after_an_optional_minus(text):
+    assert integer(text) == int(text)
+
+
+# int() alone reads "+1", " 7", "7 ", "1_1" and the Arabic-Indic digits
+@pytest.mark.parametrize("text", ["", "-", "--1", "+1", " 7", "7 ", "1_1", "\u0667\u0663", "\u0665", "7.0", "1e3", "0x1f", "\u00b2"])
+def test_integer_refuses_anything_else(text):
+    with pytest.raises(UnknownChoiceError, match=re.escape(repr(text))):
+        integer(text)
+
+
+def test_a_guard_that_only_int_would_read_is_refused(monkeypatch):
+    monkeypatch.setenv("PERMBINOM_GUARD", "1_000")
+    with pytest.raises(EnumerationGuardError, match=re.escape("PERMBINOM_GUARD='1_000'")):
+        ensure_enumerable(7)

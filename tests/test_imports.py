@@ -9,7 +9,9 @@ no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception,
 and cli.main catches nothing else but OSError; only errors.check_integer
 and three refusals with messages of their own catch TypeError; only
-counts.render calls json.dumps or csv.writer, and only cli._write opens a file.
+counts.render calls json.dumps or csv.writer, and only cli._write opens a file;
+only counts.py compares route a-sets (set_diff), and no module imports
+another's underscore name.
 A CLI query loads neither the sweep and selftest machinery nor the
 sharpness module, nothing loads mpmath, and the lazily loaded public names
 still behave like the eager ones.
@@ -169,6 +171,28 @@ def test_one_renderer_and_one_writer_serialize_and_write_every_answer():
     serializers = {p.name for p in ALL_SOURCES if serializer_uses(p.read_text())}
     assert serializers == {"counts.py"}
     assert [line.split()[0] for line in file_openers((SRC / "cli.py").read_text())] == ["_write"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a module imports from another package module."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_import_detector():
+    src = "from __future__ import annotations\nfrom ._x import y\nfrom .permtest import _orbit_union, check_cell\nfrom os import _exit\n"
+    assert private_imports(src) == ["_orbit_union (line 3)"]
+
+
+def test_counts_alone_compares_route_sets_and_no_module_imports_a_private_name():
+    # counts.class_failures and counts.cell_failures are the one route cross-check, for the sweep and count --verify
+    assert {p.name for p in ALL_SOURCES if _calls(ast.parse(p.read_text()), "set_diff")} == {"counts.py"}
+    assert {p.name: private_imports(p.read_text()) for p in ALL_SOURCES if private_imports(p.read_text())} == {}
 
 
 def _calls(tree: ast.AST, name: str) -> bool:

@@ -90,7 +90,7 @@ def test_wanlidl_route_agrees_in_sweep():
 
 @pytest.mark.parametrize("swap", [False, True], ids=["drop", "swap"])
 def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
-    real = sweep.enumerate_perm_binomials
+    real = counts.enumerate_perm_binomials
 
     def wanlidl_loses_one(spec, n, r, method="criterion", *, encoded=False):
         found = real(spec, n, r, method=method)
@@ -103,7 +103,7 @@ def test_sweep_records_a_wanlidl_disagreement(monkeypatch, swap):
     # one failure per (q, r, class of n) whose a-set is not empty
     clean = run_verify_sweep(SweepConfig(q_max=13))
     want = {(c["q"], c["r"], c["n"] % c["r"]) for c in clean.cells if c["criterion_count"]}
-    monkeypatch.setattr(sweep, "enumerate_perm_binomials", wanlidl_loses_one)
+    monkeypatch.setattr(counts, "enumerate_perm_binomials", wanlidl_loses_one)
     result = run_verify_sweep(SweepConfig(q_max=13))
     compared = [f for f in result.failures if f.route_b == "wanlidl"]
     assert {(f.q, f.r, f.n % f.r) for f in compared} == want
@@ -147,7 +147,7 @@ def _split_one_orbit(monkeypatch, route, drop_pair):
     orbit = orbit_of(victim)
     assert orbit <= {a.encode() for a in found} and min(orbit) != victim.encode()
     dropped = {victim, -victim} if drop_pair else {victim}
-    real = sweep.enumerate_perm_binomials
+    real = counts.enumerate_perm_binomials
 
     def drops(spec, n, r, method="criterion", *, encoded=False):
         out = real(spec, n, r, method=method)
@@ -155,7 +155,7 @@ def _split_one_orbit(monkeypatch, route, drop_pair):
             out = [a for a in out if a not in dropped]
         return [a.encode() for a in out] if encoded else out
 
-    monkeypatch.setattr(sweep, "enumerate_perm_binomials", drops)
+    monkeypatch.setattr(counts, "enumerate_perm_binomials", drops)
     result = run_verify_sweep(SweepConfig(q_max=25))
     # every cell of the broken class fails, and only those
     assert [c["ok"] for c in result.cells] == [(c["q"], c["r"], c["n"] % 2) != (25, 2, 1) for c in result.cells]
@@ -293,6 +293,30 @@ def test_cli_malformed_input_exits_2_with_a_one_line_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot parse ")
     assert "Traceback" not in captured.err and "invalid literal" not in captured.err
+
+
+@pytest.mark.parametrize(
+    ("argv", "bad"),
+    [
+        (["char", "--field", "7_3"], "7_3"),
+        (["char", "--field", "\u0667\u0663"], "\u0667\u0663"),  # Arabic-Indic 73
+        (["char", "--field", "7^0_2"], "7^0_2"),
+        (["count", "--field", "13", "--n", "1_1", "--r", "2"], "1_1"),
+        (["char", "--field", "7", "--x", "\u0665"], "\u0665"),  # Arabic-Indic 5
+        (["char", "--field", "5^2", "--modulus", "3,6_0,1"], "3,6_0,1"),
+    ],
+    ids=["field-underscore", "field-non-ascii", "exponent-underscore", "n-underscore", "x-non-ascii", "modulus-underscore"],
+)
+def test_cli_integers_are_ascii_digits_only(argv, bad, capsys):
+    # int() would read each of these, and the query would answer for another input
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse's refusal, as for --n abc
+        rc = exc.code
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(bad) in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("flags", [["--q-max", "1"], ["--jobs", "0"], ["--jobs", "-1"], ["--q-max", "0"]])
@@ -657,8 +681,7 @@ def test_cli_cross_check_mismatch_exits_1(capsys, monkeypatch):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "(q=13, n=1, r=2)" in captured.err
-    assert "closed=6 criterion=5" in captured.err
+    assert "q=13 n=1 r=2 closed vs criterion: 6 != 5" in captured.err
 
 
 def test_cli_count_verify_compares_a_sets(capsys, monkeypatch):
@@ -676,9 +699,7 @@ def test_cli_count_verify_compares_a_sets(capsys, monkeypatch):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "(q=73, n=35, r=3)" in captured.err
-    assert "criterion and bruteforce" in captured.err
-    assert "a-only=[0] b-only=[1]" in captured.err
+    assert "q=73 n=35 r=3 criterion vs bruteforce: |a|=16 |b|=16 a-only=[0] b-only=[1]" in captured.err
 
 
 def test_cli_count_verify_runs_wan_lidl(capsys, monkeypatch):
@@ -696,8 +717,32 @@ def test_cli_count_verify_runs_wan_lidl(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "criterion and wanlidl a-sets differ at (q=73, n=35, r=3): |a|=16 |b|=15 a-only=[0] b-only=[]" in captured.err
+    assert "q=73 n=35 r=3 criterion vs wanlidl: |a|=16 |b|=15 a-only=[0] b-only=[]" in captured.err
     assert sorted(methods) == ["bruteforce", "criterion", "wanlidl"]
+
+
+def test_cli_count_verify_holds_the_count_to_both_bound_pairs(capsys, monkeypatch):
+    # a Masuda-Zieve pair that excludes the true count of 16; the routes all agree on it
+    monkeypatch.setattr(counts, "masuda_zieve_bounds", lambda q, r: (Fraction(100), Fraction(200)))
+    assert cli.main(["count", "--field", "73", "--n", "35", "--r", "3", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q=73 n=35 r=3 closed vs mz-bounds: 16 outside [100, 200]\n"
+
+
+def test_cli_count_verify_checks_the_wan_lidl_set_for_closure(capsys, monkeypatch):
+    # 16 = 2 * 8 with 8^3 = 1 in F_73: dropping it splits the orbit {2, 16, 55} of a -> omega a
+    real = counts.enumerate_perm_binomials
+
+    def wan_lidl_splits_an_orbit(spec, n, r, method="criterion", *, encoded=False):
+        found = [a for a in real(spec, n, r, method=method, encoded=True) if method != "wanlidl" or a != 16]
+        return found if encoded else [spec.decode(a) for a in found]
+
+    monkeypatch.setattr(counts, "enumerate_perm_binomials", wan_lidl_splits_an_orbit)
+    assert cli.main(["count", "--field", "73", "--n", "35", "--r", "3", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q=73 n=35 r=3 wanlidl vs symmetry: orbit of a=2 split: 2 of 3 members found\n"
 
 
 def test_cli_out_writes_file(tmp_path, capsys):
