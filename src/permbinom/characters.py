@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import BadFieldForCubicError, EvenCharacteristicError, check_integer
+from .errors import BadFieldForCubicError, EvenCharacteristicError, check_integer, int_text
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
@@ -56,7 +56,7 @@ def _square_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement]
 def cubic_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement, FieldElement]:
     """(1, xi, xi^2) with xi = alpha^((q-1)/3)."""
     if spec.q % 3 != 1:
-        raise BadFieldForCubicError(f"q = {spec.q} is not 1 mod 3")
+        raise BadFieldForCubicError(f"q = {int_text(spec.q)} is not 1 mod 3")
     third = (spec.q - 1) // 3
     alpha = spec.alpha
     return spec.one, alpha**third, alpha ** (2 * third)

@@ -33,7 +33,7 @@ from math import factorial, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from .curves import pi_trace
-from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, OutOfRangeError, UnknownChoiceError, check_integer, int_text, refuse_unprintable
+from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, UnknownChoiceError, check_divides, check_integer, int_text, refuse_unprintable
 from .fields import FieldSpec, check_prime_power, ensure_enumerable, make_field
 from .permtest import check_cell, check_field, enumerate_perm_binomials, split_orbits
 from .primes import exact_sqrt, prime_power_decompose
@@ -69,7 +69,7 @@ def closed_count_r3(p: int, k: int, n: int) -> int:
     numerator = 2 * q - 3 * (e1 + e2) - 10 - 2 * pi_trace(p, k)
     if numerator % 9 != 0:
         raise DivisibilityViolationError(
-            f"count numerator {numerator} not divisible by 9 at (p={p}, k={k}, n={n})"
+            f"count numerator {int_text(numerator)} not divisible by 9 at (p={int_text(p)}, k={int_text(k)}, n={int_text(n)})"
         )
     return numerator // 9
 
@@ -90,10 +90,7 @@ def masuda_zieve_bounds(q: int, r: int) -> tuple[Fraction, Fraction]:
     replaced by a rational just above it, so the returned interval always
     contains the true one.
     """
-    check_integer("r", r, 2)
-    check_integer("q", q, 1)
-    if (q - 1) % r != 0:
-        raise OutOfRangeError(f"r = {r} must divide q - 1 = {int_text(q - 1)}")
+    check_divides(check_integer("r", r, 2), check_integer("q", q, 1))
     m_r = r ** (r + 1) - 2 * r**r - r ** (r - 1) + 2
     scale = Fraction(factorial(r), r**r)
     sqrt_hi = _sqrt_upper(q)

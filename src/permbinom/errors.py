@@ -103,7 +103,7 @@ def int_text(n: int) -> str:
     try:
         return str(n)
     except ValueError:  # the int-to-str digit limit
-        return f"a {n.bit_length()}-bit integer"
+        return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
 
 
 def check_integer(name: str, value, low: int | None = None) -> int:
@@ -119,6 +119,12 @@ def check_integer(name: str, value, low: int | None = None) -> int:
     if low is not None and value < low:
         raise OutOfRangeError(f"{name} must be at least {low}, got {int_text(value)}")
     return value
+
+
+def check_divides(r: int, q: int) -> None:
+    """Raise OutOfRangeError unless the integer r divides q - 1, as r must for x^n (x^((q-1)/r) + a) over F_q."""
+    if (q - 1) % r:
+        raise OutOfRangeError(f"r = {int_text(r)} must divide q - 1 = {int_text(q - 1)}")
 
 
 def integer(text: str) -> int:

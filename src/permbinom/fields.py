@@ -391,7 +391,7 @@ class FieldSpec:
         except TypeError:
             raise UnknownChoiceError(f"encoding {enc!r} is not an integer") from None
         if not 0 <= enc < self.q:
-            raise OutOfRangeError(f"encoding {enc} out of range for q={self.q}")
+            raise OutOfRangeError(f"encoding {int_text(enc)} out of range for q={int_text(self.q)}")
         if self._digits is not None:
             low, high = self._digits
             hi, lo = divmod(enc, len(low))
@@ -494,9 +494,9 @@ def check_prime_power(p: int, k: int) -> None:
     check_integer("p", p)
     check_integer("k", k)
     if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
+        raise NonPrimeError(f"{int_text(p)} is not prime")
     if k < 1:
-        raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
+        raise DegreeMismatchError(f"extension degree must be >= 1, got {int_text(k)}")
 
 
 def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> FieldSpec:
@@ -512,7 +512,7 @@ def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fiel
     else:
         mod = key[2]
         if _pdeg(mod) != k:
-            raise DegreeMismatchError(f"modulus degree {_pdeg(mod)} != k = {k}")
+            raise DegreeMismatchError(f"modulus degree {_pdeg(mod)} != k = {int_text(k)}")
         if mod[k] != 1:
             raise ReducibleModulusError("modulus must be monic")
         if not _is_irreducible(mod, p):

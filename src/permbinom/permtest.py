@@ -6,11 +6,10 @@ Routes:
     at every x at once as r shifted bitmasks of logarithms, for one a per
     orbit of a -> a^p and a -> omega a (omega^r = 1), whose members all
     pass or all fail, plus a = 0;
-  * wanlidl: decompose into the index form x^r_low h(x^(q-1)/m) + b and
-    apply the index-form permutation criterion; wan_lidl_check does so for
-    any polynomial, and enumeration builds the a = 1 binomial's form once,
-    decides a = 0 from its fixed logarithms and tests every other a at
-    once, on (q-1)-bit masks of Zech residues indexed by log a;
+  * wanlidl: the index-form criterion on x^r_low h(x^(q-1)/m) + b, for any
+    polynomial in wan_lidl_check; enumeration reads the binomial's form off
+    the cell, decides a = 0 from its fixed logarithms and tests every other
+    a at once, on (q-1)-bit masks of Zech residues indexed by log a;
   * criterion: the character conditions specific to r = 2 and r = 3, on
     FieldElement arithmetic.
 
@@ -50,6 +49,7 @@ from .errors import (
     OutOfRangeError,
     UnknownChoiceError,
     ZeroPolynomialError,
+    check_divides,
     check_integer,
     int_text,
 )
@@ -94,13 +94,10 @@ def binomial_polynomial(spec: FieldSpec, n: int, r: int, a: FieldElement | int) 
     """Sparse form of x^n (x^((q-1)/r) + a), exponents reduced below q, for n >= 0 and r | q - 1; n need not be admissible."""
     q = spec.q
     check_integer("n", n, 0)
-    if (q - 1) % check_integer("r", r, 1):
-        raise OutOfRangeError(f"r = {r} must divide q - 1 = {int_text(q - 1)}")
+    check_divides(check_integer("r", r, 1), q)
     a = spec.element(a)
     d = (q - 1) // r
-    hi = n + d
-    if hi > q - 1:
-        hi = (hi - 1) % (q - 1) + 1  # same map on F_q, keeps degree < q
+    hi = (n + d - 1) % (q - 1) + 1  # n + d reduced into [1, q - 1]: the same map on F_q, of degree < q
     poly = {hi: spec.one}
     if not a.is_zero:
         poly[n] = a
@@ -125,7 +122,7 @@ def compute_index_form(spec: FieldSpec, f) -> IndexForm:
     poly = _as_sparse(spec, f)
     q = spec.q
     if poly and max(poly) >= q:
-        raise OutOfRangeError(f"degree must be < q = {q}")
+        raise OutOfRangeError(f"degree must be < q = {int_text(q)}")
     b = poly.pop(0, spec.zero)
     if not poly:
         raise ZeroPolynomialError("constant polynomials have no index form")
@@ -198,7 +195,7 @@ def check_field(q: int, r: int) -> None:
     check_integer("q", q)
     check_integer("r", r)
     if r not in (2, 3):
-        raise OutOfRangeError(f"r must be 2 or 3, got {r}")
+        raise OutOfRangeError(f"r must be 2 or 3, got {int_text(r)}")
     if not field_admits(q, r):
         if r == 2:
             raise EvenCharacteristicError(f"r = 2 needs odd q, got q = {int_text(q)}")
@@ -375,12 +372,14 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
 def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:
     """All a for which the binomial permutes F_q, by the index-form criterion, every a at once.
 
-    Every a is tested against the index form x^r_low h(x^s) of the a = 1
-    binomial, whose h has a at y^j_a and 1 at y^j_1. The criterion holds
-    for any m dividing q - 1, minimal or not (Zieve, Proc. AMS 137, 2009,
-    Lemma 2.1), so the form serves a = 0, the monomial x^(n+d), too; there
-    gcd(r_low, s) = gcd(n + d, s), as n + d = r_low mod s. That gcd is
-    checked once. On logarithms to base alpha with zeta = alpha^s,
+    The binomial's index form x^r_low h(x^s) is read off the cell, sharing
+    no code with wan_lidl_check: s = d = (q-1)/r, m = r, r_low = min(n, hi)
+    for hi = n + d reduced into [1, q - 1], and h has a at y^j_a and 1 at
+    y^j_1, j_a = (n - r_low)/s, j_1 = (hi - r_low)/s. Its gcd(r_low, s) is
+    gcd(n, d) = 1, as hi = n mod d, which check_cell requires. The criterion
+    holds for any m dividing q - 1, minimal or not (Zieve, Proc. AMS 137,
+    2009, Lemma 2.1), so the form also decides a = 0, the monomial x^(n+d),
+    whose minimal m is 1. On logarithms to base alpha with zeta = alpha^s,
     h(zeta^i) = zeta^(i j_a) (a + zeta^(i (j_1 - j_a))), so
     (x^r_low h(x^s))^s at x = alpha^i is alpha^(s (c_i + g_i)) with
     c_i = r_low i + s i j_a and g_i = log(a + zeta^(i (j_1 - j_a))). As
@@ -391,8 +390,8 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
     at zeta^i), and the common la drops out: a passes iff no z_i is NO_LOG
     and the c_i + z_i are distinct mod m.
 
-    That test runs on every la at once, as (q-1)-bit masks indexed by la
-    (m = r for these binomials). With Z(x) = zech[-x mod (q-1)], so that
+    That test runs on every la at once, as (q-1)-bit masks indexed by la.
+    With Z(x) = zech[-x mod (q-1)], so that
     z_i = Z(la - T_i), let R_v have bit x set when Z(x) is not NO_LOG and
     Z(x) = v mod m, for v < m. Then c_i + z_i = v mod m iff bit la - T_i
     of R_((v - c_i) mod m) is set, that is bit la of that mask rotated
@@ -405,16 +404,13 @@ def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) ->
     bytes.translate and int(_, 2); a rotation is a right shift of the
     doubled mask R_v | R_v << (q-1), kept to its low q - 1 bits at the end.
     """
-    poly = binomial_polynomial(spec, n, r, spec.one)
-    form = compute_index_form(spec, poly)
-    q1, m = spec.q - 1, form.m
-    s = q1 // m
-    if gcd(form.r_low, s) != 1:
-        return []
-    (hi,) = set(poly) - {n}
-    j_a, j_1 = (n - form.r_low) // s, (hi - form.r_low) // s  # where a and 1 sit in h
+    q1 = spec.q - 1
+    s, m = q1 // r, r
+    hi = (n + s - 1) % q1 + 1
+    r_low = min(n, hi)
+    j_a, j_1 = (n - r_low) // s, (hi - r_low) // s  # where a and 1 sit in h
     # (T_i, c_i mod m) for i = 0 .. m-1
-    steps = [(s * i * (j_1 - j_a) % q1, (form.r_low * i + s * i * j_a) % m) for i in range(m)]
+    steps = [(s * i * (j_1 - j_a) % q1, (r_low * i + s * i * j_a) % m) for i in range(m)]
     exp, _, zech = tables
     # int(_, 2) reads string position q1 - 1 - x as bit x, and Z(x) = zech[(q1 - 1 - x) + 1] sits there
     residues = bytearray(map(mod, zech[1:] + zech[:1], repeat(m)))

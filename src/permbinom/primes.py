@@ -3,7 +3,7 @@
 from itertools import count
 from math import gcd, isqrt, log2
 
-from .errors import FactorizationLimitError, check_integer
+from .errors import FactorizationLimitError, check_integer, int_text
 
 # Miller-Rabin to the first 13 prime bases proves every n below psi13, the
 # least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
@@ -54,7 +54,7 @@ def _pocklington(n: int) -> bool:
     try:
         factors = factorize(n - 1)
     except FactorizationLimitError as exc:
-        raise FactorizationLimitError(f"cannot prove {n} prime: {exc}") from exc
+        raise FactorizationLimitError(f"cannot prove {int_text(n)} prime: {exc}") from exc
     for f in factors:
         for b in range(2, 1000):
             x = pow(b, (n - 1) // f, n)
@@ -66,7 +66,7 @@ def _pocklington(n: int) -> bool:
             if g < n:
                 return False  # a proper factor of n
         else:
-            raise FactorizationLimitError(f"cannot prove {n} prime: no base below 1000 certifies the factor {f} of n - 1")
+            raise FactorizationLimitError(f"cannot prove {int_text(n)} prime: no base below 1000 certifies the factor {int_text(f)} of n - 1")
     return True
 
 
@@ -116,7 +116,7 @@ def _rho_primes(n: int, whole: int) -> list[int]:
             while g == 1:
                 steps -= 1
                 if steps < 0:
-                    raise FactorizationLimitError(f"cannot factor {m}, a factor of {whole}, within {_RHO_STEPS} Pollard rho steps")
+                    raise FactorizationLimitError(f"cannot factor {int_text(m)}, a factor of {int_text(whole)}, within {_RHO_STEPS} Pollard rho steps")
                 x = (x * x + c) % m
                 y = (y * y + c) % m
                 y = (y * y + c) % m

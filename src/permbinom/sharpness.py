@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .counts import epsilons
 from .curves import compute_kappa, pi_trace
-from .errors import BadFieldForCubicError, ProbeConfigError, UnsupportedPrimeError, check_integer
+from .errors import BadFieldForCubicError, ProbeConfigError, UnsupportedPrimeError, check_integer, int_text
 from .fields import check_prime_power
 from .primes import factorize
 
@@ -192,10 +192,10 @@ def _frobenius_angle(p: int, kappa: int, depth: int) -> tuple[str, list[tuple[in
 def _check_input(p: int, **positive: int) -> None:
     """Refuse a non-integer, p < 5 or a named value below 1, before any work."""
     if check_integer("p", p) < 5:
-        raise UnsupportedPrimeError(f"probe needs p >= 5, got {p}")
+        raise UnsupportedPrimeError(f"probe needs p >= 5, got {int_text(p)}")
     for name, value in positive.items():
         if check_integer(name, value) < 1:
-            raise ProbeConfigError(f"{name} must be at least 1, got {value}")
+            raise ProbeConfigError(f"{name} must be at least 1, got {int_text(value)}")
 
 
 class _Coprime(NamedTuple):
@@ -222,7 +222,7 @@ def admissible_exponent(n: int, p: int, k: int) -> bool:
     _check_input(p, n=n, k=k)
     check_prime_power(p, k)
     if pow(p, k, 3) != 1:
-        raise BadFieldForCubicError(f"q = {p}^{k} is not 1 mod 3")
+        raise BadFieldForCubicError(f"q = {int_text(p)}^{int_text(k)} is not 1 mod 3")
     for prime in factorize(n):
         modulus = 9 if prime == 3 else 3 * prime
         if pow(p, k, modulus) == 1:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .counts import bound_pairs, cell_failures, checked_pairs, class_failures, closed_count, epsilons, render
 from .curves import pi_trace
-from .errors import DivisibilityViolationError, SweepConfigError
+from .errors import DivisibilityViolationError, SweepConfigError, int_text
 from .fields import ensure_enumerable, make_field
 from .permtest import enumerate_perm_binomials, field_admits
 from .primes import prime_power_decompose, prime_powers_upto
@@ -154,13 +154,13 @@ def validate_config(config: SweepConfig) -> None:
         raise SweepConfigError("q_max must be at least 2")
     ensure_enumerable(config.q_max)
     if not config.r_set or not set(config.r_set) <= {2, 3}:
-        raise SweepConfigError(f"r_set must be a non-empty subset of {{2, 3}}, got {config.r_set}")
+        raise SweepConfigError(f"r_set must be a non-empty subset of {{2, 3}}, got ({', '.join(map(int_text, config.r_set))})")
     if config.jobs < 1:
         raise SweepConfigError("jobs must be positive")
     # the pool starts all its workers at once, so the cap comes before it exists
     cpus = os.cpu_count() or 1
     if config.jobs > cpus:
-        raise SweepConfigError(f"jobs = {config.jobs} exceeds the {cpus} CPUs of this machine")
+        raise SweepConfigError(f"jobs = {int_text(config.jobs)} exceeds the {cpus} CPUs of this machine")
 
 
 def run_verify_sweep(config: SweepConfig) -> SweepResult:

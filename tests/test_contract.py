@@ -9,16 +9,25 @@ counts as an integer parameter where an int is lifted into the field, and
 so do a polynomial's exponents and coefficients and a modulus entry.
 AcceptanceSuite is constructed but never run, so no process starts.
 
+Huge ints, past the interpreter's int-to-str digit limit, are covered
+where the refusal comes before any work: each such refusal in
+HUGE_CASES must be the one a small bad value gets, and must name the
+integer by its size.
+
 Left out, for the bounded-time half of the contract (ROADMAP item 9):
-- huge ints: is_prime(10**6000 + 1) spends about 19 s inside one pow,
-  which signal.alarm cannot interrupt, so no per-call budget could hold;
+- huge ints where a pow or p**k runs before the refusal:
+  is_prime(10**6000 + 1) spends about 19 s inside one pow, which
+  signal.alarm cannot interrupt, so no per-call budget could hold;
 - huge values of the exponent-like parameters (k, j, char2_cubic_sum's k
-  and masuda_zieve_bounds' r): a 10^5-digit k forms p**k before any
-  check can refuse it, and masuda_zieve_bounds forms r^(r+1);
+  and masuda_zieve_bounds' r) that pass their check: a 10^5-digit k
+  forms p**k before any check can refuse it, and masuda_zieve_bounds
+  forms r^(r+1);
 - FieldSpec arguments (a spec that is not a FieldSpec, and the FieldSpec
   and FieldElement constructors, which trust what make_field and decode
   hand them) and evaluate_poly's f, which must already be sparse.
 """
+
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +127,54 @@ def test_an_odd_integer_argument_returns_or_raises_a_typed_refusal(case, value):
 )
 def test_any_drawn_odd_argument_returns_or_raises_a_typed_refusal(case, value):
     _returns_or_refuses(CALLS[case], value)
+
+
+HUGE = 10**5000  # 5,001 digits, past the 4,300 that int-to-str allows
+# the refusals CALLS cannot reach: check_cell, decode and the sharpness module are not in __all__
+MORE_CALLS = {
+    ("check_cell", "r"): lambda v: pb.permtest.check_cell(13, 1, v),
+    ("decode", "enc"): f7.decode,
+    ("make_field", "k of a modulus"): lambda v: pb.make_field(7, v, [1, 0, 1]),
+    ("sharpness_probe", "p"): lambda v: sharpness.sharpness_probe(v, 35),
+    ("sharpness_probe", "n"): lambda v: sharpness.sharpness_probe(73, v),
+    ("sharpness_probe", "depth"): lambda v: sharpness.sharpness_probe(73, 35, depth=v),
+    ("deviation_bounds", "k"): lambda v: sharpness.deviation_bounds(73, v, 35),
+    ("admissible_exponent", "n"): lambda v: sharpness.admissible_exponent(v, 7, 2),
+    ("admissible_exponent", "k"): lambda v: sharpness.admissible_exponent(1, 5, v),
+}
+# (callable, parameter, a small bad value, a huge bad value that must get the same refusal)
+HUGE_CASES = [
+    ("check_cell", "r", 4, HUGE),
+    ("enumerate_perm_binomials", "r", 4, HUGE),
+    ("binomial_polynomial", "r", 5, HUGE),
+    ("masuda_zieve_bounds", "r", 5, HUGE),
+    *((name, "p", 10, HUGE) for name in ("make_field", "compute_kappa", "pi_trace", "count_points_prime", "closed_count_r3", "build_count_report")),
+    ("make_field", "k", -1, -HUGE),
+    ("make_field", "k of a modulus", 3, HUGE),
+    ("decode", "enc", 7, HUGE),
+    ("decode", "enc", -1, -HUGE),
+    ("sharpness_probe", "p", 3, -HUGE),
+    ("sharpness_probe", "n", 0, -HUGE),
+    ("sharpness_probe", "depth", 0, -HUGE),
+    ("deviation_bounds", "k", 0, -HUGE),
+    ("admissible_exponent", "n", 0, -HUGE),
+    ("admissible_exponent", "k", 1, HUGE + 1),  # 5^odd is 2 mod 3
+    ("run_verify_sweep", "jobs", (os.cpu_count() or 1) + 1, HUGE),
+    ("run_verify_sweep", "r_set", 4, HUGE),
+]
+
+
+@pytest.mark.parametrize(
+    ("name", "parameter", "small", "huge"), HUGE_CASES, ids=[f"{c[0]}-{c[1]}-{'neg' if c[3] < 0 else 'pos'}" for c in HUGE_CASES]
+)
+def test_a_huge_bad_integer_gets_the_refusal_a_small_one_gets(name, parameter, small, huge):
+    call = {**CALLS, **MORE_CALLS}[name, parameter]
+    with pytest.raises(pb.PermBinomError) as want:
+        call(small)
+    with pytest.raises(pb.PermBinomError) as got:
+        call(huge)
+    assert type(got.value) is type(want.value)
+    assert f"a {'negative ' if huge < 0 else ''}{huge.bit_length()}-bit integer" in str(got.value)
 
 
 A, B = pb.make_field(7, 2, [1, 0, 1]), pb.make_field(7, 2, [3, 1, 1])  # x^2 + 1 and x^2 + x + 3
