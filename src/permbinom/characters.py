@@ -7,7 +7,8 @@ primitive cube root of unity xi = alpha^((q-1)/3), or None on the zero
 element.  Exponents compose additively mod 3, so eta(uv) = eta(u) + eta(v)
 and eta(u/v) = eta(u) - eta(v) without any field inversions.
 
-Both read one exponent routine, _exponent: the e < m with
+Both pass their operand to FieldSpec.element, which decides whether it is
+in the field, and both read one exponent routine, _exponent: the e < m with
 el^((q-1)/m) = alpha^((q-1)e/m), for m = 2 (chi = (-1)^e) and m = 3
 (eta = e). Only here are characters read off a field's scan tables, as
 el = alpha^i gives e = i mod m: by _exponent one element at a time, and
@@ -38,9 +39,8 @@ def _exponent(spec: FieldSpec, el: FieldElement, m: int, roots: Callable[[FieldS
 
 
 def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
-    """chi(el) = el^((q-1)/2) read as -1, 0, or +1; el is an element of spec, or an int it lifts."""
-    if type(el) is not FieldElement or el.spec is not spec:
-        el = spec.element(el)
+    """chi(el) = el^((q-1)/2) read as -1, 0, or +1; el is an element of spec, or what spec.element lifts into it."""
+    el = spec.element(el)
     if spec.p == 2:
         raise EvenCharacteristicError("quadratic character needs odd q")
     if el.is_zero:
@@ -63,9 +63,8 @@ def cubic_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement, F
 
 
 def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
-    """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0; el is an element of spec, or an int it lifts."""
-    if type(el) is not FieldElement or el.spec is not spec:
-        el = spec.element(el)
+    """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0; el is an element of spec, or what spec.element lifts into it."""
+    el = spec.element(el)
     if el.is_zero:
         return None
     return _exponent(spec, el, 3, cubic_roots_of_unity)

@@ -25,7 +25,7 @@ from .errors import (
     integer,
     refuse_unprintable,
 )
-from .fields import FieldSpec, ensure_enumerable, make_field, parse_field
+from .fields import FieldSpec, ensure_field_enumerable, make_field, parse_field
 from .permtest import ROUTES, check_field, enumerate_perm_binomials
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _field_spec(args) -> FieldSpec:
     # refuse before the modulus search: every field command but char --x scans the field,
     # and char --x prints q and an encoding below it
     if getattr(args, "x", None) is None:
-        ensure_enumerable(p**k)
+        ensure_field_enumerable(p, k)
     else:
         refuse_unprintable(f"an answer on q = {p}^{k}", p, 2 * k, 1)
     return make_field(p, k, modulus)

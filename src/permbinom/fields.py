@@ -4,7 +4,9 @@ Elements are coefficient tuples (c_0, ..., c_{k-1}) over F_p, meaning
 c_0 + c_1 x + ... + c_{k-1} x^{k-1} modulo a monic irreducible modulus of
 degree k.  The canonical enumeration order is by integer encoding
 enc = sum c_i p^i, so the constant coefficient varies fastest and prime
-fields enumerate as 0, 1, ..., p-1.
+fields enumerate as 0, 1, ..., p-1.  FieldSpec.element is the one way into
+a field: the operators (for an element or an int) and the characters hand
+it their operand, and only it refuses an element of another field.
 
 When no modulus is supplied, make_field picks the first irreducible it
 finds scanning candidates x^k + c_{k-1} x^{k-1} + ... + c_0 in ascending
@@ -30,7 +32,9 @@ enumerate_perm_binomials, power_sum, count_points_extension,
 char2_cubic_sum, characters.character_classes and permtest.split_orbits,
 which checks a Wan-Lidl a-set for closure.  The guard is q <= 2^20, and
 the PERMBINOM_GUARD environment variable, read only here, is the one way
-to move it: no function takes an argument that skips it.
+to move it: no function takes an argument that skips it.  Given (p, k),
+ensure_field_enumerable refuses a k > 1 of the guard's bit length or more
+before q is formed, as q >= 2^k.
 
 On an extension field the first scan_tables call also builds decode's
 two digit tables, the coefficient tuples of the encodings below p^(k//2)
@@ -81,7 +85,12 @@ GUARD_ENV_VAR = "PERMBINOM_GUARD"
 
 
 def ensure_enumerable(q: int) -> None:
-    """Raise unless a full scan over F_q is within the guard.
+    """Raise unless a full scan over F_q is within the guard."""
+    ensure_field_enumerable(q, 1)
+
+
+def ensure_field_enumerable(p: int, k: int) -> None:
+    """Raise unless a full scan over F_q, q = p^k, is within the guard; a k > 1 with 2^k past it is refused before p**k is formed.
 
     A set but malformed or non-positive PERMBINOM_GUARD raises rather than
     falling back to the default, so a typo cannot silently move the guard.
@@ -93,8 +102,9 @@ def ensure_enumerable(q: int) -> None:
         limit = 0  # malformed: refused below like a non-positive value
     if limit < 1:
         raise EnumerationGuardError(f"{GUARD_ENV_VAR}={raw!r} is not a positive integer")
-    if q > limit:
-        shown = int_text(q)
+    q = None if k > 1 and k >= limit.bit_length() else p**k  # None: q >= 2^k > limit, named p^k
+    if q is None or q > limit:
+        shown = f"{p}^{k}" if q is None else int_text(q)
         raise EnumerationGuardError(f"refusing to enumerate F_q with q = {shown} > guard {limit}; set {GUARD_ENV_VAR} to at least {shown}")
 
 
@@ -158,11 +168,14 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
 
 def _residues(values: Iterable[int], p: int) -> tuple[int, ...]:
-    """Each value mod p, read as an integer by operator.index, so 2.5 and "1" are refused, not truncated or parsed."""
+    """Each value mod p, read as an integer by operator.index; 2.5 and "1" are refused by type, never echoed, as a list may hold a huge int."""
+    residues, c = [], values  # c is what the refusal names: values itself if it cannot be iterated
     try:
-        return tuple(index(c) % p for c in values)
+        for c in values:
+            residues.append(index(c) % p)
     except TypeError:
-        raise UnknownChoiceError(f"cannot read {values!r} as integer coefficients") from None
+        raise UnknownChoiceError(f"cannot read a value of type {type(c).__name__} as integer coefficients") from None
+    return tuple(residues)
 
 
 def _encode(coeffs: Sequence[int], p: int) -> int:
@@ -211,16 +224,10 @@ class FieldElement:
         self._enc = enc
 
     def _lift(self, other) -> "FieldElement | None":
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise FieldMismatchError("operands from different fields")
-            return other
-        if isinstance(other, int):
-            return self.spec.element(other)
-        return None
+        return self.spec.element(other) if isinstance(other, (FieldElement, int)) else None
 
     def __add__(self, other):
-        o = other if type(other) is FieldElement and other.spec is self.spec else self._lift(other)
+        o = self._lift(other)
         if o is None:
             return NotImplemented
         p = self.spec.p
@@ -372,9 +379,9 @@ class FieldSpec:
         return tuple(out)
 
     def element(self, value) -> FieldElement:
-        """Build an element from an integer (prime-subfield embedding) or coefficient sequence."""
+        """value itself if an element of this field, else one built from an int (prime-subfield embedding) or coefficient sequence."""
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise FieldMismatchError("element from a different field")
             return value
         if isinstance(value, int):
@@ -389,7 +396,7 @@ class FieldSpec:
         try:
             enc = index(enc)
         except TypeError:
-            raise UnknownChoiceError(f"encoding {enc!r} is not an integer") from None
+            raise UnknownChoiceError(f"an encoding of type {type(enc).__name__} is not an integer") from None
         if not 0 <= enc < self.q:
             raise OutOfRangeError(f"encoding {int_text(enc)} out of range for q={int_text(self.q)}")
         if self._digits is not None:

@@ -53,7 +53,7 @@ from .errors import (
     check_integer,
     int_text,
 )
-from .fields import FieldElement, FieldSpec, FieldTables, ensure_enumerable
+from .fields import FieldElement, FieldSpec, FieldTables
 
 Poly = Mapping[int, FieldElement]
 
@@ -106,10 +106,10 @@ def binomial_polynomial(spec: FieldSpec, n: int, r: int, a: FieldElement | int) 
 
 def is_permutation_bruteforce(spec: FieldSpec, f) -> bool:
     """Evaluate f everywhere; True iff the image has no collisions."""
-    ensure_enumerable(spec.q)
+    elements = spec.elements()  # checks the guard, before any other work
     poly = _as_sparse(spec, f)
     seen = bytearray(spec.q)
-    for x in spec.elements():
+    for x in elements:
         enc = evaluate_poly(spec, poly, x).encode()
         if seen[enc]:
             return False

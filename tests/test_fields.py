@@ -17,7 +17,9 @@ from permbinom.errors import (
     integer,
 )
 from permbinom import fields
+from permbinom.characters import cubic_char, quadratic_char
 from permbinom.fields import (
+    FieldSpec,
     element_order,
     ensure_enumerable,
     make_field,
@@ -158,6 +160,19 @@ def test_make_field_refuses_a_non_integer_modulus(modulus):
         make_field(3, 3, modulus)
 
 
+# a list that also holds an int too long to print: the refusal names the bad entry by its type alone
+HUGE_LISTS = {
+    "make_field-modulus": lambda: make_field(7, 2, [10**5000, 2.5, 1]),
+    "element": lambda: make_field(7, 2).element([10**5000, 2.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_LISTS))
+def test_a_bad_coefficient_list_is_refused_by_type_at_any_size(name):
+    with pytest.raises(UnknownChoiceError, match="^cannot read a value of type float as integer coefficients$"):
+        HUGE_LISTS[name]()
+
+
 @st.composite
 def field_and_elements(draw, count=3):
     p, k = draw(st.sampled_from(FIELDS))
@@ -219,6 +234,62 @@ def test_cross_field_operations_rejected():
         a + b
     with pytest.raises(FieldMismatchError):
         a * b
+
+
+# One operand table for every way a value enters a field: the operators,
+# both ways round, the two characters and FieldSpec.element. Each operand is
+# paired with x = A.decode(10) in A = F_{7^2}; an outcome is the value (E(n)
+# is A.decode(n)) or the type of the exception raised.
+A = make_field(7, 2)
+E = A.decode
+OPERANDS = {
+    "same-spec": A.decode(12),
+    "equal-spec": FieldSpec(7, 2, A.modulus).decode(12),  # equal to A, but not the cached object
+    "other-field": make_field(5, 2).decode(12),
+    "int": 3,
+    "bool": True,
+    "float": 2.5,
+    "str": "3",
+    "list": [3, 1],
+    "None": None,
+}
+OPERATIONS = {
+    "x + v": lambda v: E(10) + v,
+    "v + x": lambda v: v + E(10),
+    "x - v": lambda v: E(10) - v,
+    "v - x": lambda v: v - E(10),
+    "x * v": lambda v: E(10) * v,
+    "v * x": lambda v: v * E(10),
+    "x / v": lambda v: E(10) / v,
+    "v / x": lambda v: v / E(10),
+    "quadratic_char": lambda v: quadratic_char(A, v),
+    "cubic_char": lambda v: cubic_char(A, v),
+    "element": lambda v: A.element(v),
+}
+Mismatch, Refused = FieldMismatchError, UnknownChoiceError
+OUTCOMES = {  # one column per operand, in the order of OPERANDS
+    "x + v": (E(15), E(15), Mismatch, E(13), E(11), TypeError, TypeError, TypeError, TypeError),
+    "v + x": (E(15), E(15), Mismatch, E(13), E(11), TypeError, TypeError, TypeError, TypeError),
+    "x - v": (E(5), E(5), Mismatch, E(7), E(9), TypeError, TypeError, TypeError, TypeError),
+    "v - x": (E(2), E(2), Mismatch, E(42), E(47), TypeError, TypeError, TypeError, TypeError),
+    "x * v": (E(7), E(7), Mismatch, E(23), E(10), TypeError, TypeError, TypeError, TypeError),
+    "v * x": (E(7), E(7), Mismatch, E(23), E(10), TypeError, TypeError, TypeError, TypeError),
+    "x / v": (E(48), E(48), Mismatch, E(36), E(10), TypeError, TypeError, TypeError, TypeError),
+    "v / x": (E(31), E(31), Mismatch, E(45), E(15), TypeError, TypeError, TypeError, TypeError),
+    "quadratic_char": (-1, -1, Mismatch, 1, 1, Refused, Refused, -1, Refused),
+    "cubic_char": (1, 1, Mismatch, 1, 0, Refused, Refused, 2, Refused),
+    "element": (E(12), E(12), Mismatch, E(3), E(1), Refused, Refused, E(10), Refused),
+}
+
+
+@pytest.mark.parametrize("operation,operand", [(o, v) for o in OPERATIONS for v in OPERANDS])
+def test_every_way_into_a_field_gives_its_pinned_outcome(operation, operand):
+    expected = OUTCOMES[operation][list(OPERANDS).index(operand)]
+    try:
+        outcome = OPERATIONS[operation](OPERANDS[operand])
+    except Exception as exc:
+        outcome = type(exc)
+    assert type(outcome) is type(expected) and outcome == expected
 
 
 def test_elements_hashable():
@@ -292,6 +363,19 @@ def test_enumeration_guard(monkeypatch):
         ensure_enumerable(big)
     monkeypatch.setenv("PERMBINOM_GUARD", str(big))
     ensure_enumerable(big)
+
+
+@pytest.mark.parametrize(
+    "p,k,shown",
+    [(2, 9, None), (3, 9, "19683"), (2, 10, "2^10"), (7, 30000000, "7^30000000"), (1009, 1, "1009")],
+)
+def test_the_field_guard_names_q_as_p_to_the_k_where_k_alone_decides(monkeypatch, p, k, shown):
+    monkeypatch.setenv("PERMBINOM_GUARD", "1000")  # 10 bits: q >= 2^k > 1000 for every k >= 10
+    if shown is None:
+        fields.ensure_field_enumerable(p, k)
+        return
+    with pytest.raises(EnumerationGuardError, match=f"^refusing to enumerate F_q with q = {re.escape(shown)} > guard 1000; "):
+        fields.ensure_field_enumerable(p, k)
 
 
 @pytest.mark.parametrize("raw", ["1e1", "abc", "", "-5", "0"])

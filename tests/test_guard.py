@@ -1,5 +1,7 @@
 """The enumeration guard: one rule, PERMBINOM_GUARD, for every full-field scan."""
 
+import time
+
 import pytest
 
 from permbinom import cli, curves, fields
@@ -94,9 +96,35 @@ def test_a_scan_refuses_a_huge_field_before_building_it(name, no_modulus_search,
     assert no_modulus_search == {}
 
 
+# Scans on a field whose q alone takes tens of seconds to form: q >= 2^k decides from k
+UNFORMED_Q_SCANS = {
+    "enumerate": ["enumerate", "--field", "7^30000000", "--n", "1", "--r", "2"],
+    "char": ["char", "--field", "7^30000000"],
+    "curve": ["curve", "--field", "7^30000000", "--A", "0", "--B", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFORMED_Q_SCANS))
+def test_a_scan_refuses_a_large_k_without_forming_q(name, no_modulus_search, capsys):
+    start = time.perf_counter()
+    assert cli.main(UNFORMED_Q_SCANS[name]) == 2
+    assert time.perf_counter() - start < 1.0
+    shown = "7^30000000"
+    assert capsys.readouterr() == ("", f"error: refusing to enumerate F_q with q = {shown} > guard 1048576; set PERMBINOM_GUARD to at least {shown}\n")
+    assert no_modulus_search == {}
+
+
 def test_count_report_refuses_a_huge_field_before_building_it(no_modulus_search):
     with pytest.raises(EnumerationGuardError, match="^refusing to enumerate F_q with q = a 20001-bit integer > guard 1048576"):
         build_count_report(2, 20000, 1, 3, verify=True)
+    assert no_modulus_search == {}
+
+
+def test_char2_cubic_sum_refuses_a_large_k_before_building_the_field(no_modulus_search):
+    start = time.perf_counter()
+    with pytest.raises(EnumerationGuardError, match=r"^refusing to enumerate F_q with q = 2\^30000000 > guard 1048576"):
+        char2_cubic_sum(15000000)
+    assert time.perf_counter() - start < 1.0
     assert no_modulus_search == {}
 
 

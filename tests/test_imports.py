@@ -7,6 +7,7 @@ reads the environment; only counts.py calls the per-r closed forms and
 bounds; no module encodes the elements enumerate_perm_binomials decoded;
 no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception,
+only FieldSpec.element refuses an element of another field;
 and cli.main catches nothing else but OSError; only errors.check_integer
 and three refusals with messages of their own catch TypeError; only
 counts.render calls json.dumps or csv.writer, and only cli._write opens a file;
@@ -476,8 +477,8 @@ def test_cli_main_catches_only_package_errors_and_os_errors():
 OWN_INTEGER_REFUSALS = {"errors.py": {"check_integer"}, "fields.py": {"FieldSpec.decode", "_residues"}, "sweep.py": {"validate_config"}}
 
 
-def type_error_handlers(source: str) -> list[str]:
-    """except clauses that catch TypeError, alone or in a tuple, by the qualified name of the function around them."""
+def scoped_matches(source: str, matches) -> list[str]:
+    """The qualified name of the function around each node that matches accepts, with the node's line."""
     found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -485,14 +486,24 @@ def type_error_handlers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.ExceptHandler) and child.type is not None:
-                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any(ast.unparse(exc) in ("TypeError", "builtins.TypeError") for exc in caught):
-                    found.append(f"{'.'.join(scope) or '<module>'} (line {child.lineno})")
+            if matches(child):
+                found.append(f"{'.'.join(scope) or '<module>'} (line {child.lineno})")
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def type_error_handlers(source: str) -> list[str]:
+    """except clauses that catch TypeError, alone or in a tuple, by the qualified name of the function around them."""
+
+    def catches(node: ast.AST) -> bool:
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(ast.unparse(exc) in ("TypeError", "builtins.TypeError") for exc in caught)
+
+    return scoped_matches(source, catches)
 
 
 def test_type_error_handler_detector():
@@ -509,6 +520,33 @@ def test_type_error_handler_detector():
 def test_the_integer_refusal_is_stated_once(path):
     allowed = OWN_INTEGER_REFUSALS.get(path.name, set())
     assert [h for h in type_error_handlers(path.read_text()) if h.split(" (line ")[0] not in allowed] == []
+
+
+def raisers(source: str, exception: str) -> list[str]:
+    """raise statements of the named exception, by the qualified name of the function around them."""
+
+    def raises(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return ast.unparse(exc).split(".")[-1] == exception
+
+    return scoped_matches(source, raises)
+
+
+def test_raiser_detector():
+    src = (
+        "class S:\n    def f(self, x):\n        if x:\n            raise FieldMismatchError('x')\n        raise KeyError\n"
+        "def g():\n    raise errors.FieldMismatchError\n"
+        "def h():\n    raise OtherFieldMismatchError('y')\n"
+    )
+    assert raisers(src, "FieldMismatchError") == ["S.f (line 4)", "g (line 7)"]
+
+
+def test_only_field_spec_element_decides_membership():
+    # the operators, the characters and every public function lift a value through FieldSpec.element
+    found = [f"{path.name}: {r}" for path in ALL_SOURCES for r in raisers(path.read_text(), "FieldMismatchError")]
+    assert [r.split(" (line ")[0] for r in found] == ["fields.py: FieldSpec.element"], found
 
 
 def _refusals():

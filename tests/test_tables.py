@@ -267,9 +267,10 @@ class _Int(int):
     """An int subclass, as IntEnum members are; stored as a plain int, like a bool."""
 
 
-# a non-integer encoding is refused, and an integer-like one stored as an int, by the digit tables and the digit loop alike
+# a non-integer encoding is refused by its type, never echoed, and an integer-like one stored as an int,
+# by the digit tables and the digit loop alike
 @pytest.mark.parametrize("p,k", [(3, 3), (7, 1), (2, 4)])
-@pytest.mark.parametrize("bad", [5.5, 2.0, "5", None, [1]], ids=["5.5", "2.0", "str", "None", "list"])
+@pytest.mark.parametrize("bad", [5.5, 2.0, "5", None, [1], [10**5000]], ids=["5.5", "2.0", "str", "None", "list", "list-of-a-huge-int"])
 def test_decode_refuses_a_non_integer_encoding(p, k, bad):
     for spec in _pair(p, k, make_field(p, k).modulus):
         with pytest.raises(UnknownChoiceError, match="is not an integer"):
