@@ -14,7 +14,7 @@ import sys
 from functools import partial
 
 from .characters import character_classes, cubic_char, power_sum, quadratic_char
-from .counts import REPORT_SCALE, bound_pairs, build_count_report, render, report_to_dict
+from .counts import FORMATS, REPORT_SCALE, bound_pairs, build_count_report, render, report_to_dict
 from .curves import compute_kappa, count_points_extension, pi_trace
 from .errors import (
     CrossCheckFailedError,
@@ -289,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--q-max", type=integer, help="cap both sweeps at this q (default 343 / 400)")
     p_self.add_argument("--only", help="comma-separated subset of checks")
     p_self.add_argument("--report", metavar="PATH", help="also write the merged sweep report")
-    p_self.add_argument("--report-format", choices=("json", "csv", "text"), default="json")
+    p_self.add_argument("--report-format", choices=FORMATS, default="json")
     p_self.set_defaults(handler=_cmd_selftest)
 
     for name, cmd in sub.choices.items():
-        formats = ("json", "text", "csv") if name in ("enumerate", "selftest") else ("json", "text")
+        formats = FORMATS if name in ("enumerate", "selftest") else FORMATS[:-1]  # csv only for a table
         cmd.add_argument("--format", choices=formats, default="text" if name == "selftest" else "json")
         cmd.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
     return parser

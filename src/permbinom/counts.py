@@ -33,7 +33,7 @@ from math import factorial, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from .curves import pi_trace
-from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, UnknownChoiceError, check_divides, check_integer, int_text, refuse_unprintable
+from .errors import CrossCheckFailedError, DivisibilityViolationError, NonPrimeError, check_choice, check_divides, check_integer, int_text, refuse_unprintable
 from .fields import FieldSpec, check_prime_power, ensure_enumerable, make_field
 from .permtest import check_cell, check_field, enumerate_perm_binomials, split_orbits
 from .primes import exact_sqrt, prime_power_decompose
@@ -233,17 +233,19 @@ def report_to_dict(report: CountReport) -> dict:
     return out
 
 
+FORMATS = ("json", "text", "csv")  # csv last: render takes it only with rows, the CLI only for a table
+
+
 def render(fmt: str, payload: dict, text: str | None = None, rows=None) -> bytes:
     """The one serializer of CLI answers and sweep reports: JSON is the payload, CSV the rows, text the
-    given string or else one `key: value` line per payload key; any other fmt raises UnknownChoiceError."""
+    given string or else one `key: value` line per payload key; csv is a choice only where there are rows."""
+    check_choice("format", fmt, FORMATS if rows is not None else FORMATS[:-1])
     if fmt == "json":
         out = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         out = buf.getvalue()
-    elif fmt == "text":
-        out = text if text is not None else "".join(f"{key}: {value}\n" for key, value in payload.items())
     else:
-        raise UnknownChoiceError(f"unknown format {fmt!r}")
+        out = text if text is not None else "".join(f"{key}: {value}\n" for key, value in payload.items())
     return out.encode()

@@ -3,6 +3,12 @@
 Every precondition failure raises a distinct class so callers (and the
 sweep harness, which must never die mid-run) can tell configuration
 mistakes apart from genuine mathematical disagreements.
+
+Two refusals are written here once: check_integer refuses an integer
+argument that is not an int or lies below its floor, and check_choice
+refuses a name (a method, check or report format) that is not one of the
+accepted strings. Both name an int with more digits than the interpreter
+prints by its size (int_text), so a huge bad value keeps its refusal.
 """
 
 import math
@@ -95,7 +101,10 @@ class OutOfRangeError(PermBinomError, ValueError):
 
 
 class UnknownChoiceError(PermBinomError, ValueError):
-    """A method, check, report format or field string that names none of the accepted choices, or an integer argument, encoding or coefficient that is not an integer."""
+    """A method, check, report format or field string that names none of the accepted choices, or an integer argument, encoding or coefficient that is not an integer.
+
+    check_choice raises every "unknown <kind> ..." refusal of a name.
+    """
 
 
 def int_text(n: int) -> str:
@@ -104,6 +113,22 @@ def int_text(n: int) -> str:
         return str(n)
     except ValueError:  # the int-to-str digit limit
         return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
+
+
+def value_text(value) -> str:
+    """value for a refusal message: a str by its repr, an int by int_text, anything else by its type alone."""
+    return repr(value) if isinstance(value, str) else int_text(value) if isinstance(value, int) else f"a {type(value).__name__}"
+
+
+def check_choice(kind: str, value, choices) -> str:
+    """value when it is a str in choices, or else UnknownChoiceError naming it by value_text.
+
+    The one refusal of a named choice: every method, check and report
+    format a caller picks by name passes through it.
+    """
+    if isinstance(value, str) and value in choices:
+        return value
+    raise UnknownChoiceError(f"unknown {kind} {value_text(value)}")
 
 
 def check_integer(name: str, value, low: int | None = None) -> int:

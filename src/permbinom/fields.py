@@ -77,6 +77,7 @@ from .errors import (
     check_integer,
     int_text,
     integer,
+    value_text,
 )
 from .primes import factorize, is_prime, prime_power_decompose
 
@@ -561,4 +562,4 @@ def parse_field(text: str) -> tuple[int, int]:
         if decomposed is None:
             raise NonPrimeError(f"{text} is not a prime power")
         return decomposed
-    raise UnknownChoiceError(f"cannot parse field {text!r}; expected 'q' or 'p^k'")
+    raise UnknownChoiceError(f"cannot parse field {value_text(text)}; expected 'q' or 'p^k'")

@@ -47,8 +47,8 @@ from .errors import (
     EvenCharacteristicError,
     GcdViolationError,
     OutOfRangeError,
-    UnknownChoiceError,
     ZeroPolynomialError,
+    check_choice,
     check_divides,
     check_integer,
     int_text,
@@ -445,9 +445,7 @@ def enumerate_perm_binomials(
     encoded=True returns the route's ascending encodings as they are;
     callers that want encodings pass it rather than encode each element.
     """
-    route = ROUTES.get(method) if isinstance(method, str) else None
-    if route is None:
-        raise UnknownChoiceError(f"unknown method {method!r}")
+    route = ROUTES[check_choice("method", method, ROUTES)]
     check_cell(spec.q, n, r)
     found = route(spec, spec.scan_tables(), n, r)
     return found if encoded else [spec.decode(a) for a in found]

@@ -5,6 +5,11 @@ rest still run. The two big sweeps, r = 2 and r = 3 up to SWEEP_Q_MAX
 unless one q_max caps both, are cached on the suite by sweep(r) and shared
 by every check that needs them (the bounds check in particular re-reads the
 same cells instead of re-sweeping).
+
+A check is a check_* method of AcceptanceSuite, and its name is the
+method's with "-" for "_" ("r2-sweep"); CHECK_ORDER lists them in the
+order the class defines them, and errors.check_choice refuses any other
+name, the underscore spelling too.
 """
 
 from __future__ import annotations
@@ -23,26 +28,13 @@ from .curves import (
     pi_trace,
     point_count_residue,
 )
-from .errors import UnknownChoiceError
+from .errors import UnknownChoiceError, check_choice
 from .fields import make_field
 from .permtest import field_admits
 from .primes import is_prime, prime_power_decompose, prime_powers_upto
 from .sweep import BRUTE_FULL_MAX, SweepConfig, SweepResult, run_verify_sweep, valid_exponents, validate_config
 
 F73_ADMISSIBLE = frozenset({0, 2, 4, 16, 18, 21, 22, 30, 32, 33, 37, 45, 55, 57, 68, 71})
-
-CHECK_ORDER = (
-    "exact-case-f73",
-    "kappa-table",
-    "r2-sweep",
-    "r3-sweep",
-    "point-congruence",
-    "extension-counts",
-    "char2-sums",
-    "bounds-containment",
-    "sharpness-witnesses",
-    "character-identities",
-)
 
 SWEEP_Q_MAX = {2: 343, 3: 400}  # default q_max of the r = 2 and r = 3 sweeps
 
@@ -236,9 +228,7 @@ class AcceptanceSuite:
         return True, f"power-sum case split (0^0 = 1) and character class counts verified over all {fields} fields with q <= 64"
 
     def run_check(self, name: str) -> CheckResult:
-        method = getattr(self, "check_" + name.replace("-", "_"), None)
-        if method is None:
-            raise UnknownChoiceError(f"unknown check {name!r}")
+        method = getattr(self, "check_" + check_choice("check", name, CHECK_ORDER).replace("-", "_"))
         t0 = time.monotonic()
         try:
             passed, detail = method()
@@ -246,9 +236,13 @@ class AcceptanceSuite:
             passed, detail = False, f"raised {exc!r}"
         return CheckResult(name, passed, detail, int((time.monotonic() - t0) * 1000))
 
-    def run(self, names=None) -> list[CheckResult]:
-        todo = CHECK_ORDER if names is None else tuple(names)
-        unknown = set(todo) - set(CHECK_ORDER)
-        if unknown:
-            raise UnknownChoiceError(f"unknown checks {sorted(unknown)}")
+    def run(self, names: list[str] | None = None) -> list[CheckResult]:
+        """The named checks in the order given, or every check in CHECK_ORDER; each name is checked before any check runs."""
+        if not isinstance(names, list | None):
+            raise UnknownChoiceError(f"the checks to run must be a list of names, got a {type(names).__name__}")
+        todo = CHECK_ORDER if names is None else [check_choice("check", name, CHECK_ORDER) for name in names]
         return [self.run_check(name) for name in todo]
+
+
+# one name per check_* method, in the order the class defines them (see the module docstring)
+CHECK_ORDER = tuple(attr.removeprefix("check_").replace("_", "-") for attr in vars(AcceptanceSuite) if attr.startswith("check_"))

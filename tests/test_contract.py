@@ -1,4 +1,4 @@
-"""The library contract: a bad integer argument is refused with a typed PermBinomError.
+"""The library contract: a bad integer argument or a bad name is refused with a typed PermBinomError.
 
 Every callable in permbinom.__all__ that takes an integer is called once
 per integer parameter, with the other arguments valid, on 2.0, 2.5, "7",
@@ -8,6 +8,12 @@ ZeroDivisionError, a bare ValueError or MemoryError. An element parameter
 counts as an integer parameter where an int is lifted into the field, and
 so do a polynomial's exponents and coefficients and a modulus entry.
 AcceptanceSuite is constructed but never run, so no process starts.
+
+Choice parameters are covered too: each parameter that takes a name (a
+route method, a report format, a selftest check, a field string) is
+called with wrong types, a huge int, a right name in the wrong case and
+the underscore spelling of a check. Each must raise UnknownChoiceError,
+and no message may hold more than 200 characters of the value.
 
 Huge ints, past the interpreter's int-to-str digit limit, are covered
 where the refusal comes before any work: each such refusal in
@@ -33,7 +39,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permbinom as pb
-from permbinom import sharpness
+from permbinom import counts, sharpness
+from permbinom.errors import UnknownChoiceError
 
 f7, f13, f49 = pb.make_field(7), pb.make_field(13), pb.make_field(7, 2)
 SUITE_OK = {"jobs": 1, "q_max": None}
@@ -226,3 +233,38 @@ def test_an_int_is_lifted_into_the_field_by_both_polynomial_helpers():
 def test_an_element_of_an_equal_spec_is_accepted():
     twin = pb.FieldSpec(7, 2, A.modulus)  # equal to A, but not the cached object
     assert all(pb.quadratic_char(A, twin.decode(e)) == pb.quadratic_char(A, A.decode(e)) for e in range(49))
+
+
+# (callable, parameter) -> the call with value in that parameter, which takes a name
+CHOICE_CALLS = {
+    ("enumerate_perm_binomials", "method"): lambda v: pb.enumerate_perm_binomials(f7, 1, 2, method=v),
+    ("render", "fmt"): lambda v: counts.render(v, {}, rows=[]),
+    ("emit_report", "fmt"): lambda v: pb.emit_report(pb.SweepResult((), (), 0), v),
+    ("run_check", "name"): lambda v: pb.AcceptanceSuite(q_max=13).run_check(v),
+    ("run", "names"): lambda v: pb.AcceptanceSuite(q_max=13).run([v]),
+    ("parse_field", "text"): lambda v: pb.parse_field(v),
+}
+# none of these is an accepted name anywhere: wrong types, a huge int, the wrong case and the underscore spelling
+BAD_NAMES = (None, True, 5, 2.5, HUGE, ["criterion"], "bogus", "Criterion", "JSON", "r2_sweep")
+
+
+@pytest.mark.parametrize("value", BAD_NAMES, ids=lambda v: "HUGE" if v is HUGE else repr(v))
+@pytest.mark.parametrize("case", sorted(CHOICE_CALLS), ids="-".join)
+def test_a_bad_name_is_refused_as_an_unknown_choice(case, value):
+    with pytest.raises(UnknownChoiceError) as info:
+        CHOICE_CALLS[case](value)
+    assert len(str(info.value)) <= 200  # so no message echoes more than 200 characters of the value
+
+
+def test_csv_is_a_format_only_where_there_are_rows():
+    assert counts.render("csv", {}, rows=[("a", 1)]) == b"a,1\n"
+    with pytest.raises(UnknownChoiceError, match="unknown format 'csv'"):
+        counts.render("csv", {})
+
+
+@pytest.mark.parametrize("names", [5, "exact-case-f73", ("r2-sweep",), {"r2-sweep"}, ["r2-sweep", "bogus", 5]], ids=repr)
+def test_run_refuses_anything_but_a_list_of_check_names_before_any_check_runs(names, monkeypatch):
+    monkeypatch.setattr(pb.AcceptanceSuite, "run_check", lambda self, name: pytest.fail(f"check {name} ran"))
+    with pytest.raises(UnknownChoiceError) as info:
+        pb.AcceptanceSuite(q_max=13).run(names)
+    assert str(info.value) == ("unknown check 'bogus'" if isinstance(names, list) else f"the checks to run must be a list of names, got a {type(names).__name__}")

@@ -6,9 +6,10 @@ subcommand takes a force switch past the enumeration guard; only fields.py
 reads the environment; only counts.py calls the per-r closed forms and
 bounds; no module encodes the elements enumerate_perm_binomials decoded;
 no module touches the private parts of Fraction;
-every refusal is a typed PermBinomError, not a bare built-in exception,
-only FieldSpec.element refuses an element of another field;
-and cli.main catches nothing else but OSError; only errors.check_integer
+every refusal is a typed PermBinomError, not a bare built-in exception;
+only FieldSpec.element refuses an element of another field, and only
+errors.check_choice refuses an unknown name ("unknown <kind> ...");
+cli.main catches nothing else but OSError; only errors.check_integer
 and three refusals with messages of their own catch TypeError; only
 counts.render calls json.dumps or csv.writer, and only cli._write opens a file;
 only counts.py compares route a-sets (set_diff), and no module imports
@@ -522,14 +523,22 @@ def test_the_integer_refusal_is_stated_once(path):
     assert [h for h in type_error_handlers(path.read_text()) if h.split(" (line ")[0] not in allowed] == []
 
 
-def raisers(source: str, exception: str) -> list[str]:
-    """raise statements of the named exception, by the qualified name of the function around them."""
+def leading_text(call: ast.AST) -> str:
+    """The literal text a call's first argument starts with: all of a str constant, the head of an f-string, else ""."""
+    message = call.args[0] if isinstance(call, ast.Call) and call.args else None
+    if isinstance(message, ast.JoinedStr) and message.values:
+        message = message.values[0]
+    return message.value if isinstance(message, ast.Constant) and isinstance(message.value, str) else ""
+
+
+def raisers(source: str, exception: str, prefix: str = "") -> list[str]:
+    """raise statements of the named exception whose message starts with prefix, by the qualified name of the function around them."""
 
     def raises(node: ast.AST) -> bool:
         if not isinstance(node, ast.Raise) or node.exc is None:
             return False
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        return ast.unparse(exc).split(".")[-1] == exception
+        return ast.unparse(exc).split(".")[-1] == exception and leading_text(node.exc).startswith(prefix)
 
     return scoped_matches(source, raises)
 
@@ -539,14 +548,24 @@ def test_raiser_detector():
         "class S:\n    def f(self, x):\n        if x:\n            raise FieldMismatchError('x')\n        raise KeyError\n"
         "def g():\n    raise errors.FieldMismatchError\n"
         "def h():\n    raise OtherFieldMismatchError('y')\n"
+        "def k(kind, v):\n    raise FieldMismatchError(f'unknown {kind} {v!r}')\n"
+        "def m(v):\n    raise FieldMismatchError(f'{v} is unknown')\n"
     )
-    assert raisers(src, "FieldMismatchError") == ["S.f (line 4)", "g (line 7)"]
+    assert raisers(src, "FieldMismatchError") == ["S.f (line 4)", "g (line 7)", "k (line 11)", "m (line 13)"]
+    assert raisers(src, "FieldMismatchError", "unknown ") == ["k (line 11)"]
+    assert raisers(src, "FieldMismatchError", "x") == ["S.f (line 4)"]
 
 
 def test_only_field_spec_element_decides_membership():
     # the operators, the characters and every public function lift a value through FieldSpec.element
     found = [f"{path.name}: {r}" for path in ALL_SOURCES for r in raisers(path.read_text(), "FieldMismatchError")]
     assert [r.split(" (line ")[0] for r in found] == ["fields.py: FieldSpec.element"], found
+
+
+def test_only_check_choice_refuses_an_unknown_name():
+    # every method, check and format name is refused by errors.check_choice, which names any value safely
+    found = [f"{path.name}: {r}" for path in ALL_SOURCES for r in raisers(path.read_text(), "UnknownChoiceError", "unknown ")]
+    assert [r.split(" (line ")[0] for r in found] == ["errors.py: check_choice"], found
 
 
 def _refusals():
