@@ -24,8 +24,9 @@ from .errors import (
     UnknownChoiceError,
     integer,
     refuse_unprintable,
+    value_text,
 )
-from .fields import FieldSpec, ensure_field_enumerable, make_field, parse_field
+from .fields import FieldSpec, ensure_enumerable, make_field, parse_field
 from .permtest import ROUTES, check_field, enumerate_perm_binomials
 
 EXIT_OK = 0
@@ -51,12 +52,12 @@ def _field_spec(args) -> FieldSpec:
     p, k = parse_field(args.field)
     try:
         modulus = [integer(c) for c in args.modulus.split(",")] if args.modulus else None
-    except ValueError:
-        raise UnknownChoiceError(f"cannot parse modulus {args.modulus!r}; expected integers c0,c1,...,1") from None
+    except UnknownChoiceError:
+        raise UnknownChoiceError(f"cannot parse modulus {value_text(args.modulus)}; expected integers c0,c1,...,1") from None
     # refuse before the modulus search: every field command but char --x scans the field,
     # and char --x prints q and an encoding below it
     if getattr(args, "x", None) is None:
-        ensure_field_enumerable(p, k)
+        ensure_enumerable(p, k)
     else:
         refuse_unprintable(f"an answer on q = {p}^{k}", p, 2 * k, 1)
     return make_field(p, k, modulus)
@@ -70,8 +71,8 @@ def _element(spec: FieldSpec, text: str):
         return spec.element(4).inverse()
     try:
         enc = integer(text)
-    except ValueError:
-        raise UnknownChoiceError(f"cannot parse element {text!r}; expected an encoding or inv4") from None
+    except UnknownChoiceError:
+        raise UnknownChoiceError(f"cannot parse element {value_text(text)}; expected an encoding or inv4") from None
     return spec.decode(enc)  # refuses an encoding outside [0, q)
 
 
@@ -206,7 +207,7 @@ def _cmd_selftest(args) -> int:
     from .sweep import emit_report, merge_results
 
     suite = AcceptanceSuite(jobs=args.jobs, q_max=args.q_max)
-    names = args.only.split(",") if args.only else None
+    names = None if args.only is None else args.only.split(",")
     results = suite.run(names)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.elapsed_ms / 1000:.1f}s): {r.detail}" for r in results]
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
@@ -228,6 +229,14 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_MATH
 
 
+def _integer_arg(text: str) -> int:
+    """errors.integer as an argparse type: its refusal becomes argparse's usage error in place of "invalid integer value: '<text>'"."""
+    try:
+        return integer(text)
+    except PermBinomError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permbinom",
@@ -240,30 +249,30 @@ def build_parser() -> argparse.ArgumentParser:
     fieldy.add_argument("--modulus", help="irreducible modulus c0,c1,...,1 (constant first)")
 
     p_enum = sub.add_parser("enumerate", parents=[fieldy], help="list admissible a values")
-    p_enum.add_argument("--n", type=integer, required=True)
-    p_enum.add_argument("--r", type=integer, required=True, help="2 or 3")
+    p_enum.add_argument("--n", type=_integer_arg, required=True)
+    p_enum.add_argument("--r", type=_integer_arg, required=True, help="2 or 3")
     p_enum.add_argument("--method", choices=tuple(ROUTES), default="criterion")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_count = sub.add_parser("count", help="closed-form count with bounds")
     p_count.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
-    p_count.add_argument("--n", type=integer, required=True)
-    p_count.add_argument("--r", type=integer, required=True, help="2 or 3")
+    p_count.add_argument("--n", type=_integer_arg, required=True)
+    p_count.add_argument("--r", type=_integer_arg, required=True, help="2 or 3")
     p_count.add_argument("--verify", action="store_true", help="confirm by brute force, the criterion and Wan-Lidl")
     p_count.set_defaults(handler=_cmd_count)
 
     p_bounds = sub.add_parser("bounds", help="Masuda-Zieve and refined count bounds")
     p_bounds.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
-    p_bounds.add_argument("--r", type=integer, required=True, help="2 or 3")
+    p_bounds.add_argument("--r", type=_integer_arg, required=True, help="2 or 3")
     p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_kappa = sub.add_parser("kappa", help="Frobenius trace of y^2 = x^3 + 1/4 at p")
-    p_kappa.add_argument("--p", type=integer, required=True)
+    p_kappa.add_argument("--p", type=_integer_arg, required=True)
     p_kappa.set_defaults(handler=_cmd_kappa)
 
     p_trace = sub.add_parser("trace", help="trace s_j of the Frobenius power pi_p^j")
-    p_trace.add_argument("--p", type=integer, required=True)
-    p_trace.add_argument("--j", type=integer, required=True)
+    p_trace.add_argument("--p", type=_integer_arg, required=True)
+    p_trace.add_argument("--j", type=_integer_arg, required=True)
     p_trace.set_defaults(handler=_cmd_trace)
 
     p_curve = sub.add_parser("curve", parents=[fieldy], help="count points of y^2 = x^3 + A x + B")
@@ -274,19 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_char = sub.add_parser("char", parents=[fieldy], help="character values, class counts, power sums")
     group = p_char.add_mutually_exclusive_group()
     group.add_argument("--x", help="element encoding to evaluate both characters at")
-    group.add_argument("--power-sum", type=integer, metavar="M", help="sum of x^M over the whole field")
+    group.add_argument("--power-sum", type=_integer_arg, metavar="M", help="sum of x^M over the whole field")
     p_char.set_defaults(handler=_cmd_char)
 
     p_sharp = sub.add_parser("sharpness", help="probe extensions where d_k approaches +-2")
-    p_sharp.add_argument("--p", type=integer, required=True)
-    p_sharp.add_argument("--n", type=integer, required=True)
-    p_sharp.add_argument("--depth", type=integer, default=30, help="continued-fraction depth")
-    p_sharp.add_argument("--k-max", type=integer, default=10_000, help="largest extension degree probed")
+    p_sharp.add_argument("--p", type=_integer_arg, required=True)
+    p_sharp.add_argument("--n", type=_integer_arg, required=True)
+    p_sharp.add_argument("--depth", type=_integer_arg, default=30, help="continued-fraction depth")
+    p_sharp.add_argument("--k-max", type=_integer_arg, default=10_000, help="largest extension degree probed")
     p_sharp.set_defaults(handler=_cmd_sharpness)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--jobs", type=integer, default=1, help="worker processes for the sweeps, at most one per CPU")
-    p_self.add_argument("--q-max", type=integer, help="cap both sweeps at this q (default 343 / 400)")
+    p_self.add_argument("--jobs", type=_integer_arg, default=1, help="worker processes for the sweeps, at most one per CPU")
+    p_self.add_argument("--q-max", type=_integer_arg, help="cap both sweeps at this q (default 343 / 400)")
     p_self.add_argument("--only", help="comma-separated subset of checks")
     p_self.add_argument("--report", metavar="PATH", help="also write the merged sweep report")
     p_self.add_argument("--report-format", choices=FORMATS, default="json")

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedPrimeError,
     check_integer,
 )
-from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, check_prime_power, ensure_enumerable, ensure_field_enumerable, make_field
+from .fields import NO_LOG, FieldElement, FieldSpec, add_logs, check_prime_power, ensure_enumerable, make_field
 
 
 def count_points_prime(p: int, a4: int, a6: int) -> int:
@@ -173,7 +173,7 @@ def char2_cubic_sum(k: int) -> int:
     """
     if check_integer("k", k) < 1:
         raise DegreeMismatchError("k must be >= 1")
-    ensure_field_enumerable(2, 2 * k)  # before make_field's modulus search
+    ensure_enumerable(2, 2 * k)  # before make_field's modulus search
     spec = make_field(2, 2 * k)
     _, _, zech = spec.scan_tables()
     q1 = spec.q - 1

@@ -9,6 +9,11 @@ argument that is not an int or lies below its floor, and check_choice
 refuses a name (a method, check or report format) that is not one of the
 accepted strings. Both name an int with more digits than the interpreter
 prints by its size (int_text), so a huge bad value keeps its refusal.
+
+value_text is the one way a refusal shows what the caller gave: a str of
+at most SHOWN_CHARS characters by its repr, a longer one by its length,
+an int by int_text and anything else by its type, so no refusal echoes
+more than a line of its input.
 """
 
 import math
@@ -97,7 +102,7 @@ class AnswerTooLargeError(PermBinomError, ValueError):
 
 
 class OutOfRangeError(PermBinomError, ValueError):
-    """An integer argument outside its domain: n, r, an exponent, an index, a degree or an encoding."""
+    """An integer argument outside its domain: n, r, an exponent, an index, a degree or an encoding, or a CLI integer of more digits than the interpreter reads."""
 
 
 class UnknownChoiceError(PermBinomError, ValueError):
@@ -115,9 +120,14 @@ def int_text(n: int) -> str:
         return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
 
 
+SHOWN_CHARS = 64  # the longest str a refusal shows whole
+
+
 def value_text(value) -> str:
-    """value for a refusal message: a str by its repr, an int by int_text, anything else by its type alone."""
-    return repr(value) if isinstance(value, str) else int_text(value) if isinstance(value, int) else f"a {type(value).__name__}"
+    """value for a refusal message: a str of at most SHOWN_CHARS characters by its repr and a longer one by its length, an int by int_text, anything else by its type alone."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= SHOWN_CHARS else f"a {len(value)}-character str"
+    return int_text(value) if isinstance(value, int) else f"a {type(value).__name__}"
 
 
 def check_choice(kind: str, value, choices) -> str:
@@ -153,9 +163,18 @@ def check_divides(r: int, q: int) -> None:
 
 
 def integer(text: str) -> int:
-    """The int text spells in ASCII digits after an optional "-", the one CLI integer reader; int() alone also reads "_", spaces and other scripts' digits."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise UnknownChoiceError(f"not an integer: {text!r}")
+    """The int text spells in ASCII digits after an optional "-", the one CLI integer reader; int() alone also reads "_", spaces and other scripts' digits.
+
+    Anything else raises UnknownChoiceError, naming text by value_text.
+    More digits than the interpreter reads (sys.get_int_max_str_digits(),
+    0: none) raise OutOfRangeError by their count, before int() is called,
+    so a well-formed integer is never called malformed.
+    """
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
+        raise UnknownChoiceError(f"not an integer: {value_text(text)}")
+    if len(digits) > (limit := sys.get_int_max_str_digits()) > 0:
+        raise OutOfRangeError(f"an integer of {len(digits)} digits is past {limit}, the interpreter's str-to-int digit limit")
     return int(text)
 
 

@@ -33,7 +33,7 @@ char2_cubic_sum, characters.character_classes and permtest.split_orbits,
 which checks a Wan-Lidl a-set for closure.  The guard is q <= 2^20, and
 the PERMBINOM_GUARD environment variable, read only here, is the one way
 to move it: no function takes an argument that skips it.  Given (p, k),
-ensure_field_enumerable refuses a k > 1 of the guard's bit length or more
+ensure_enumerable refuses a k > 1 of the guard's bit length or more
 before q is formed, as q >= 2^k.
 
 On an extension field the first scan_tables call also builds decode's
@@ -85,14 +85,10 @@ ENUMERATION_GUARD_DEFAULT = 1 << 20
 GUARD_ENV_VAR = "PERMBINOM_GUARD"
 
 
-def ensure_enumerable(q: int) -> None:
-    """Raise unless a full scan over F_q is within the guard."""
-    ensure_field_enumerable(q, 1)
+def ensure_enumerable(p: int, k: int = 1) -> None:
+    """Raise unless a full scan over F_q, q = p^k, is within the guard; a caller that holds q passes it as p.
 
-
-def ensure_field_enumerable(p: int, k: int) -> None:
-    """Raise unless a full scan over F_q, q = p^k, is within the guard; a k > 1 with 2^k past it is refused before p**k is formed.
-
+    A k > 1 with 2^k past the guard is refused before p**k is formed.
     A set but malformed or non-positive PERMBINOM_GUARD raises rather than
     falling back to the default, so a typo cannot silently move the guard.
     """
@@ -100,9 +96,9 @@ def ensure_field_enumerable(p: int, k: int) -> None:
     try:
         limit = ENUMERATION_GUARD_DEFAULT if raw is None else integer(raw)
     except ValueError:
-        limit = 0  # malformed: refused below like a non-positive value
+        limit = 0  # malformed or past the str-to-int digit limit: refused below like a non-positive value
     if limit < 1:
-        raise EnumerationGuardError(f"{GUARD_ENV_VAR}={raw!r} is not a positive integer")
+        raise EnumerationGuardError(f"{GUARD_ENV_VAR}={value_text(raw)} is not a positive integer")
     q = None if k > 1 and k >= limit.bit_length() else p**k  # None: q >= 2^k > limit, named p^k
     if q is None or q > limit:
         shown = f"{p}^{k}" if q is None else int_text(q)
@@ -547,11 +543,13 @@ def parse_field(text: str) -> tuple[int, int]:
     """Parse a CLI field string 'p^k', or a plain prime-power order q, into (p, k).
 
     Raises as check_prime_power does, NonPrimeError when q is not a
-    prime power, or UnknownChoiceError when text is not a string of either form.
+    prime power, UnknownChoiceError when text is not a string of either
+    form, or OutOfRangeError (from errors.integer) when a number in it has
+    more digits than the interpreter reads.
     """
     try:
         numbers = [integer(part) for part in text.split("^")] if isinstance(text, str) else []
-    except ValueError:
+    except UnknownChoiceError:
         numbers = []  # not integers: refused below like any other shape
     if len(numbers) == 2:
         p, k = numbers

@@ -15,6 +15,13 @@ called with wrong types, a huge int, a right name in the wrong case and
 the underscore spelling of a check. Each must raise UnknownChoiceError,
 and no message may hold more than 200 characters of the value.
 
+Long strings are covered too: thousands of characters where a name, a
+field, an element or an integer is expected, through the library and
+through the CLI. Each is refused with a typed PermBinomError (or argparse's
+usage error carrying one) of at most 200 characters, and a digit string
+past the interpreter's str-to-int limit is refused by its size, naming
+the limit.
+
 Huge ints, past the interpreter's int-to-str digit limit, are covered
 where the refusal comes before any work: each such refusal in
 HUGE_CASES must be the one a small bad value gets, and must name the
@@ -34,13 +41,14 @@ Left out, for the bounded-time half of the contract (ROADMAP item 9):
 """
 
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import permbinom as pb
-from permbinom import counts, sharpness
-from permbinom.errors import UnknownChoiceError
+from permbinom import cli, counts, sharpness
+from permbinom.errors import UnknownChoiceError, integer
 
 f7, f13, f49 = pb.make_field(7), pb.make_field(13), pb.make_field(7, 2)
 SUITE_OK = {"jobs": 1, "q_max": None}
@@ -268,3 +276,66 @@ def test_run_refuses_anything_but_a_list_of_check_names_before_any_check_runs(na
     with pytest.raises(UnknownChoiceError) as info:
         pb.AcceptanceSuite(q_max=13).run(names)
     assert str(info.value) == ("unknown check 'bogus'" if isinstance(names, list) else f"the checks to run must be a list of names, got a {type(names).__name__}")
+
+
+DIGITS = "9" * 5000  # well-formed, but past the 4,300 digits that int() reads from a str
+X = "x" * 3000
+# each call gets a long string where a name, a field, an element or an integer is expected
+LONG_INPUT_CALLS = {
+    "integer-digits": lambda: integer(DIGITS),
+    "integer-negative-digits": lambda: integer("-" + DIGITS),
+    "integer-text": lambda: integer(X),
+    "parse_field-text": lambda: pb.parse_field(X),
+    "parse_field-digits": lambda: pb.parse_field(DIGITS),
+    "parse_field-exponent-digits": lambda: pb.parse_field("7^" + DIGITS),
+    "run_check": lambda: pb.AcceptanceSuite(q_max=13).run_check(X),
+    "enumerate-method": lambda: pb.enumerate_perm_binomials(f7, 1, 2, method=X),
+    "cli-element-text": lambda: cli._element(f7, X),
+    "cli-element-digits": lambda: cli._element(f7, DIGITS),
+}
+# (argv, environment): each query exits 2
+LONG_INPUT_QUERIES = {
+    "char-x-digits": (["char", "--field", "7", "--x", DIGITS], {}),
+    "count-n-digits": (["count", "--field", "7", "--n", DIGITS, "--r", "2"], {}),
+    "char-field-text": (["char", "--field", X], {}),
+    "char-x-text": (["char", "--field", "7", "--x", "y" * 3000], {}),
+    "enumerate-modulus-text": (["enumerate", "--field", "7", "--modulus", "z" * 3000, "--n", "1", "--r", "2"], {}),
+    "enumerate-modulus-digits": (["enumerate", "--field", "7", "--modulus", f"1,{DIGITS},1", "--n", "1", "--r", "2"], {}),
+    "guard-text": (["char", "--field", "7"], {"PERMBINOM_GUARD": "g" * 3000}),
+    "count-n-text": (["count", "--field", "7", "--n", X, "--r", "2"], {}),
+}
+
+
+def names_the_digit_limit(text: str) -> bool:
+    return f"past {sys.get_int_max_str_digits()}, the interpreter's str-to-int digit limit" in text
+
+
+@pytest.mark.parametrize("name", sorted(LONG_INPUT_CALLS))
+def test_a_long_input_gets_a_short_typed_refusal(name):
+    with pytest.raises(pb.PermBinomError) as info:
+        LONG_INPUT_CALLS[name]()
+    assert len(str(info.value)) <= 200
+    assert names_the_digit_limit(str(info.value)) == name.endswith("digits")
+
+
+@pytest.mark.parametrize("name", sorted(LONG_INPUT_QUERIES))
+def test_a_long_input_query_prints_one_short_error_line(name, capsys, monkeypatch):
+    argv, env = LONG_INPUT_QUERIES[name]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage error, from errors.integer's refusal
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error: " in line] == [err.splitlines()[-1]]
+    assert max(map(len, err.splitlines())) <= 200
+    assert names_the_digit_limit(err) == name.endswith("digits")
+
+
+def test_a_str_is_shown_whole_up_to_shown_chars_and_named_by_its_length_past_them():
+    from permbinom.errors import SHOWN_CHARS, value_text
+
+    assert value_text("x" * SHOWN_CHARS) == repr("x" * SHOWN_CHARS)
+    assert value_text("x" * (SHOWN_CHARS + 1)) == f"a {SHOWN_CHARS + 1}-character str"

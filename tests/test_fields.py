@@ -372,10 +372,10 @@ def test_enumeration_guard(monkeypatch):
 def test_the_field_guard_names_q_as_p_to_the_k_where_k_alone_decides(monkeypatch, p, k, shown):
     monkeypatch.setenv("PERMBINOM_GUARD", "1000")  # 10 bits: q >= 2^k > 1000 for every k >= 10
     if shown is None:
-        fields.ensure_field_enumerable(p, k)
+        fields.ensure_enumerable(p, k)
         return
     with pytest.raises(EnumerationGuardError, match=f"^refusing to enumerate F_q with q = {re.escape(shown)} > guard 1000; "):
-        fields.ensure_field_enumerable(p, k)
+        fields.ensure_enumerable(p, k)
 
 
 @pytest.mark.parametrize("raw", ["1e1", "abc", "", "-5", "0"])

@@ -9,6 +9,8 @@ no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception;
 only FieldSpec.element refuses an element of another field, and only
 errors.check_choice refuses an unknown name ("unknown <kind> ...");
+no raise shows a value by !r or repr(), as errors.value_text names every
+rejected value, bounded (a module __getattr__'s AttributeError aside);
 cli.main catches nothing else but OSError; only errors.check_integer
 and three refusals with messages of their own catch TypeError; only
 counts.render calls json.dumps or csv.writer, and only cli._write opens a file;
@@ -566,6 +568,35 @@ def test_only_check_choice_refuses_an_unknown_name():
     # every method, check and format name is refused by errors.check_choice, which names any value safely
     found = [f"{path.name}: {r}" for path in ALL_SOURCES for r in raisers(path.read_text(), "UnknownChoiceError", "unknown ")]
     assert [r.split(" (line ")[0] for r in found] == ["errors.py: check_choice"], found
+
+
+def repr_echoes(source: str) -> list[str]:
+    """raise statements whose exception shows a value by !r or repr(), by the qualified name of the function around them."""
+
+    def echoes(node: ast.AST) -> bool:
+        return isinstance(node, ast.Raise) and node.exc is not None and any(
+            (isinstance(sub, ast.FormattedValue) and sub.conversion == ord("r"))
+            or (isinstance(sub, ast.Call) and ast.unparse(sub.func) == "repr")
+            for sub in ast.walk(node.exc)
+        )
+
+    return scoped_matches(source, echoes)
+
+
+def test_repr_echo_detector():
+    src = (
+        "def f(x):\n    raise UnknownChoiceError(f'not an integer: {x!r}')\n"
+        "def g(x):\n    raise UnknownChoiceError('bad ' + repr(x)) from None\n"
+        "def h(x):\n    raise UnknownChoiceError(f'bad {value_text(x)}, {x}, {x!s}')\n"
+        "def k(x):\n    detail = f'{x!r}'\n    raise\n"
+    )
+    assert repr_echoes(src) == ["f (line 2)", "g (line 4)"]
+
+
+def test_only_value_text_shows_a_callers_input_in_a_refusal():
+    # a !r echo has no length cap; the AttributeError text of a module __getattr__ is Python's protocol
+    found = [f"{path.name}: {r}" for path in ALL_SOURCES for r in repr_echoes(path.read_text())]
+    assert [r.split(" (line ")[0] for r in found] == ["__init__.py: __getattr__"], found
 
 
 def _refusals():

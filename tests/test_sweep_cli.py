@@ -328,6 +328,13 @@ def test_cli_selftest_config_errors_exit_2_before_any_check(flags, capsys, monke
     assert captured.err.startswith("error: ")
 
 
+def test_cli_selftest_an_empty_only_runs_no_check(capsys, monkeypatch):
+    # an explicitly empty --only names one empty check, refused; it is not the default of every check
+    monkeypatch.setattr(AcceptanceSuite, "run_check", lambda self, name: pytest.fail(f"check {name} ran"))
+    assert cli.main(["selftest", "--only", ""]) == 2
+    assert capsys.readouterr() == ("", "error: unknown check ''\n")
+
+
 def test_jobs_above_the_cpu_count_are_refused_before_a_pool_exists(monkeypatch, capsys):
     # a small fake CPU count, so no large pool is ever asked for
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
