@@ -22,6 +22,7 @@ from .errors import (
     EvenCharacteristicError,
     PermBinomError,
     UnknownChoiceError,
+    int_text,
     integer,
     refuse_unprintable,
     value_text,
@@ -59,7 +60,7 @@ def _field_spec(args) -> FieldSpec:
     if getattr(args, "x", None) is None:
         ensure_enumerable(p, k)
     else:
-        refuse_unprintable(f"an answer on q = {p}^{k}", p, 2 * k, 1)
+        refuse_unprintable(f"an answer on q = {int_text(p)}^{int_text(k)}", p, 2 * k, 1)
     return make_field(p, k, modulus)
 
 
@@ -67,7 +68,7 @@ def _element(spec: FieldSpec, text: str):
     """Parse a CLI element: canonical encoding in [0, q), or the literal inv4."""
     if text == "inv4":
         if spec.p == 2:
-            raise EvenCharacteristicError(f"inv4 needs odd characteristic: 4 = 0 in F_{spec.q}")
+            raise EvenCharacteristicError(f"inv4 needs odd characteristic: 4 = 0 in F_{int_text(spec.q)}")
         return spec.element(4).inverse()
     try:
         enc = integer(text)
@@ -97,7 +98,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     p, k = parse_field(args.field)
-    refuse = partial(refuse_unprintable, f"the count for q = {p}^{k}", p, 2 * k, REPORT_SCALE)
+    refuse = partial(refuse_unprintable, f"the count for q = {int_text(p)}^{int_text(k)}", p, 2 * k, REPORT_SCALE)
     _emit(args, report_to_dict(build_count_report(p, k, args.n, args.r, verify=args.verify, before_work=refuse)))
     return EXIT_OK
 
@@ -106,7 +107,7 @@ def _cmd_bounds(args) -> int:
     p, k = parse_field(args.field)
     q = p**k
     check_field(q, args.r)
-    refuse_unprintable(f"the bounds for q = {p}^{k}", p, 2 * k, REPORT_SCALE)
+    refuse_unprintable(f"the bounds for q = {int_text(p)}^{int_text(k)}", p, 2 * k, REPORT_SCALE)
     mz_lo, mz_hi, cor_lo, cor_hi = bound_pairs(q, args.r)
     _emit(args, {
         "q": q, "r": args.r,
@@ -129,7 +130,7 @@ def _cmd_kappa(args) -> int:
 def _cmd_trace(args) -> int:
     p, j = args.p, args.j
     compute_kappa(p)  # a bad p fails here, before the size check
-    refuse_unprintable(f"s_{j} for p = {p}", p, j, 2)  # |s_j| <= 2 p^(j/2)
+    refuse_unprintable(f"s_{int_text(j)} for p = {int_text(p)}", p, j, 2)  # |s_j| <= 2 p^(j/2)
     value = pi_trace(p, j)
     _emit(args, {"p": p, "j": j, "s_j": str(value)}, text=f"s_{j}(pi_{p}) = {value}\n")
     return EXIT_OK
@@ -173,7 +174,7 @@ def _cmd_sharpness(args) -> int:
 
     probe = sharpness_probe(args.p, args.n, depth=args.depth, k_max=args.k_max)
     convergents = probe.convergents_two_pi + probe.convergents_pi
-    refuse_unprintable(f"the convergents at depth {probe.depth}", max(map(max, convergents), default=1), 2, 1)
+    refuse_unprintable(f"the convergents at depth {int_text(probe.depth)}", max(map(max, convergents), default=1), 2, 1)
     findings = [
         {
             "k": f.k,
@@ -237,6 +238,13 @@ def _integer_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _option(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding the one option add_argument(*args, **kwargs) declares."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permbinom",
@@ -244,51 +252,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fieldy = argparse.ArgumentParser(add_help=False)
-    fieldy.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
-    fieldy.add_argument("--modulus", help="irreducible modulus c0,c1,...,1 (constant first)")
+    # each option that several subcommands share is declared once, as a parent; parents' options come first
+    field = _option("--field", required=True, help="finite field, 'p' or 'p^k'")
+    modulus = _option("--modulus", help="irreducible modulus c0,c1,...,1 (constant first)")
+    n = _option("--n", type=_integer_arg, required=True)
+    r = _option("--r", type=_integer_arg, required=True, help="2 or 3")
+    p = _option("--p", type=_integer_arg, required=True)
 
-    p_enum = sub.add_parser("enumerate", parents=[fieldy], help="list admissible a values")
-    p_enum.add_argument("--n", type=_integer_arg, required=True)
-    p_enum.add_argument("--r", type=_integer_arg, required=True, help="2 or 3")
+    p_enum = sub.add_parser("enumerate", parents=[field, modulus, n, r], help="list admissible a values")
     p_enum.add_argument("--method", choices=tuple(ROUTES), default="criterion")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
-    p_count = sub.add_parser("count", help="closed-form count with bounds")
-    p_count.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
-    p_count.add_argument("--n", type=_integer_arg, required=True)
-    p_count.add_argument("--r", type=_integer_arg, required=True, help="2 or 3")
+    p_count = sub.add_parser("count", parents=[field, n, r], help="closed-form count with bounds")
     p_count.add_argument("--verify", action="store_true", help="confirm by brute force, the criterion and Wan-Lidl")
     p_count.set_defaults(handler=_cmd_count)
 
-    p_bounds = sub.add_parser("bounds", help="Masuda-Zieve and refined count bounds")
-    p_bounds.add_argument("--field", required=True, help="finite field, 'p' or 'p^k'")
-    p_bounds.add_argument("--r", type=_integer_arg, required=True, help="2 or 3")
+    p_bounds = sub.add_parser("bounds", parents=[field, r], help="Masuda-Zieve and refined count bounds")
     p_bounds.set_defaults(handler=_cmd_bounds)
 
-    p_kappa = sub.add_parser("kappa", help="Frobenius trace of y^2 = x^3 + 1/4 at p")
-    p_kappa.add_argument("--p", type=_integer_arg, required=True)
+    p_kappa = sub.add_parser("kappa", parents=[p], help="Frobenius trace of y^2 = x^3 + 1/4 at p")
     p_kappa.set_defaults(handler=_cmd_kappa)
 
-    p_trace = sub.add_parser("trace", help="trace s_j of the Frobenius power pi_p^j")
-    p_trace.add_argument("--p", type=_integer_arg, required=True)
+    p_trace = sub.add_parser("trace", parents=[p], help="trace s_j of the Frobenius power pi_p^j")
     p_trace.add_argument("--j", type=_integer_arg, required=True)
     p_trace.set_defaults(handler=_cmd_trace)
 
-    p_curve = sub.add_parser("curve", parents=[fieldy], help="count points of y^2 = x^3 + A x + B")
+    p_curve = sub.add_parser("curve", parents=[field, modulus], help="count points of y^2 = x^3 + A x + B")
     p_curve.add_argument("--A", required=True, help="element encoding, or inv4")
     p_curve.add_argument("--B", required=True, help="element encoding, or inv4")
     p_curve.set_defaults(handler=_cmd_curve)
 
-    p_char = sub.add_parser("char", parents=[fieldy], help="character values, class counts, power sums")
+    p_char = sub.add_parser("char", parents=[field, modulus], help="character values, class counts, power sums")
     group = p_char.add_mutually_exclusive_group()
     group.add_argument("--x", help="element encoding to evaluate both characters at")
     group.add_argument("--power-sum", type=_integer_arg, metavar="M", help="sum of x^M over the whole field")
     p_char.set_defaults(handler=_cmd_char)
 
-    p_sharp = sub.add_parser("sharpness", help="probe extensions where d_k approaches +-2")
-    p_sharp.add_argument("--p", type=_integer_arg, required=True)
-    p_sharp.add_argument("--n", type=_integer_arg, required=True)
+    p_sharp = sub.add_parser("sharpness", parents=[p, n], help="probe extensions where d_k approaches +-2")
     p_sharp.add_argument("--depth", type=_integer_arg, default=30, help="continued-fraction depth")
     p_sharp.add_argument("--k-max", type=_integer_arg, default=10_000, help="largest extension degree probed")
     p_sharp.set_defaults(handler=_cmd_sharpness)

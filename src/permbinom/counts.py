@@ -225,7 +225,7 @@ def build_count_report(
 
 def report_to_dict(report: CountReport) -> dict:
     """JSON-ready dict in a stable key order, s_k and the Masuda-Zieve fractions as strings, or AnswerTooLargeError past the digit limit."""
-    refuse_unprintable(f"the count for q = {report.p}^{report.k}", report.p, 2 * report.k, REPORT_SCALE)
+    refuse_unprintable(f"the count for q = {int_text(report.p)}^{int_text(report.k)}", report.p, 2 * report.k, REPORT_SCALE)
     out = report._asdict()
     out["s_k"] = None if report.s_k is None else str(report.s_k)
     out["mz_lower"], out["mz_upper"] = str(report.mz_lower), str(report.mz_upper)

@@ -7,13 +7,15 @@ mistakes apart from genuine mathematical disagreements.
 Two refusals are written here once: check_integer refuses an integer
 argument that is not an int or lies below its floor, and check_choice
 refuses a name (a method, check or report format) that is not one of the
-accepted strings. Both name an int with more digits than the interpreter
-prints by its size (int_text), so a huge bad value keeps its refusal.
+accepted strings.
 
-value_text is the one way a refusal shows what the caller gave: a str of
-at most SHOWN_CHARS characters by its repr, a longer one by its length,
-an int by int_text and anything else by its type, so no refusal echoes
-more than a line of its input.
+int_text and value_text are the one way a refusal shows what the caller
+gave, under one size bound, SHOWN_CHARS: an int of at most that many
+digits in decimal and a longer one by its bit length, a str whose repr
+fits in SHOWN_CHARS + 2 characters by that repr and any other by its
+length, and anything else by its type. So no refusal echoes more than a
+line of its input, and none reads differently under another
+sys.set_int_max_str_digits.
 """
 
 import math
@@ -86,7 +88,7 @@ class EnumerationGuardError(PermBinomError, ValueError):
 
 
 class SweepConfigError(PermBinomError, ValueError):
-    """A sweep's q_max, r_set or jobs is not an integer or out of range."""
+    """A sweep's q_max, r_set, seed or jobs is not an integer, or q_max, r_set or jobs is out of range."""
 
 
 class ProbeConfigError(PermBinomError, ValueError):
@@ -112,21 +114,27 @@ class UnknownChoiceError(PermBinomError, ValueError):
     """
 
 
+SHOWN_CHARS = 64  # the most digits, or characters between the quotes of a repr, that a refusal shows of one value
+
+
 def int_text(n: int) -> str:
-    """n in decimal for a refusal message, or its size where it has more digits than the interpreter prints."""
-    try:
+    """n for a refusal message: in decimal where it has at most SHOWN_CHARS digits, or else by its bit length ("a 997-bit integer")."""
+    if -(10**SHOWN_CHARS) < n < 10**SHOWN_CHARS:
         return str(n)
-    except ValueError:  # the int-to-str digit limit
-        return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
-
-
-SHOWN_CHARS = 64  # the longest str a refusal shows whole
+    return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit integer"
 
 
 def value_text(value) -> str:
-    """value for a refusal message: a str of at most SHOWN_CHARS characters by its repr and a longer one by its length, an int by int_text, anything else by its type alone."""
+    """value for a refusal message: a str by its repr where that has at most SHOWN_CHARS + 2 characters and else by its length, an int by int_text, anything else by its type alone.
+
+    The repr is taken of at most SHOWN_CHARS + 1 characters, so a long
+    str is never escaped whole, and a short one that repr escapes (a
+    control or unprintable character takes up to 10) is named by its
+    length like a long one.
+    """
     if isinstance(value, str):
-        return repr(value) if len(value) <= SHOWN_CHARS else f"a {len(value)}-character str"
+        shown = repr(value[: SHOWN_CHARS + 1])
+        return shown if len(shown) <= SHOWN_CHARS + 2 else f"a {len(value)}-character str"
     return int_text(value) if isinstance(value, int) else f"a {type(value).__name__}"
 
 
@@ -183,9 +191,13 @@ def refuse_unprintable(what: str, p: int, e: int, scale: int) -> None:
 
     The limit is sys.get_int_max_str_digits() (0: none). scale * p^(e/2)
     has more than `limit` digits iff scale^2 p^e >= 10^(2 limit); the
-    logarithms decide unless they land within 1 of the edge.
+    logarithms decide unless they land within 1 of the edge. From
+    e = 7 limit on, any p >= 2 is past it (2^7 > 10^2), decided before e
+    meets a float, which it may overflow.
     """
     limit = sys.get_int_max_str_digits()
-    excess = e * math.log10(p) + 2 * math.log10(scale) - 2 * limit
-    if limit and (excess > 1 or (excess > -1 and scale * scale * p**e >= 10 ** (2 * limit))):
+    if not limit:
+        return
+    excess = math.inf if p > 1 and e >= 7 * limit else e * math.log10(p) + 2 * math.log10(scale) - 2 * limit
+    if excess > 1 or (excess > -1 and scale * scale * p**e >= 10 ** (2 * limit)):
         raise AnswerTooLargeError(f"{what} may have more than {limit} digits, the interpreter's int-to-str limit")

@@ -66,6 +66,7 @@ from operator import index, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
+    SHOWN_CHARS,
     DegreeMismatchError,
     EnumerationGuardError,
     FieldMismatchError,
@@ -101,8 +102,8 @@ def ensure_enumerable(p: int, k: int = 1) -> None:
         raise EnumerationGuardError(f"{GUARD_ENV_VAR}={value_text(raw)} is not a positive integer")
     q = None if k > 1 and k >= limit.bit_length() else p**k  # None: q >= 2^k > limit, named p^k
     if q is None or q > limit:
-        shown = f"{p}^{k}" if q is None else int_text(q)
-        raise EnumerationGuardError(f"refusing to enumerate F_q with q = {shown} > guard {limit}; set {GUARD_ENV_VAR} to at least {shown}")
+        shown = f"{int_text(p)}^{int_text(k)}" if q is None else int_text(q)
+        raise EnumerationGuardError(f"refusing to enumerate F_q with q = {shown} > guard {int_text(limit)}; set {GUARD_ENV_VAR} to at least {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,10 @@ def make_field(p: int, k: int = 1, modulus: Iterable[int] | None = None) -> Fiel
         if mod[k] != 1:
             raise ReducibleModulusError("modulus must be monic")
         if not _is_irreducible(mod, p):
-            raise ReducibleModulusError(f"modulus {mod} is reducible over F_{p}")
+            # shown as the tuple where its text fits in SHOWN_CHARS + 2 characters, as value_text bounds a repr
+            text = ", ".join(map(int_text, mod[:SHOWN_CHARS]))
+            shown = f"({text})" if len(text) <= SHOWN_CHARS else f"of degree {int_text(k)}"
+            raise ReducibleModulusError(f"modulus {shown} is reducible over F_{int_text(p)}")
     spec = _FIELD_CACHE.get((p, k, mod)) or FieldSpec(p, k, mod)  # one spec whether the modulus is found or given
     _FIELD_CACHE[key] = _FIELD_CACHE[(p, k, mod)] = spec
     return spec
@@ -558,6 +562,6 @@ def parse_field(text: str) -> tuple[int, int]:
     if len(numbers) == 1:
         decomposed = prime_power_decompose(numbers[0])
         if decomposed is None:
-            raise NonPrimeError(f"{text} is not a prime power")
+            raise NonPrimeError(f"{int_text(numbers[0])} is not a prime power")
         return decomposed
     raise UnknownChoiceError(f"cannot parse field {value_text(text)}; expected 'q' or 'p^k'")

@@ -97,7 +97,7 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
     pairs = checked_pairs(*bounds)
     mz_lower, mz_upper = str(mz_lo), str(mz_hi)
     s_k = str(pi_trace(p, k)) if r == 3 else None
-    rng = random.Random(f"{config.seed}:{q}:{r}")
+    rng = random.Random(f"{index(config.seed)}:{q}:{r}")  # True samples as 1 does
 
     for n in ns:
         crit_set = class_sets[n % r]
@@ -146,10 +146,10 @@ def merge_results(results: list[SweepResult]) -> SweepResult:
 def validate_config(config: SweepConfig) -> None:
     """Raise SweepConfigError, or EnumerationGuardError above the guard, before any work starts."""
     try:
-        for value in (config.q_max, config.jobs, *config.r_set):
+        for value in (config.q_max, config.seed, config.jobs, *config.r_set):
             index(value)
     except TypeError:
-        raise SweepConfigError("q_max, jobs and each entry of r_set must be integers") from None
+        raise SweepConfigError("q_max, seed, jobs and each entry of r_set must be integers") from None
     if config.q_max < 2:
         raise SweepConfigError("q_max must be at least 2")
     ensure_enumerable(config.q_max)

@@ -17,10 +17,13 @@ and no message may hold more than 200 characters of the value.
 
 Long strings are covered too: thousands of characters where a name, a
 field, an element or an integer is expected, through the library and
-through the CLI. Each is refused with a typed PermBinomError (or argparse's
-usage error carrying one) of at most 200 characters, and a digit string
-past the interpreter's str-to-int limit is refused by its size, naming
-the limit.
+through the CLI, and short strings that repr escapes. Each is refused with
+a typed PermBinomError (or argparse's usage error carrying one) of at most
+200 characters, and a digit string past the interpreter's str-to-int limit
+is refused by its size, naming the limit. So are CLI queries whose q, p^k
+exponent or trace index j has hundreds or thousands of digits but is
+read: each prints one short error line, and an int past 64 digits is
+named by its bit length whatever the interpreter's int-to-str limit.
 
 Huge ints, past the interpreter's int-to-str digit limit, are covered
 where the refusal comes before any work: each such refusal in
@@ -34,7 +37,8 @@ Left out, for the bounded-time half of the contract (ROADMAP item 9):
 - huge values of the exponent-like parameters (k, j, char2_cubic_sum's k
   and masuda_zieve_bounds' r) that pass their check: a 10^5-digit k
   forms p**k before any check can refuse it, and masuda_zieve_bounds
-  forms r^(r+1);
+  forms r^(r+1); so the CLI's count and bounds on a huge k are left out
+  too, as they form q before any refusal (ROADMAP item 9);
 - FieldSpec arguments (a spec that is not a FieldSpec, and the FieldSpec
   and FieldElement constructors, which trust what make_field and decode
   hand them) and evaluate_poly's f, which must already be sparse.
@@ -47,8 +51,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permbinom as pb
-from permbinom import cli, counts, sharpness
-from permbinom.errors import UnknownChoiceError, integer
+from permbinom import cli, counts, sharpness, sweep
+from permbinom.errors import SHOWN_CHARS, ReducibleModulusError, UnknownChoiceError, int_text, integer, value_text
 
 f7, f13, f49 = pb.make_field(7), pb.make_field(13), pb.make_field(7, 2)
 SUITE_OK = {"jobs": 1, "q_max": None}
@@ -287,6 +291,7 @@ LONG_INPUT_CALLS = {
     "integer-text": lambda: integer(X),
     "parse_field-text": lambda: pb.parse_field(X),
     "parse_field-digits": lambda: pb.parse_field(DIGITS),
+    "parse_field-escaped-text": lambda: pb.parse_field("\U000e0001" * SHOWN_CHARS),
     "parse_field-exponent-digits": lambda: pb.parse_field("7^" + DIGITS),
     "run_check": lambda: pb.AcceptanceSuite(q_max=13).run_check(X),
     "enumerate-method": lambda: pb.enumerate_perm_binomials(f7, 1, 2, method=X),
@@ -303,6 +308,15 @@ LONG_INPUT_QUERIES = {
     "enumerate-modulus-digits": (["enumerate", "--field", "7", "--modulus", f"1,{DIGITS},1", "--n", "1", "--r", "2"], {}),
     "guard-text": (["char", "--field", "7"], {"PERMBINOM_GUARD": "g" * 3000}),
     "count-n-text": (["count", "--field", "7", "--n", X, "--r", "2"], {}),
+    # read, but with hundreds or thousands of digits in q, k or j
+    "count-field-long-q": (["count", "--field", "1" + "0" * 3999 + "2", "--n", "1", "--r", "2"], {}),
+    "bounds-field-long-q": (["bounds", "--field", "2^4000", "--r", "2"], {}),
+    "count-field-long-q-1": (["count", "--field", "3^2000", "--n", "2", "--r", "2"], {}),
+    "enumerate-field-long-k": (["enumerate", "--field", "7^" + "9" * 400, "--n", "1", "--r", "2"], {}),
+    "trace-long-j": (["trace", "--p", "73", "--j", "9" * 300], {}),
+    # an exponent past float's range, which refuse_unprintable decides without one
+    "trace-j-past-float": (["trace", "--p", "73", "--j", "9" * 400], {}),
+    "char-x-k-past-float": (["char", "--field", "7^" + "9" * 400, "--x", "5"], {}),
 }
 
 
@@ -335,7 +349,40 @@ def test_a_long_input_query_prints_one_short_error_line(name, capsys, monkeypatc
 
 
 def test_a_str_is_shown_whole_up_to_shown_chars_and_named_by_its_length_past_them():
-    from permbinom.errors import SHOWN_CHARS, value_text
-
     assert value_text("x" * SHOWN_CHARS) == repr("x" * SHOWN_CHARS)
     assert value_text("x" * (SHOWN_CHARS + 1)) == f"a {SHOWN_CHARS + 1}-character str"
+    # the bound is on the repr: SHOWN_CHARS + 2 characters with its quotes
+    assert value_text("\n" * (SHOWN_CHARS // 2)) == repr("\n" * (SHOWN_CHARS // 2))
+    assert value_text("\n" * (SHOWN_CHARS // 2 + 1)) == f"a {SHOWN_CHARS // 2 + 1}-character str"
+    assert value_text("\U000e0001" * SHOWN_CHARS) == f"a {SHOWN_CHARS}-character str"
+
+
+def test_an_int_is_shown_whole_up_to_shown_chars_digits_under_any_digit_limit():
+    default, texts = sys.get_int_max_str_digits(), []
+    try:
+        for limit in (640, 0):
+            sys.set_int_max_str_digits(limit)
+            texts.append([int_text(v) for v in (10**SHOWN_CHARS - 1, -(10**SHOWN_CHARS - 1), 10**SHOWN_CHARS, 10**999, -(10**999))])
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert texts[0] == texts[1] == [
+        "9" * SHOWN_CHARS, "-" + "9" * SHOWN_CHARS, "a 213-bit integer", "a 3319-bit integer", "a negative 3319-bit integer"
+    ]
+
+
+def test_a_reducible_modulus_is_shown_whole_up_to_the_bound_and_by_its_degree_past_it():
+    with pytest.raises(ReducibleModulusError, match=r"^modulus \(0, 0, 1\) is reducible over F_7$"):
+        pb.make_field(7, 2, [0, 0, 1])
+    # 22 coefficients print in SHOWN_CHARS characters between the parentheses, 23 do not
+    with pytest.raises(ReducibleModulusError, match=rf"^modulus \({', '.join(['0'] * 21)}, 1\) is reducible over F_2$"):
+        pb.make_field(2, 21, [0] * 21 + [1])
+    for k in (22, 199):
+        with pytest.raises(ReducibleModulusError, match=f"^modulus of degree {k} is reducible over F_2$"):
+            pb.make_field(2, k, [0] * k + [1])
+
+
+def test_an_integer_like_seed_draws_the_sample_of_its_int():
+    def sampled(seed):  # which cells of the block q = 101, r = 2 brute force skips
+        return [cell["brute_count"] is None for cell in sweep._field_task(pb.SweepConfig(seed=seed), 101, 1, 2).cells]
+
+    assert sampled(True) == sampled(1) != sampled(0)

@@ -246,13 +246,13 @@ class _Int(int):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"q_max": 50.5}, {"q_max": "50"}, {"jobs": 1.5}, {"r_set": (2.0,)}, {"r_set": (2, "3")}, {"r_set": 2}],
-    ids=["q_max-float", "q_max-str", "jobs-float", "r_set-float", "r_set-str", "r_set-int"],
+    [{"q_max": 50.5}, {"q_max": "50"}, {"jobs": 1.5}, {"r_set": (2.0,)}, {"r_set": (2, "3")}, {"r_set": 2}, {"seed": 1.0}, {"seed": None}, {"seed": "1"}],
+    ids=["q_max-float", "q_max-str", "jobs-float", "r_set-float", "r_set-str", "r_set-int", "seed-float", "seed-none", "seed-str"],
 )
 def test_a_non_integer_config_is_refused_before_any_work(kwargs, monkeypatch):
     monkeypatch.setattr(sweep, "_field_task", lambda *args: pytest.fail("a block ran"))
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool was started"))
-    with pytest.raises(SweepConfigError, match="^q_max, jobs and each entry of r_set must be integers$"):
+    with pytest.raises(SweepConfigError, match="^q_max, seed, jobs and each entry of r_set must be integers$"):
         run_verify_sweep(SweepConfig(**{"q_max": 13, **kwargs}))
 
 
