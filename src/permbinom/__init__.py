@@ -48,15 +48,7 @@ from .fields import (
     make_field,
     parse_field,
 )
-from .permtest import (
-    IndexForm,
-    binomial_polynomial,
-    compute_index_form,
-    enumerate_perm_binomials,
-    evaluate_poly,
-    is_permutation_bruteforce,
-    wan_lidl_check,
-)
+from .permtest import enumerate_perm_binomials
 
 __version__ = "0.1.0"
 
@@ -97,19 +89,16 @@ __all__ = [
     "FieldElement",
     "FieldSpec",
     "GcdViolationError",
-    "IndexForm",
     "KappaRecord",
     "PermBinomError",
     "SweepConfig",
     "SweepFailure",
     "SweepResult",
-    "binomial_polynomial",
     "build_count_report",
     "char2_cubic_sum",
     "character_classes",
     "closed_count_r2",
     "closed_count_r3",
-    "compute_index_form",
     "compute_kappa",
     "count_points_extension",
     "count_points_prime",
@@ -119,8 +108,6 @@ __all__ = [
     "emit_report",
     "enumerate_perm_binomials",
     "epsilons",
-    "evaluate_poly",
-    "is_permutation_bruteforce",
     "make_field",
     "masuda_zieve_bounds",
     "parse_field",
@@ -131,6 +118,5 @@ __all__ = [
     "refined_bounds_r3",
     "report_to_dict",
     "run_verify_sweep",
-    "wan_lidl_check",
     "__version__",
 ]

@@ -59,10 +59,6 @@ class GcdViolationError(PermBinomError, ValueError):
     """Exponent n fails the gcd precondition of a criterion or formula."""
 
 
-class ZeroPolynomialError(PermBinomError, ValueError):
-    """Constant or zero polynomial has no index decomposition."""
-
-
 class EvenPrimeError(PermBinomError, ValueError):
     """p = 2 not supported by this point-count routine."""
 
@@ -88,7 +84,7 @@ class EnumerationGuardError(PermBinomError, ValueError):
 
 
 class SweepConfigError(PermBinomError, ValueError):
-    """A sweep's q_max, r_set, seed or jobs is not an integer, or q_max, r_set or jobs is out of range."""
+    """A sweep's q_max, r_set, seed or jobs is not an integer or is out of range (a seed past the interpreter's int-to-str digit limit)."""
 
 
 class ProbeConfigError(PermBinomError, ValueError):

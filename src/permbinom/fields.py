@@ -429,9 +429,13 @@ class FieldSpec:
 
     @property
     def alpha(self) -> FieldElement:
-        """First element in enumeration order of multiplicative order q - 1."""
+        """First element in enumeration order of multiplicative order q - 1.
+
+        For k > 1 the search starts at encoding p, past the constants: their
+        orders divide p - 1 < q - 1, so the first generator is the same.
+        """
         if self._alpha is None:
-            for enc in range(1, self.q):
+            for enc in range(1 if self.k == 1 else self.p, self.q):
                 el = self.decode(enc)
                 if element_order(el) == self.q - 1:
                     self._alpha = el

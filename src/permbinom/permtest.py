@@ -1,15 +1,14 @@
 """Permutation tests for binomials x^n (x^((q-1)/r) + a), three ways.
 
 Routes:
-  * bruteforce: evaluate the map on all of F_q and check bijectivity,
-    pointwise on encodings in is_permutation_bruteforce and, enumerating,
-    at every x at once as r shifted bitmasks of logarithms, for one a per
+  * bruteforce: evaluate the map on all of F_q and check bijectivity, at
+    every x at once as r shifted bitmasks of logarithms, for one a per
     orbit of a -> a^p and a -> omega a (omega^r = 1), whose members all
     pass or all fail, plus a = 0;
-  * wanlidl: the index-form criterion on x^r_low h(x^(q-1)/m) + b, for any
-    polynomial in wan_lidl_check; enumeration reads the binomial's form off
-    the cell, decides a = 0 from its fixed logarithms and tests every other
-    a at once, on (q-1)-bit masks of Zech residues indexed by log a;
+  * wanlidl: the index-form criterion on x^r_low h(x^(q-1)/m) + b, with the
+    binomial's form read off the cell; it decides a = 0 from its fixed
+    logarithms and tests every other a at once, on (q-1)-bit masks of Zech
+    residues indexed by log a;
   * criterion: the character conditions specific to r = 2 and r = 3, on
     FieldElement arithmetic.
 
@@ -31,7 +30,9 @@ check_cell is the one place that rule is written; check_field, on the test
 field_admits, is its field half.
 
 All three agree on every field this package enumerates; the test suite
-checks that, which is what makes the fast criterion trustworthy.
+checks that, and holds brute force and Wan-Lidl to table-free oracles,
+which is what makes the fast criterion trustworthy. No function here
+tests an arbitrary polynomial: every route reads the binomial's cell.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 from itertools import compress, repeat
 from math import gcd
 from operator import mod
-from typing import Mapping, NamedTuple
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from .errors import (
@@ -47,142 +47,13 @@ from .errors import (
     EvenCharacteristicError,
     GcdViolationError,
     OutOfRangeError,
-    ZeroPolynomialError,
     check_choice,
-    check_divides,
     check_integer,
     int_text,
 )
 from .fields import FieldElement, FieldSpec, FieldTables
 
-Poly = Mapping[int, FieldElement]
-
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" text to 0/1 bytes, falsy and truthy for compress
-
-
-class IndexForm(NamedTuple):
-    """f(x) = x^r_low * h(x^((q-1)/m)) + b with h(0) != 0 and m minimal."""
-
-    r_low: int
-    h: tuple[FieldElement, ...]  # dense, constant coefficient first
-    m: int
-    b: FieldElement
-
-
-def _as_sparse(spec: FieldSpec, f) -> dict[int, FieldElement]:
-    if isinstance(f, Mapping):
-        items = f.items()
-    else:
-        items = enumerate(f)
-    out: dict[int, FieldElement] = {}
-    for e, c in items:
-        e, c = check_integer("exponent", e, 0), spec.element(c)
-        if not c.is_zero:
-            out[e] = c
-    return out
-
-
-def evaluate_poly(spec: FieldSpec, f: Poly, x: FieldElement | int) -> FieldElement:
-    x = spec.element(x)
-    total = spec.zero
-    for e, c in f.items():
-        total = total + c * x**e
-    return total
-
-
-def binomial_polynomial(spec: FieldSpec, n: int, r: int, a: FieldElement | int) -> dict[int, FieldElement]:
-    """Sparse form of x^n (x^((q-1)/r) + a), exponents reduced below q, for n >= 0 and r | q - 1; n need not be admissible."""
-    q = spec.q
-    check_integer("n", n, 0)
-    check_divides(check_integer("r", r, 1), q)
-    a = spec.element(a)
-    d = (q - 1) // r
-    hi = (n + d - 1) % (q - 1) + 1  # n + d reduced into [1, q - 1]: the same map on F_q, of degree < q
-    poly = {hi: spec.one}
-    if not a.is_zero:
-        poly[n] = a
-    return poly
-
-
-def is_permutation_bruteforce(spec: FieldSpec, f) -> bool:
-    """Evaluate f everywhere; True iff the image has no collisions."""
-    elements = spec.elements()  # checks the guard, before any other work
-    poly = _as_sparse(spec, f)
-    seen = bytearray(spec.q)
-    for x in elements:
-        enc = evaluate_poly(spec, poly, x).encode()
-        if seen[enc]:
-            return False
-        seen[enc] = 1
-    return True
-
-
-def compute_index_form(spec: FieldSpec, f) -> IndexForm:
-    """Minimal-index decomposition of a nonconstant polynomial of degree < q."""
-    poly = _as_sparse(spec, f)
-    q = spec.q
-    if poly and max(poly) >= q:
-        raise OutOfRangeError(f"degree must be < q = {int_text(q)}")
-    b = poly.pop(0, spec.zero)
-    if not poly:
-        raise ZeroPolynomialError("constant polynomials have no index form")
-    r_low = min(poly)
-    gaps = 0
-    for e in poly:
-        gaps = gcd(gaps, e - r_low)
-    s = gcd(q - 1, gaps)
-    m = (q - 1) // s
-    h_deg = max((e - r_low) // s for e in poly)
-    h = [spec.zero] * (h_deg + 1)
-    for e, c in poly.items():
-        h[(e - r_low) // s] = c
-    return IndexForm(r_low=r_low, h=tuple(h), m=m, b=b)
-
-
-def wan_lidl_check(spec: FieldSpec, f) -> bool:
-    """Index-form permutation criterion for a nonconstant f of degree < q.
-
-    f is a mapping exponent -> coefficient or a dense coefficient sequence,
-    as for is_permutation_bruteforce. With its minimal form
-    f = x^r_low h(x^s) + b and s = (q-1)/m, f permutes F_q iff
-    gcd(r_low, s) = 1, h vanishes nowhere on the m-th roots of unity, and
-    the values (f - b)(alpha^i)^s for 0 <= i < m are pairwise distinct.
-    The constant b only shifts the image, so it takes no part in the test.
-    """
-    form = compute_index_form(spec, f)
-    q = spec.q
-    s = (q - 1) // form.m
-    if gcd(form.r_low, s) != 1:
-        return False
-
-    def h_at(y: FieldElement) -> FieldElement:
-        acc = spec.zero
-        ypow = spec.one
-        for c in form.h:
-            acc = acc + c * ypow
-            ypow = ypow * y
-        return acc
-
-    alpha = spec.alpha
-    zeta = alpha**s  # generates the group of m-th roots of unity
-    root = spec.one
-    h_vals = []
-    for _ in range(form.m):
-        hv = h_at(root)
-        if hv.is_zero:
-            return False
-        h_vals.append(hv)
-        root = root * zeta
-    # (alpha^i)^s = zeta^i, so h_vals[i] is exactly h evaluated inside f(alpha^i)
-    seen = set()
-    apow = spec.one
-    for i in range(form.m):
-        v = (apow**form.r_low * h_vals[i]) ** s
-        if v in seen:
-            return False
-        seen.add(v)
-        apow = apow * alpha
-    return True
 
 
 def field_admits(q: int, r: int) -> bool:
@@ -372,8 +243,8 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
 def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:
     """All a for which the binomial permutes F_q, by the index-form criterion, every a at once.
 
-    The binomial's index form x^r_low h(x^s) is read off the cell, sharing
-    no code with wan_lidl_check: s = d = (q-1)/r, m = r, r_low = min(n, hi)
+    The binomial's index form x^r_low h(x^s) is read off the cell, not
+    derived from its coefficients: s = d = (q-1)/r, m = r, r_low = min(n, hi)
     for hi = n + d reduced into [1, q - 1], and h has a at y^j_a and 1 at
     y^j_1, j_a = (n - r_low)/s, j_1 = (hi - r_low)/s. Its gcd(r_low, s) is
     gcd(n, d) = 1, as hi = n mod d, which check_cell requires. The criterion

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
@@ -153,8 +154,15 @@ def validate_config(config: SweepConfig) -> None:
     if config.q_max < 2:
         raise SweepConfigError("q_max must be at least 2")
     ensure_enumerable(config.q_max)
-    if not config.r_set or not set(config.r_set) <= {2, 3}:
-        raise SweepConfigError(f"r_set must be a non-empty subset of {{2, 3}}, got ({', '.join(map(int_text, config.r_set))})")
+    if not config.r_set:
+        raise SweepConfigError("r_set must be a non-empty subset of {2, 3}, got ()")
+    for r in config.r_set:
+        if r not in (2, 3):
+            raise SweepConfigError(f"r_set must be a non-empty subset of {{2, 3}}, got an entry {int_text(r)}")
+    # the seed keys the brute-force sample by its decimal text, which the interpreter's digit limit bounds
+    seed, limit = index(config.seed), sys.get_int_max_str_digits()
+    if limit and abs(seed) >= 10**limit:
+        raise SweepConfigError(f"seed = {int_text(seed)} has more than {limit} digits, the interpreter's int-to-str digit limit")
     if config.jobs < 1:
         raise SweepConfigError("jobs must be positive")
     # the pool starts all its workers at once, so the cap comes before it exists

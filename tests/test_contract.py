@@ -6,7 +6,7 @@ None, True, False, 0 and negatives. Each call either returns or raises a
 PermBinomError; none may raise TypeError, AttributeError,
 ZeroDivisionError, a bare ValueError or MemoryError. An element parameter
 counts as an integer parameter where an int is lifted into the field, and
-so do a polynomial's exponents and coefficients and a modulus entry.
+so does a modulus entry.
 AcceptanceSuite is constructed but never run, so no process starts.
 
 Choice parameters are covered too: each parameter that takes a name (a
@@ -41,7 +41,7 @@ Left out, for the bounded-time half of the contract (ROADMAP item 9):
   too, as they form q before any refusal (ROADMAP item 9);
 - FieldSpec arguments (a spec that is not a FieldSpec, and the FieldSpec
   and FieldElement constructors, which trust what make_field and decode
-  hand them) and evaluate_poly's f, which must already be sparse.
+  hand them).
 """
 
 import os
@@ -62,9 +62,6 @@ SWEEP_OK = {"q_max": 8, "r_set": (2, 3), "seed": 0, "jobs": 1}
 CALLS = {
     ("AcceptanceSuite", "jobs"): lambda v: pb.AcceptanceSuite(**{**SUITE_OK, "jobs": v}),
     ("AcceptanceSuite", "q_max"): lambda v: pb.AcceptanceSuite(**{**SUITE_OK, "q_max": v}),
-    ("binomial_polynomial", "n"): lambda v: pb.binomial_polynomial(f13, v, 2, f13.one),
-    ("binomial_polynomial", "r"): lambda v: pb.binomial_polynomial(f13, 1, v, f13.one),
-    ("binomial_polynomial", "a"): lambda v: pb.binomial_polynomial(f13, 1, 2, v),
     ("build_count_report", "p"): lambda v: pb.build_count_report(v, 1, 1, 3),
     ("build_count_report", "k"): lambda v: pb.build_count_report(7, v, 1, 3),
     ("build_count_report", "n"): lambda v: pb.build_count_report(7, 1, v, 3),
@@ -75,8 +72,6 @@ CALLS = {
     ("closed_count_r3", "p"): lambda v: pb.closed_count_r3(v, 1, 1),
     ("closed_count_r3", "k"): lambda v: pb.closed_count_r3(7, v, 1),
     ("closed_count_r3", "n"): lambda v: pb.closed_count_r3(7, 1, v),
-    ("compute_index_form", "exponent"): lambda v: pb.compute_index_form(f7, {v: 1, 1: 2}),
-    ("compute_index_form", "coefficient"): lambda v: pb.compute_index_form(f7, {3: v, 1: 1}),
     ("compute_kappa", "p"): lambda v: pb.compute_kappa(v),
     ("count_points_extension", "a4"): lambda v: pb.count_points_extension(f49, v, 1),
     ("count_points_extension", "a6"): lambda v: pb.count_points_extension(f49, 1, v),
@@ -89,9 +84,6 @@ CALLS = {
     ("enumerate_perm_binomials", "r"): lambda v: pb.enumerate_perm_binomials(f13, 1, v),
     ("epsilons", "q"): lambda v: pb.epsilons(v, 1),
     ("epsilons", "n"): lambda v: pb.epsilons(13, v),
-    ("evaluate_poly", "x"): lambda v: pb.evaluate_poly(f7, {1: f7.one}, v),
-    ("is_permutation_bruteforce", "exponent"): lambda v: pb.is_permutation_bruteforce(f7, {v: 1}),
-    ("is_permutation_bruteforce", "coefficient"): lambda v: pb.is_permutation_bruteforce(f7, {5: v}),
     ("make_field", "p"): lambda v: pb.make_field(v),
     ("make_field", "k"): lambda v: pb.make_field(7, v),
     ("make_field", "modulus"): lambda v: pb.make_field(7, 2, [v, 0, 1]),
@@ -110,12 +102,10 @@ CALLS = {
     ("run_verify_sweep", "r_set"): lambda v: pb.run_verify_sweep(pb.SweepConfig(**{**SWEEP_OK, "r_set": (v,)})),
     ("run_verify_sweep", "seed"): lambda v: pb.run_verify_sweep(pb.SweepConfig(**{**SWEEP_OK, "seed": v})),
     ("run_verify_sweep", "jobs"): lambda v: pb.run_verify_sweep(pb.SweepConfig(**{**SWEEP_OK, "jobs": v})),
-    ("wan_lidl_check", "exponent"): lambda v: pb.wan_lidl_check(f7, {v: 1, 1: 1}),
-    ("wan_lidl_check", "coefficient"): lambda v: pb.wan_lidl_check(f7, {5: v}),
 }
 NO_INTEGER_PARAMETER = {"character_classes", "cubic_roots_of_unity", "emit_report", "report_to_dict"}
 # NamedTuple records hold what they are given; SweepConfig is checked by run_verify_sweep
-RECORDS = {"CheckResult", "CountReport", "IndexForm", "KappaRecord", "SweepConfig", "SweepFailure", "SweepResult"}
+RECORDS = {"CheckResult", "CountReport", "KappaRecord", "SweepConfig", "SweepFailure", "SweepResult"}
 LEFT_OUT = {"FieldElement", "FieldSpec"}  # see the module docstring
 ODD_VALUES = (2.0, 2.5, "7", None, True, False, 0, -1, -7)
 
@@ -165,7 +155,6 @@ MORE_CALLS = {
 HUGE_CASES = [
     ("check_cell", "r", 4, HUGE),
     ("enumerate_perm_binomials", "r", 4, HUGE),
-    ("binomial_polynomial", "r", 5, HUGE),
     ("masuda_zieve_bounds", "r", 5, HUGE),
     *((name, "p", 10, HUGE) for name in ("make_field", "compute_kappa", "pi_trace", "count_points_prime", "closed_count_r3", "build_count_report")),
     ("make_field", "k", -1, -HUGE),
@@ -205,14 +194,6 @@ REFUSALS = {
     "compute_kappa-float-p": ("UnknownChoiceError", lambda: (pb.compute_kappa(13), pb.compute_kappa(13.0))),
     "epsilons-str-q": ("UnknownChoiceError", lambda: pb.epsilons("13", 1)),
     "parse_field-int": ("UnknownChoiceError", lambda: pb.parse_field(13)),
-    "binomial_polynomial-r-zero": ("OutOfRangeError", lambda: pb.binomial_polynomial(f13, 1, 0, f13.one)),
-    "binomial_polynomial-r-not-dividing": ("OutOfRangeError", lambda: pb.binomial_polynomial(f13, 1, 5, f13.one)),
-    "binomial_polynomial-other-field-a": ("FieldMismatchError", lambda: pb.binomial_polynomial(f13, 1, 2, f7.one)),
-    "evaluate_poly-float-x": ("UnknownChoiceError", lambda: pb.evaluate_poly(f7, {1: f7.one}, 2.5)),
-    "bruteforce-float-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {2.5: 1})),
-    "bruteforce-str-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {"5": 1})),
-    "index-form-float-exponent": ("UnknownChoiceError", lambda: pb.compute_index_form(f7, {"5": 1, 0.9: 3})),
-    "bruteforce-zero-coefficient-float-exponent": ("UnknownChoiceError", lambda: pb.is_permutation_bruteforce(f7, {2.5: 0, 1: 1})),
     "quadratic_char-other-field": ("FieldMismatchError", lambda: pb.quadratic_char(A, B.decode(7))),
     "cubic_char-other-field": ("FieldMismatchError", lambda: pb.cubic_char(f13, f7.one)),
     "quadratic_char-non-element": ("UnknownChoiceError", lambda: pb.quadratic_char(f13, "x")),
@@ -234,12 +215,6 @@ def test_an_int_is_lifted_into_the_field_by_both_characters():
     assert pb.quadratic_char(f13, 4) == pb.quadratic_char(f13, f13.element(4)) == 1
     assert pb.cubic_char(f13, 5) == pb.cubic_char(f13, f13.element(5))
     assert pb.quadratic_char(f13, True) == 1 and pb.cubic_char(f13, 0) is None
-
-
-def test_an_int_is_lifted_into_the_field_by_both_polynomial_helpers():
-    assert pb.binomial_polynomial(f13, 1, 2, 0) == {7: f13.one}
-    assert pb.binomial_polynomial(f13, 1, 2, 3) == pb.binomial_polynomial(f13, 1, 2, f13.element(3))
-    assert pb.evaluate_poly(f7, {2: f7.one}, 3) == pb.evaluate_poly(f7, {2: f7.one}, f7.element(3)) == f7.element(2)
 
 
 def test_an_element_of_an_equal_spec_is_accepted():

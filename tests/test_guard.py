@@ -10,7 +10,7 @@ from permbinom.counts import build_count_report
 from permbinom.curves import char2_cubic_sum, compute_kappa, count_points_extension, count_points_prime, point_count_residue
 from permbinom.errors import EnumerationGuardError, NonPrimeError
 from permbinom.fields import make_field
-from permbinom.permtest import enumerate_perm_binomials, is_permutation_bruteforce
+from permbinom.permtest import enumerate_perm_binomials
 from permbinom.sweep import SweepConfig, run_verify_sweep
 
 # Every entry point that scans a whole field, each on F_13 or F_16.
@@ -22,7 +22,6 @@ LIBRARY_SCANS = {
     "character_classes": lambda: character_classes(make_field(13)),
     "count_points_extension": lambda: count_points_extension(make_field(13), make_field(13).zero, make_field(13).one),
     "char2_cubic_sum": lambda: char2_cubic_sum(2),
-    "is_permutation_bruteforce": lambda: is_permutation_bruteforce(make_field(13), {5: 1}),
     "elements": lambda: list(make_field(13).elements()),
     "build_count_report": lambda: build_count_report(13, 1, 1, 2, verify=True),
     "run_verify_sweep": lambda: run_verify_sweep(SweepConfig(q_max=13)),

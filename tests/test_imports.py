@@ -9,6 +9,7 @@ no module touches the private parts of Fraction;
 every refusal is a typed PermBinomError, not a bare built-in exception;
 only FieldSpec.element refuses an element of another field, and only
 errors.check_choice refuses an unknown name ("unknown <kind> ...");
+every PermBinomError subclass is raised somewhere in the source;
 no raise shows a value by !r or repr(), as errors.value_text names every
 rejected value, bounded (a module __getattr__'s AttributeError aside);
 cli.main catches nothing else but OSError; only errors.check_integer
@@ -570,6 +571,15 @@ def test_only_check_choice_refuses_an_unknown_name():
     assert [r.split(" (line ")[0] for r in found] == ["errors.py: check_choice"], found
 
 
+def test_every_error_class_has_a_raiser():
+    # an error class nothing raises is a refusal no caller can meet, left behind by a removal
+    from permbinom import errors
+
+    classes = [name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.PermBinomError)]
+    classes.remove("PermBinomError")
+    assert classes and [name for name in classes if not any(raisers(path.read_text(), name) for path in ALL_SOURCES)] == []
+
+
 def repr_echoes(source: str) -> list[str]:
     """raise statements whose exception shows a value by !r or repr(), by the qualified name of the function around them."""
 
@@ -609,7 +619,6 @@ def _refusals():
         "enumerate-method": (UnknownChoiceError, lambda: permtest.enumerate_perm_binomials(f7, 1, 2, method="bogus")),
         "check_cell-r": (OutOfRangeError, lambda: permtest.check_cell(13, 1, 4)),
         "check_cell-n": (OutOfRangeError, lambda: permtest.check_cell(13, 0, 2)),
-        "index-form-degree": (OutOfRangeError, lambda: permtest.compute_index_form(f7, {7: 1})),
         "power_sum": (OutOfRangeError, lambda: power_sum(f7, -1)),
         "mz-r-below-2": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(13, 1)),
         "mz-r-not-dividing": (OutOfRangeError, lambda: counts.masuda_zieve_bounds(13, 5)),

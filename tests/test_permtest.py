@@ -1,4 +1,4 @@
-"""Permutation routes against each other and against raw-integer brute force."""
+"""Permutation routes against each other and against raw-integer brute force, and the oracles of reference.py against each other."""
 
 from math import gcd
 
@@ -8,25 +8,12 @@ from hypothesis import given, settings, strategies as st
 import permbinom.permtest as permtest
 from permbinom.characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from permbinom.counts import closed_count_r2, closed_count_r3
-from permbinom.errors import (
-    BadFieldForCubicError,
-    EvenCharacteristicError,
-    GcdViolationError,
-    UnknownChoiceError,
-    ZeroPolynomialError,
-)
+from permbinom.errors import BadFieldForCubicError, EvenCharacteristicError, GcdViolationError, UnknownChoiceError
 from permbinom.fields import NO_LOG, FieldElement, FieldSpec, make_field
-from permbinom.permtest import (
-    binomial_polynomial,
-    compute_index_form,
-    enumerate_perm_binomials,
-    evaluate_poly,
-    is_permutation_bruteforce,
-    field_admits,
-    wan_lidl_check,
-)
+from permbinom.permtest import enumerate_perm_binomials, field_admits
 from permbinom.primes import prime_power_decompose, prime_powers_upto
 from permbinom.sweep import valid_exponents
+from reference import binomial_polynomial, compute_index_form, evaluate_poly, is_permutation_bruteforce, wan_lidl_check
 
 
 def _raw_binomial_survivors(q, n, r):
@@ -103,12 +90,6 @@ def test_index_form_of_paper_binomial():
     assert form.b.encode() == 0
 
 
-def test_index_form_rejects_constants():
-    spec = make_field(13)
-    with pytest.raises(ZeroPolynomialError):
-        compute_index_form(spec, {0: spec.element(5)})
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_wan_lidl_matches_bruteforce_on_sparse_polys(data):
@@ -119,10 +100,6 @@ def test_wan_lidl_matches_bruteforce_on_sparse_polys(data):
     poly = {e: spec.element(c) for e, c in zip(exps, coeffs)}
     poly[0] = spec.element(b)
     assert wan_lidl_check(spec, poly) == is_permutation_bruteforce(spec, poly)
-    dense = [0] * (max(poly) + 1)
-    for e, c in poly.items():
-        dense[e] = c.encode()
-    assert wan_lidl_check(spec, dense) == is_permutation_bruteforce(spec, poly)
 
 
 @pytest.mark.parametrize("q,r", [(13, 2), (13, 3), (11, 2), (19, 3), (31, 3), (23, 2)])

@@ -13,7 +13,7 @@ import pytest
 
 from permbinom import cli, counts, selftest, sweep
 from permbinom.curves import pi_trace
-from permbinom.errors import DivisibilityViolationError, EnumerationGuardError, SweepConfigError
+from permbinom.errors import DivisibilityViolationError, EnumerationGuardError, SweepConfigError, int_text
 from permbinom.fields import make_field
 from permbinom.permtest import enumerate_perm_binomials
 from permbinom.selftest import AcceptanceSuite
@@ -238,6 +238,30 @@ def test_config_validation(bad):
 def test_config_errors_are_typed(bad):
     with pytest.raises(SweepConfigError):
         run_verify_sweep(bad)
+
+
+def test_a_long_bad_r_set_is_refused_by_its_first_bad_entry(monkeypatch):
+    monkeypatch.setattr(sweep, "_field_task", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(SweepConfigError) as info:
+        run_verify_sweep(SweepConfig(q_max=8, r_set=(2,) + (5,) * 10000 + (4,)))
+    assert str(info.value) == "r_set must be a non-empty subset of {2, 3}, got an entry 5"
+    with pytest.raises(SweepConfigError, match=r"^r_set must be a non-empty subset of \{2, 3\}, got \(\)$"):
+        run_verify_sweep(SweepConfig(q_max=8, r_set=()))
+
+
+@pytest.mark.parametrize("seed", [10**5000, -(10**4300)], ids=["5001-digits", "negative-4301-digits"])
+def test_a_seed_past_the_digit_limit_is_refused_before_any_work(seed, monkeypatch):
+    monkeypatch.setattr(sweep, "_field_task", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(SweepConfigError) as info:
+        run_verify_sweep(SweepConfig(q_max=8, seed=seed))
+    limit = sys.get_int_max_str_digits()
+    assert str(info.value) == f"seed = {int_text(seed)} has more than {limit} digits, the interpreter's int-to-str digit limit"
+    assert len(str(info.value)) <= 200
+
+
+def test_a_seed_of_as_many_digits_as_the_limit_runs():
+    seed = 10 ** sys.get_int_max_str_digits() - 1
+    assert run_verify_sweep(SweepConfig(q_max=8, seed=-seed)).failures == ()
 
 
 class _Int(int):

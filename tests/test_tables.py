@@ -9,20 +9,14 @@ from math import gcd
 
 import pytest
 
-from permbinom import cli, permtest
+from permbinom import cli, fields, permtest
 from permbinom.characters import cubic_char, power_sum, quadratic_char
 from permbinom.curves import count_points_extension
 from permbinom.errors import BadFieldForCubicError, EnumerationGuardError, UnknownChoiceError
 from permbinom.fields import NO_LOG, FieldSpec, add_logs, element_order, make_field
-from permbinom.permtest import (
-    ROUTES,
-    binomial_polynomial,
-    compute_index_form,
-    enumerate_perm_binomials,
-    is_permutation_bruteforce,
-    wan_lidl_check,
-)
+from permbinom.permtest import ROUTES, enumerate_perm_binomials
 from permbinom.primes import prime_power_decompose, prime_powers_upto
+from reference import binomial_polynomial, compute_index_form, is_permutation_bruteforce, wan_lidl_check
 
 # (p, k, modulus); the last is F_16 under x^4 + x^3 + 1 instead of the default x^4 + x + 1
 FIELDS = [
@@ -143,6 +137,17 @@ def test_element_arithmetic_never_reads_the_tables(p, k, modulus):
             assert (x**e).coeffs == (y**e).coeffs, (enc, e)
         assert x.inverse().coeffs == y.inverse().coeffs
         assert element_order(x) == element_order(y)
+
+
+@pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
+def test_alpha_is_the_first_generator_and_skips_the_constants_of_an_extension(p, k, modulus, monkeypatch):
+    q = p**k
+    spec = FieldSpec(p, k, modulus)
+    first = next(x for x in map(spec.decode, range(1, q)) if element_order(x) == q - 1)
+    tried = []
+    monkeypatch.setattr(fields, "element_order", lambda x: tried.append(x.encode()) or element_order(x))
+    assert spec.alpha == first
+    assert tried[-1] == first.encode() and (k == 1 or min(tried) >= p)
 
 
 @pytest.mark.parametrize("p,k,modulus", BRUTE_FIELDS, ids=_ids(BRUTE_FIELDS))
