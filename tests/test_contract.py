@@ -2,7 +2,9 @@
 
 Every callable in permbinom.__all__ that takes an integer is called once
 per integer parameter, with the other arguments valid, on 2.0, 2.5, "7",
-None, True, False, 0 and negatives. Each call either returns or raises a
+None, True, False, 0 and negatives; so is each entry point outside
+__all__ in MORE_CALLS (check_cell, FieldSpec.element and decode, and the
+sharpness module). Each call either returns or raises a
 PermBinomError; none may raise TypeError, AttributeError,
 ZeroDivisionError, a bare ValueError or MemoryError. An element parameter
 counts as an integer parameter where an int is lifted into the field, and
@@ -123,23 +125,8 @@ def test_every_public_callable_is_covered():
     assert covered == set(pb.__all__)
 
 
-@pytest.mark.parametrize("value", ODD_VALUES, ids=repr)
-@pytest.mark.parametrize("case", sorted(CALLS), ids="-".join)
-def test_an_odd_integer_argument_returns_or_raises_a_typed_refusal(case, value):
-    _returns_or_refuses(CALLS[case], value)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(sorted(CALLS)),
-    st.one_of(st.integers(-(10**30), 0), st.floats(), st.text(max_size=4), st.booleans(), st.none()),
-)
-def test_any_drawn_odd_argument_returns_or_raises_a_typed_refusal(case, value):
-    _returns_or_refuses(CALLS[case], value)
-
-
 HUGE = 10**5000  # 5,001 digits, past the 4,300 that int-to-str allows
-# the refusals CALLS cannot reach: check_cell, decode and the sharpness module are not in __all__
+# the entry points outside __all__: check_cell, FieldSpec.element and decode, and the sharpness module
 MORE_CALLS = {
     ("check_cell", "r"): lambda v: pb.permtest.check_cell(13, 1, v),
     ("decode", "enc"): f7.decode,
@@ -150,7 +137,30 @@ MORE_CALLS = {
     ("deviation_bounds", "k"): lambda v: sharpness.deviation_bounds(73, v, 35),
     ("admissible_exponent", "n"): lambda v: sharpness.admissible_exponent(v, 7, 2),
     ("admissible_exponent", "k"): lambda v: sharpness.admissible_exponent(1, 5, v),
+    ("admissible_exponent", "p"): lambda v: sharpness.admissible_exponent(1, v, 2),
+    ("check_cell", "q"): lambda v: pb.permtest.check_cell(v, 1, 2),
+    ("check_cell", "n"): lambda v: pb.permtest.check_cell(13, v, 2),
+    ("deviation_bounds", "p"): lambda v: sharpness.deviation_bounds(v, 2, 35),
+    ("deviation_bounds", "n"): lambda v: sharpness.deviation_bounds(73, 2, v),
+    ("element", "value"): f7.element,
 }
+ALL_CALLS = {**CALLS, **MORE_CALLS}
+
+
+@pytest.mark.parametrize("value", ODD_VALUES, ids=repr)
+@pytest.mark.parametrize("case", sorted(ALL_CALLS), ids="-".join)
+def test_an_odd_integer_argument_returns_or_raises_a_typed_refusal(case, value):
+    _returns_or_refuses(ALL_CALLS[case], value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(ALL_CALLS)),
+    st.one_of(st.integers(-(10**30), 0), st.floats(), st.text(max_size=4), st.booleans(), st.none()),
+)
+def test_any_drawn_odd_argument_returns_or_raises_a_typed_refusal(case, value):
+    _returns_or_refuses(ALL_CALLS[case], value)
+
 # (callable, parameter, a small bad value, a huge bad value that must get the same refusal)
 HUGE_CASES = [
     ("check_cell", "r", 4, HUGE),
@@ -176,7 +186,7 @@ HUGE_CASES = [
     ("name", "parameter", "small", "huge"), HUGE_CASES, ids=[f"{c[0]}-{c[1]}-{'neg' if c[3] < 0 else 'pos'}" for c in HUGE_CASES]
 )
 def test_a_huge_bad_integer_gets_the_refusal_a_small_one_gets(name, parameter, small, huge):
-    call = {**CALLS, **MORE_CALLS}[name, parameter]
+    call = ALL_CALLS[name, parameter]
     with pytest.raises(pb.PermBinomError) as want:
         call(small)
     with pytest.raises(pb.PermBinomError) as got:
