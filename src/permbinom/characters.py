@@ -12,8 +12,9 @@ in the field, and both read one exponent routine, _exponent: the e < m with
 el^((q-1)/m) = alpha^((q-1)e/m), for m = 2 (chi = (-1)^e) and m = 3
 (eta = e). Only here are characters read off a field's scan tables, as
 el = alpha^i gives e = i mod m: by _exponent one element at a time, and
-by character_classes over the whole log table; without tables e takes
-one power.
+by character_classes over the whole log table. _exponent's one log read,
+at the encoding el carries where it has one, also decides zero, as
+log[0] = NO_LOG; without tables e takes one power.
 """
 
 from __future__ import annotations
@@ -24,13 +25,18 @@ from .errors import BadFieldForCubicError, EvenCharacteristicError, check_intege
 from .fields import NO_LOG, FieldElement, FieldSpec, add_logs
 
 
-def _exponent(spec: FieldSpec, el: FieldElement, m: int, roots: Callable[[FieldSpec], tuple[FieldElement, ...]]) -> int:
-    """The e < m with el^((q-1)/m) = alpha^((q-1)e/m) for a nonzero el.
+def _exponent(spec: FieldSpec, el: FieldElement, m: int, roots: Callable[[FieldSpec], tuple[FieldElement, ...]]) -> int | None:
+    """The e < m with el^((q-1)/m) = alpha^((q-1)e/m), or None when el = 0.
 
-    Without tables, roots(spec) lists those m powers of alpha, e ascending, or refuses a field where m does not divide q - 1.
+    With tables, one log read at el.encode(), the encoding el carries where it has one, decides both.
+    Without, roots(spec) lists those m powers of alpha, e ascending, or refuses a field where m does not divide q - 1.
     """
-    if spec._tables is not None and (spec.q - 1) % m == 0:
-        return spec._tables.log[el.encode()] % m
+    tables = spec._tables
+    if tables is not None and (spec.q - 1) % m == 0:
+        i = tables.log[el.encode()]
+        return None if i == NO_LOG else i % m
+    if el.is_zero:
+        return None
     t = el ** ((spec.q - 1) // m)
     for e, root in enumerate(roots(spec)):
         if t == root:
@@ -43,9 +49,8 @@ def quadratic_char(spec: FieldSpec, el: FieldElement) -> int:
     el = spec.element(el)
     if spec.p == 2:
         raise EvenCharacteristicError("quadratic character needs odd q")
-    if el.is_zero:
-        return 0
-    return 1 - 2 * _exponent(spec, el, 2, _square_roots_of_unity)
+    e = _exponent(spec, el, 2, _square_roots_of_unity)
+    return 0 if e is None else 1 - 2 * e
 
 
 def _square_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement]:
@@ -64,10 +69,7 @@ def cubic_roots_of_unity(spec: FieldSpec) -> tuple[FieldElement, FieldElement, F
 
 def cubic_char(spec: FieldSpec, el: FieldElement) -> int | None:
     """Exponent e with el^((q-1)/3) = xi^e, or None when el = 0; el is an element of spec, or what spec.element lifts into it."""
-    el = spec.element(el)
-    if el.is_zero:
-        return None
-    return _exponent(spec, el, 3, cubic_roots_of_unity)
+    return _exponent(spec, spec.element(el), 3, cubic_roots_of_unity)
 
 
 def character_classes(spec: FieldSpec) -> dict:

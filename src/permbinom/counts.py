@@ -29,7 +29,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from math import factorial, isqrt
+from math import ceil, factorial, floor, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from .curves import pi_trace
@@ -122,8 +122,13 @@ def bound_pairs(q: int, r: int) -> tuple[Fraction, Fraction, int | None, int | N
 
 
 def checked_pairs(mz_lo: Fraction, mz_hi: Fraction, cor_lo: int | None, cor_hi: int | None) -> tuple:
-    """bound_pairs' four bounds as the (name, lo, hi) pairs cell_failures holds a closed count to, mz_lo clamped at 0."""
-    return ("mz-bounds", max(mz_lo, 0), mz_hi), ("refined-bounds", cor_lo, cor_hi)
+    """bound_pairs' four bounds as the (name, lo, hi, shown) pairs cell_failures holds a closed count to, mz_lo clamped at 0.
+
+    lo and hi are the integers a count may reach, ceil(lo) and floor(hi), so each cell compares ints;
+    shown is the pair as bound_pairs gave it, for the failure text.
+    """
+    mz_lo = max(mz_lo, 0)
+    return ("mz-bounds", ceil(mz_lo), floor(mz_hi), f"[{mz_lo}, {mz_hi}]"), ("refined-bounds", cor_lo, cor_hi, f"[{cor_lo}, {cor_hi}]")
 
 
 def set_diff(a: frozenset, b: frozenset) -> str:
@@ -149,9 +154,9 @@ def cell_failures(closed: int | None, crit: frozenset[int], brute: frozenset[int
         yield "closed", "criterion", f"{closed} != {len(crit)}"
     if brute is not None and brute != crit:
         yield "criterion", "bruteforce", set_diff(crit, brute)
-    for pair, lo, hi in pairs if closed is not None else ():
+    for pair, lo, hi, shown in pairs if closed is not None else ():
         if lo is not None and not lo <= closed <= hi:
-            yield "closed", pair, f"{closed} outside [{lo}, {hi}]"
+            yield "closed", pair, f"{closed} outside {shown}"
 
 
 class CountReport(NamedTuple):

@@ -12,7 +12,8 @@ When no modulus is supplied, make_field picks the first irreducible it
 finds scanning candidates x^k + c_{k-1} x^{k-1} + ... + c_0 in ascending
 encoding order of (c_0, ..., c_{k-1}), which is x itself for k = 1; the
 scan is deterministic, so a given (p, k) always names the same field with
-the same generator.
+the same generator.  It skips the binomials x^k + c where none is
+irreducible, which leaves the modulus found unchanged.
 
 The distinguished generator alpha is the first element in enumeration
 order whose multiplicative order is q - 1.  For prime fields this is the
@@ -49,7 +50,8 @@ FieldElement never reads the tables.  Its powers, inverse and
 element_order are square-and-multiply whatever scans have run, and are
 the table-free reference the tables are checked against in the tests.
 Of the single-element functions only the characters read them, through
-characters._exponent.
+characters._exponent, at the encoding an element carries: on a prime
+field the results of +, - and * carry theirs, the one coefficient.
 
 The scans that add elements work on logarithms and never build a
 FieldElement per element: alpha^u + alpha^v is alpha^(u + zech[v - u]).
@@ -196,8 +198,14 @@ def _coefficients(enc: int, p: int, k: int) -> tuple[int, ...]:
 
 
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k in ascending encoding order."""
-    for enc in range(p**k):
+    """First monic irreducible of degree k in ascending encoding order.
+
+    The encodings below p are the binomials x^k + c. By Lidl and Niederreiter,
+    Theorem 3.75, none is irreducible when some prime dividing k does not
+    divide p - 1, or when 4 | k and p = 3 mod 4, so the search then starts at p.
+    """
+    no_binomial = k > 1 and (any((p - 1) % prime for prime in factorize(k)) or (k % 4 == 0 and p % 4 == 3))
+    for enc in range(p if no_binomial else 0, p**k):
         f = _coefficients(enc, p, k) + (1,)
         if _is_irreducible(f, p):
             return f
@@ -210,8 +218,9 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
 class FieldElement:
     """One element of a FieldSpec; supports +, -, *, /, ** and hashing.
 
-    The element carries its encoding: FieldSpec.decode records it, and
-    encode() computes it at most once for an element built any other way.
+    The element carries its encoding: FieldSpec.decode records it, so do
+    +, - and * on a prime field, where the one coefficient is the encoding,
+    and encode() computes it at most once for an element built any other way.
     """
 
     __slots__ = ("spec", "coeffs", "_enc")
@@ -228,21 +237,29 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            c = (self.coeffs[0] + o.coeffs[0]) % p
+            return FieldElement(spec, (c,), c)
+        return FieldElement(spec, tuple([(a + b) % p for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.spec.p
-        return FieldElement(self.spec, tuple(-a % p for a in self.coeffs))
+        return FieldElement(self.spec, tuple([-a % p for a in self.coeffs]))
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        spec = self.spec
+        p = spec.p
+        if spec.k == 1:
+            c = (self.coeffs[0] - o.coeffs[0]) % p
+            return FieldElement(spec, (c,), c)
+        return FieldElement(spec, tuple([(a - b) % p for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -254,7 +271,11 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_coeffs(self.coeffs, o.coeffs))
+        spec = self.spec
+        if spec.k == 1:
+            c = self.coeffs[0] * o.coeffs[0] % spec.p
+            return FieldElement(spec, (c,), c)
+        return FieldElement(spec, spec.mul_coeffs(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 

@@ -10,7 +10,8 @@ Routes:
     logarithms and tests every other a at once, on (q-1)-bit masks of Zech
     residues indexed by log a;
   * criterion: the character conditions specific to r = 2 and r = 3, on
-    FieldElement arithmetic.
+    FieldElement arithmetic, with a^2 for a = alpha^j read off the exp
+    table as alpha^(2j); it never reads zech, which the other two read.
 
 ROUTES names them; each returns the encodings of its a, ascending.
 enumerate_perm_binomials, which dispatches through ROUTES, decodes them,
@@ -160,25 +161,27 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
     at a = alpha^j for one j per orbit of j -> p j mod d, as brute force
     does, and each passing j stands for its orbit. {-1, -xi, -xi^2} is
     itself such a union, so an excluded representative excludes its orbit.
+    At r = 2 a leader's a^2 = alpha^(2j) is read off exp, decoded as a is,
+    so no leader pays a product; a = 0 is squared as an ordinary element.
     """
+    exp, decode, q1 = tables.exp, spec.decode, spec.q - 1
+    leaders = _orbit_leaders(spec.p, q1 // r)
     if r == 2:
         target = 1 if n % 2 == 1 else -1
         one = spec.one
-
-        def passes(a: FieldElement) -> bool:
-            return quadratic_char(spec, a * a - one) == target
-
+        hits = [j for j in leaders if quadratic_char(spec, decode(exp[2 * j % q1]) - one) == target]
+        zero_passes = quadratic_char(spec, spec.zero * spec.zero - one) == target
     else:
         one, xi, xi2 = cubic_roots_of_unity(spec)
         t = (2 * n) % 3
 
         def passes(a: FieldElement) -> bool:
-            e1, e2, e3 = (cubic_char(spec, c + a) for c in (xi, one, xi2))
+            e1, e2, e3 = cubic_char(spec, xi + a), cubic_char(spec, one + a), cubic_char(spec, xi2 + a)
             return None not in (e1, e2, e3) and t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
 
-    exp = tables.exp
-    hits = [j for j in _orbit_leaders(spec.p, (spec.q - 1) // r) if passes(spec.decode(exp[j]))]
-    return _orbit_union(spec, tables, r, hits, passes(spec.zero))
+        hits = [j for j in leaders if passes(decode(exp[j]))]
+        zero_passes = passes(spec.zero)
+    return _orbit_union(spec, tables, r, hits, zero_passes)
 
 
 def _minus_one_log(spec: FieldSpec) -> int:

@@ -391,3 +391,27 @@ def test_report_dict_layout():
     assert d["s_k"] == "-7"
     assert d["a_values"] == F73_SET
     assert isinstance(d["mz_lower"], str) and isinstance(d["mz_upper"], str)
+
+
+def test_checked_pairs_compare_integers_and_show_the_bounds_as_given():
+    mz_lo, mz_hi = Fraction(-3, 2), Fraction(29, 3)
+    mz, refined = counts.checked_pairs(mz_lo, mz_hi, None, None)
+    assert mz == ("mz-bounds", 0, 9, "[0, 29/3]") and refined[1:3] == (None, None)
+    assert all(type(b) is int for b in mz[1:3])
+    pairs = counts.checked_pairs(Fraction(7, 3), mz_hi, 4, 8)
+    assert pairs[0][1:] == (3, 9, "[7/3, 29/3]")
+
+    def failures(closed):
+        return [f[1:] for f in counts.cell_failures(closed, frozenset(range(closed)), None, pairs)]
+
+    assert failures(5) == []
+    assert failures(9) == [("refined-bounds", "9 outside [4, 8]")]
+    assert failures(10) == [("mz-bounds", "10 outside [7/3, 29/3]"), ("refined-bounds", "10 outside [4, 8]")]
+    assert failures(2) == [("mz-bounds", "2 outside [7/3, 29/3]"), ("refined-bounds", "2 outside [4, 8]")]
+    # the bounds of every sweep block are exact at their integer ends
+    for q in (5, 7, 13, 25, 49, 121):
+        for r in (2, 3):
+            if field_admits(q, r):
+                lo_f, hi_f, _, _ = bounds = counts.bound_pairs(q, r)
+                _, lo, hi, _ = counts.checked_pairs(*bounds)[0]
+                assert [c for c in range(-5, q) if lo <= c <= hi] == [c for c in range(-5, q) if max(lo_f, 0) <= c <= hi_f]

@@ -25,6 +25,8 @@ from permbinom.fields import (
     make_field,
     parse_field,
 )
+from permbinom.primes import factorize, is_prime
+from reference import ascending_modulus
 
 FIELDS = [(13, 1), (3, 2), (2, 3), (7, 2)]
 
@@ -112,6 +114,18 @@ def test_arithmetic_results_encode_their_coefficients(p, k):
                 results.append(y / x)
         for z in results:
             assert z.encode() == fields._encode(z.coeffs, p), (x, z)
+
+
+@pytest.mark.parametrize("p", [2, 13, 73])
+def test_prime_field_operators_carry_their_encoding(p, monkeypatch):
+    spec = make_field(p)
+    xs = [spec.decode(e) for e in range(p)]
+    ys = xs + [spec.element(e) for e in range(p)] + list(range(-1, p + 1))  # elements without an encoding, and ints
+    monkeypatch.setattr(fields, "_encode", lambda coeffs, p: pytest.fail("an operator result re-encoded"))
+    for x in xs:
+        for y in ys:
+            for z in (x + y, y + x, x - y, y - x, x * y, y * x):
+                assert z._enc == z.coeffs[0], (x, y, z)
 
 
 def test_encode_runs_at_most_once(monkeypatch):
@@ -303,6 +317,36 @@ def test_elements_hashable():
     assert spec.element(3) != 3 and spec.element(3) != 8
     f7 = make_field(7)
     assert f7.element(5) != 5 and 5 not in {f7.element(5)}
+
+
+def _rules_out_binomials(p, k):
+    """Lidl and Niederreiter Thm 3.75: no x^k + c is irreducible over F_p."""
+    return any((p - 1) % ell for ell in factorize(k)) or (k % 4 == 0 and p % 4 == 3)
+
+
+SMALL_PRIME_POWERS = [(p, k) for p in range(2, 60) if is_prime(p) for k in range(2, 9) if p**k <= 10**9]
+
+
+def test_the_modulus_search_finds_the_ascending_first_irreducible():
+    assert len(SMALL_PRIME_POWERS) == 93
+    skipped = [(p, k) for p, k in SMALL_PRIME_POWERS if _rules_out_binomials(p, k)]
+    assert len(skipped) == 55
+    for p, k in SMALL_PRIME_POWERS:
+        assert fields._find_modulus(p, k) == ascending_modulus(p, k), (p, k)
+    for p, k in skipped:  # the theorem itself, on every binomial
+        assert not any(fields._is_irreducible((c,) + (0,) * (k - 1) + (1,), p) for c in range(p)), (p, k)
+
+
+def test_the_modulus_search_tests_no_binomial_where_none_is_irreducible(monkeypatch):
+    tested = []
+    real = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible", lambda f, p: tested.append(f) or real(f, p))
+    assert fields._find_modulus(10007, 4) == (6, 1, 0, 0, 1)
+    assert tested and not any(f[1:4] == (0, 0, 0) for f in tested)
+    assert len(tested) < 10
+    tested.clear()
+    assert fields._find_modulus(13, 2) == (2, 0, 1)  # 2 | 12: binomials are searched, and x^2 + 2 is the first
+    assert [f[0] for f in tested] == [0, 1, 2]
 
 
 def test_make_field_validation():

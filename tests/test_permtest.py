@@ -13,7 +13,7 @@ from permbinom.fields import NO_LOG, FieldElement, FieldSpec, make_field
 from permbinom.permtest import enumerate_perm_binomials, field_admits
 from permbinom.primes import prime_power_decompose, prime_powers_upto
 from permbinom.sweep import valid_exponents
-from reference import binomial_polynomial, compute_index_form, evaluate_poly, is_permutation_bruteforce, wan_lidl_check
+from reference import binomial_polynomial, compute_index_form, criterion_encodings, evaluate_poly, is_permutation_bruteforce, wan_lidl_check
 
 
 def _raw_binomial_survivors(q, n, r):
@@ -334,3 +334,17 @@ def test_orbit_criterion_matches_the_all_a_scan():
         for n in _one_n_per_class(spec.q, r):
             got = [a.encode() for a in enumerate_perm_binomials(spec, n, r, method="criterion")]
             assert got == _all_a_criterion_encodings(spec, n, r), f"first differing cell (q, n, r) = {(spec.q, n, r)}"
+
+
+def test_criterion_matches_the_table_free_oracle_up_to_343():
+    cells = 0
+    for q in prime_powers_upto(343):
+        spec = make_field(*prime_power_decompose(q))
+        for r in (2, 3):
+            if not field_admits(q, r):
+                continue
+            for n in _one_n_per_class(q, r):
+                got = enumerate_perm_binomials(spec, n, r, method="criterion", encoded=True)
+                assert got == criterion_encodings(spec, n, r), f"first differing cell (q, n, r) = {(q, n, r)}"
+                cells += 1
+    assert cells == 229

@@ -5,6 +5,7 @@ second, equal FieldSpec that has none, so every table result is checked
 against square-and-multiply on the polynomial basis.
 """
 
+from array import array
 from math import gcd
 
 import pytest
@@ -37,6 +38,8 @@ BRUTE_FIELDS = FIELDS + [
     (7, 2, make_field(7, 2).modulus),
 ]
 ODD_FIELDS = [f for f in FIELDS if f[0] != 2]
+# every field of FIELDS, and F_7^2 for r = 3 on an extension of odd characteristic
+ADMITTING_FIELDS = FIELDS + [(7, 2, make_field(7, 2).modulus)]
 
 
 def _ids(fields):
@@ -123,6 +126,36 @@ def test_table_characters_inverse_and_order(p, k, modulus):
         if enc:
             assert x.inverse().coeffs == y.inverse().coeffs
             assert element_order(x) == element_order(y)
+
+
+@pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
+def test_table_characters_of_operator_built_elements(p, k, modulus):
+    # sums, differences and products carry no encoding on an extension field; on a prime field they carry theirs
+    tabled, plain = _pair(p, k, modulus)
+    q = p**k
+    t_alpha, p_alpha = tabled.decode(plain.alpha.encode()), plain.alpha
+    for enc in range(q):
+        x, y = tabled.decode(enc), plain.decode(enc)
+        for built_t, built_p in ((x + t_alpha, y + p_alpha), (x - t_alpha, y - p_alpha), (x * t_alpha, y * p_alpha), (x - x, y - y)):
+            assert (built_t._enc is None) == (k > 1)
+            if p != 2:
+                assert quadratic_char(tabled, built_t) == quadratic_char(plain, built_p), (enc, built_p)
+            if q % 3 == 1:
+                assert cubic_char(tabled, built_t) == cubic_char(plain, built_p), (enc, built_p)
+
+
+@pytest.mark.parametrize("p,k,modulus", ADMITTING_FIELDS, ids=_ids(ADMITTING_FIELDS))
+def test_criterion_never_reads_zech(p, k, modulus):
+    # brute force and Wan-Lidl read zech; the criterion stays independent of them
+    spec = FieldSpec(p, k, modulus)
+    tables = spec.scan_tables()
+    expected = {(n, r): ROUTES["criterion"](spec, tables, n, r) for n, r in _admissible(p, k)}
+    poisoned = tables._replace(zech=array("l", [0]) * (p**k - 1))
+    spec._tables = poisoned  # the characters read the field's own tables
+    for (n, r), found in expected.items():
+        assert ROUTES["criterion"](spec, poisoned, n, r) == found, (n, r)
+    # the poison shows in a route that reads zech
+    assert any(ROUTES["bruteforce"](spec, poisoned, n, r) != found for (n, r), found in expected.items())
 
 
 @pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
