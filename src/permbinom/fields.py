@@ -26,9 +26,14 @@ of alpha^i, log inverts it, and zech[i] = log(1 + alpha^i), or NO_LOG
 where 1 + alpha^i = 0.  FieldSpec.scan_tables builds them on its first
 call, from q - 1 multiplications by alpha, and keeps them for the life
 of the FieldSpec: three arrays of C longs, about 3q of them (24q bytes
-where a long is 8 bytes, as on 64-bit Linux).  It checks the enumeration
-guard first, on every call, so no table is built for a field the guard
-refuses.  Only the scans over a whole field call it:
+where a long is 8 bytes, as on 64-bit Linux).  Beside them, for the same
+life, permtest keeps an orbit table per r at which the criterion or brute
+force ran, read once off these tables (and again if other tables come in
+use): a leader per orbit of j -> p j mod d = (q-1)/r, the q - 1 encodings
+(exp itself on prime fields) and brute force's r Zech rows of one long per
+leader, at most 2(q - 1) + d longs, 20q bytes at r = 2.  It checks the
+enumeration guard first, on every call, so no table is built for a field
+the guard refuses.  Only the scans over a whole field call it:
 enumerate_perm_binomials, power_sum, count_points_extension,
 char2_cubic_sum, characters.character_classes and permtest.split_orbits,
 which checks a Wan-Lidl a-set for closure.  The guard is q <= 2^20, and
@@ -354,7 +359,7 @@ class FieldTables(NamedTuple):
 class FieldSpec:
     """Immutable description of F_{p^k} plus its arithmetic."""
 
-    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_reduction", "_alpha", "_q1_factors", "_tables", "_digits")
+    __slots__ = ("p", "k", "q", "modulus", "zero", "one", "_reduction", "_alpha", "_q1_factors", "_tables", "_digits", "_orbits")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -377,6 +382,7 @@ class FieldSpec:
         self._q1_factors: dict[int, int] | None = None
         self._tables: FieldTables | None = None
         self._digits: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None
+        self._orbits: dict = {}  # permtest's orbit tables, by r, each beside the tables it was read from
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Product modulo the modulus, which must be monic but need not be irreducible."""

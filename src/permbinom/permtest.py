@@ -18,11 +18,12 @@ enumerate_perm_binomials, which dispatches through ROUTES, decodes them,
 or with encoded=True hands them on as they are: callers that want
 encodings pass it, and never decode an element only to encode it again.
 
-The criterion and brute force test a = 0 and one a per orbit, through one
-orbit walk: _orbit_leaders picks one j per orbit of j -> p j mod
-d = (q-1)/r, and _orbit_union expands each passing alpha^j to its orbit
-under a -> a^p and a -> omega a. Wan-Lidl tests every a, so
-counts.class_failures checks its sets for that symmetry with split_orbits.
+The criterion and brute force test a = 0 and one a per orbit of a -> a^p
+and a -> omega a, the leaders of the field's orbit table at r, read off
+its tables by one walk of j -> p j mod d = (q-1)/r on first use and kept
+beside them; the table expands each passing leader to its orbit. Wan-Lidl
+tests every a, so counts.class_failures checks its sets for that symmetry
+with split_orbits, which expands a split orbit from the same table.
 
 The routes answer only on admissible cells (q, n, r), the ones the paper
 counts: q, n and r are integers, r is 2 or 3, q is odd for r = 2 and
@@ -38,9 +39,11 @@ tests an arbitrary polynomial: every route reads the binomial's cell.
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress, repeat
 from math import gcd
 from operator import mod
+from typing import NamedTuple
 
 from .characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from .errors import (
@@ -88,42 +91,67 @@ def check_cell(q: int, n: int, r: int) -> None:
         raise GcdViolationError(f"gcd(n={int_text(n)}, (q-1)/{r}={int_text(d)}) != 1")
 
 
-def _orbit_leaders(p: int, d: int) -> range | list[int]:
-    """The least member of each orbit of j -> p j on Z/d, ascending: every j when p = 1 mod d."""
-    if (p - 1) % d == 0:
-        return range(d)
-    seen = bytearray(d)
-    leaders = []
-    for j in range(d):
-        if not seen[j]:
-            leaders.append(j)
-            c = j
-            while not seen[c]:
-                seen[c] = 1
-                c = c * p % d
-    return leaders
+class _OrbitTable(NamedTuple):
+    """The orbits of a -> a^p and a -> omega a (omega^r = 1) on F_q^*, read once off one field's tables.
 
-
-def _orbit_union(spec: FieldSpec, tables: FieldTables, r: int, hits: list[int], zero_passes: bool) -> list[int]:
-    """The encodings, ascending, of the orbits led by alpha^j for j < d in hits, and of a = 0 if it passes.
-
-    With d = (q-1)/r, the orbit of alpha^j under a -> a^p and a -> omega a
-    is alpha^(c + d u) for c on the orbit of j under c -> p c mod d and u < r.
+    With d = (q-1)/r the orbit of alpha^j is alpha^(c p^t + d u) for c the
+    least member of the orbit of j mod d under c -> p c mod d, t below its
+    size s and u < r. A group (start, end, s r) of orbits of size s spans
+    leaders[start:end] and, after the groups before it, their s r encodings
+    each, ordered by u, then t, then leader: flags[start:end], one per
+    orbit, repeated s r times flags each of them.
     """
-    p, d = spec.p, (spec.q - 1) // r
-    members = []
-    for j in hits:
-        c = j
-        while True:
-            members.append(c)
-            c = c * p % d
-            if c == j:
-                break
-    exp, steps = tables.exp, [d * u for u in range(r)]
-    found = [exp[c + du] for c in members for du in steps]
-    if zero_passes:
-        found.append(0)
-    return sorted(found)
+
+    tables: FieldTables  # what it was read from: other tables, even of the same field, get a table of their own
+    leaders: array
+    groups: list[tuple[int, int, int]]
+    encodings: array
+    zech_rows: list  # brute force's, added on its first call: row t is zech[c - d t] at each leader c, NO_LOG read as 2(q-1)
+
+    def union(self, flags, zero_passes: bool) -> list[int]:
+        """The encodings, ascending, of the orbits whose flag is set, one flag per leader, and of a = 0 if it passes."""
+        passing = b"".join([bytes(flags[start:end]) * width for start, end, width in self.groups])
+        return [0] * zero_passes + sorted(compress(self.encodings, passing))
+
+    def orbit(self, x: int) -> list[int]:
+        """The encodings, ascending, of the orbit holding encodings[x]."""
+        for start, end, width in self.groups:
+            if x >= (end - start) * width:
+                x -= (end - start) * width
+                continue
+            flags = bytearray(len(self.leaders))
+            flags[start + x % (end - start)] = 1
+            return self.union(flags, False)
+
+
+def _orbit_table(spec: FieldSpec, tables: FieldTables, r: int) -> _OrbitTable:
+    """spec's orbit table at r, read off tables by one orbit walk, on the first call with these tables."""
+    table = spec._orbits.get(r)
+    if table is None or table.tables is not tables:
+        p, d, exp = spec.p, (spec.q - 1) // r, tables.exp
+        if (p - 1) % d == 0:  # every c < d an orbit of its own, as on prime fields: the encodings are exp's own
+            table = _OrbitTable(tables, array("l", range(d)), [(0, d, r)], exp, [])
+        else:
+            by_size: dict[int, list[int]] = {}
+            seen = bytearray(d)
+            for j in range(d):
+                c, size = j, 0
+                while not seen[c]:
+                    seen[c] = 1
+                    c = c * p % d
+                    size += 1
+                if size:
+                    by_size.setdefault(size, []).append(j)
+            leaders, groups, encodings = array("l"), [], array("l")
+            for size, group in sorted(by_size.items()):
+                groups.append((len(leaders), len(leaders) + len(group), size * r))
+                leaders.extend(group)
+                for u in range(r):
+                    for p_t in (pow(p, t, d) for t in range(size)):
+                        encodings.extend([exp[c * p_t % d + d * u] for c in group])
+            table = _OrbitTable(tables, leaders, groups, encodings, [])
+        spec._orbits[r] = table
+    return table
 
 
 def split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[int, int, int]]:
@@ -132,17 +160,15 @@ def split_orbits(spec: FieldSpec, r: int, found: frozenset[int]) -> list[tuple[i
     The orbits are those of a -> a^p and a -> omega a (omega^r = 1), on
     logs a = alpha^j the maps j -> p j and j -> j + d, d = (q-1)/r. Every
     a-set is a union of them, so found must hold both images of each
-    member; _orbit_union expands a split orbit from j mod d.
+    member; the orbit table expands a split orbit from any member.
     First means least encoding. a = 0 is an orbit of its own.
     """
     exp, log, _ = tables = spec.scan_tables()
     p, q1 = spec.p, spec.q - 1
     d = q1 // r
-    orbits = set()
-    for a in found:
-        j = log[a]
-        if a and not (exp[(j + d) % q1] in found and exp[j * p % q1] in found):
-            orbits.add(tuple(_orbit_union(spec, tables, r, [j % d], False)))
+    split = [a for a in found if a and not (exp[(log[a] + d) % q1] in found and exp[log[a] * p % q1] in found)]
+    table = _orbit_table(spec, tables, r) if split else None
+    orbits = {tuple(table.orbit(table.encodings.index(a))) for a in split}
     return sorted((orbit[0], len(found.intersection(orbit)), len(orbit)) for orbit in orbits)
 
 
@@ -158,18 +184,18 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
 
     The test is exact, so its a-set is the permutation a-set, a union of
     orbits of a -> a^p and a -> omega a (omega^r = 1). It runs at a = 0 and
-    at a = alpha^j for one j per orbit of j -> p j mod d, as brute force
-    does, and each passing j stands for its orbit. {-1, -xi, -xi^2} is
+    at a = alpha^j for each leader j of the orbit table, as brute force
+    does, and the table expands each passing j to its orbit. {-1, -xi, -xi^2} is
     itself such a union, so an excluded representative excludes its orbit.
     At r = 2 a leader's a^2 = alpha^(2j) is read off exp, decoded as a is,
     so no leader pays a product; a = 0 is squared as an ordinary element.
     """
     exp, decode, q1 = tables.exp, spec.decode, spec.q - 1
-    leaders = _orbit_leaders(spec.p, q1 // r)
+    orbits = _orbit_table(spec, tables, r)
     if r == 2:
         target = 1 if n % 2 == 1 else -1
         one = spec.one
-        hits = [j for j in leaders if quadratic_char(spec, decode(exp[2 * j % q1]) - one) == target]
+        flags = [quadratic_char(spec, decode(exp[2 * j % q1]) - one) == target for j in orbits.leaders]
         zero_passes = quadratic_char(spec, spec.zero * spec.zero - one) == target
     else:
         one, xi, xi2 = cubic_roots_of_unity(spec)
@@ -179,9 +205,9 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
             e1, e2, e3 = cubic_char(spec, xi + a), cubic_char(spec, one + a), cubic_char(spec, xi2 + a)
             return None not in (e1, e2, e3) and t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3)
 
-        hits = [j for j in leaders if passes(decode(exp[j]))]
+        flags = [passes(decode(exp[j])) for j in orbits.leaders]
         zero_passes = passes(spec.zero)
-    return _orbit_union(spec, tables, r, hits, zero_passes)
+    return orbits.union(flags, zero_passes)
 
 
 def _minus_one_log(spec: FieldSpec) -> int:
@@ -207,10 +233,12 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     The a-set is a union of orbits of a -> a^p and a -> omega a with
     omega^r = 1: f_a(c x) = c^(n+d) f_(a c^-d)(x), and f_(a^p) is f_a
     conjugated by the Frobenius. On logs these are j -> p j and j -> j + d,
-    so only j < d is evaluated, one j per orbit of j -> p j mod d (every j
-    when p = 1 mod d, as on prime fields), and each passing j stands for
-    its whole orbit. a = 0 is one more entry, shift 0 in every row: the
-    monomial x^(n+d).
+    so only the leaders j of the orbit table are evaluated, one j < d per
+    orbit of j -> p j mod d (every j < d when p = 1 mod d, as on prime
+    fields), and the table expands each passing j to its whole orbit. The
+    r rows zech[j - d t] at the leaders, NO_LOG read as 2(q-1), are added
+    to the table on the first call and read in place after. a = 0 is one
+    more entry, shift 0 in every row: the monomial x^(n+d).
     """
     q1 = spec.q - 1
     d = q1 // r
@@ -227,20 +255,21 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     for t in range(r):
         mask = (mask0 >> (n + d) * t % q1) & full
         masks.append(mask | mask << q1)
-    z = tables.zech.tolist()
-    z[_minus_one_log(spec)] = 2 * q1
-    # row t at j is zech[j - d t], read as zech[j + d u] with u = -t mod r
-    offsets = [d * (-t % r) for t in range(r)]
-    leaders = _orbit_leaders(spec.p, d)
+    orbits = _orbit_table(spec, tables, r)
+    if not orbits.zech_rows:
+        z = array("l", tables.zech)
+        z[_minus_one_log(spec)] = 2 * q1
+        # row t at j is zech[j - d t], read as zech[j + d u] with u = -t mod r
+        orbits.zech_rows.extend(array("l", [z[j + d * (-t % r)] for j in orbits.leaders]) for t in range(r))
     if r == 2:
-        (m0, m1), (o0, o1) = masks, offsets
-        hits = [j for j in leaders if (m0 >> z[j + o0] | m1 >> z[j + o1]) & full == full]
+        (m0, m1), (z0, z1) = masks, orbits.zech_rows
+        flags = [(m0 >> s0 | m1 >> s1) & full == full for s0, s1 in zip(z0, z1)]
         zero_passes = (m0 | m1) & full == full
     else:
-        (m0, m1, m2), (o0, o1, o2) = masks, offsets
-        hits = [j for j in leaders if (m0 >> z[j + o0] | m1 >> z[j + o1] | m2 >> z[j + o2]) & full == full]
+        (m0, m1, m2), (z0, z1, z2) = masks, orbits.zech_rows
+        flags = [(m0 >> s0 | m1 >> s1 | m2 >> s2) & full == full for s0, s1, s2 in zip(z0, z1, z2)]
         zero_passes = (m0 | m1 | m2) & full == full
-    return _orbit_union(spec, tables, r, hits, zero_passes)
+    return orbits.union(flags, zero_passes)
 
 
 def _wan_lidl_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> list[int]:

@@ -3,9 +3,11 @@
 One cell per (q, n, r) with q a prime power admissible for r and n coprime
 to (q-1)/r. The admissible-a set depends on n only through n mod 2 (r = 2)
 or 2n mod 3 (r = 3), so the criterion and Wan-Lidl enumerations run once
-per residue class of n and every cell is compared against its class set;
-the closed form is evaluated per cell. Brute force confirms every cell
-with q <= BRUTE_FULL_MAX and a fixed-seed BRUTE_SAMPLE_RATE share above
+per residue class of n and every cell is compared against its class set.
+The closed count, which reads n only mod r too, is also formed once per
+class, but a refused count is asked again for each cell, so each cell
+records its own failure. Brute force confirms every cell with
+q <= BRUTE_FULL_MAX and a fixed-seed BRUTE_SAMPLE_RATE share above
 that, at about q shifts of q-bit masks per cell, as it evaluates one a per
 orbit of a -> a^p and a -> omega a (omega^r = 1). Every sweep runs all
 four routes.
@@ -100,15 +102,17 @@ def _field_task(config: SweepConfig, p: int, k: int, r: int) -> SweepResult:
     s_k = str(pi_trace(p, k)) if r == 3 else None
     rng = random.Random(f"{index(config.seed)}:{q}:{r}")  # True samples as 1 does
 
+    closed_counts: dict[int, int] = {}  # by class: the count reads n only mod r; a refused one is asked again for each n
     for n in ns:
         crit_set = class_sets[n % r]
         recorded = len(failures)
         e1, e2 = epsilons(q, n) if r == 3 else (None, None)
-        closed: int | None = None
-        try:
-            closed = closed_count(p, k, n, r)
-        except DivisibilityViolationError as exc:
-            failures.append(SweepFailure(q, n, r, "closed", "divisibility", str(exc)))
+        closed = closed_counts.get(n % r)
+        if closed is None:
+            try:
+                closed = closed_counts[n % r] = closed_count(p, k, n, r)
+            except DivisibilityViolationError as exc:
+                failures.append(SweepFailure(q, n, r, "closed", "divisibility", str(exc)))
         brute = None
         if q <= BRUTE_FULL_MAX or rng.random() < BRUTE_SAMPLE_RATE:
             brute = frozenset(enumerate_perm_binomials(spec, n, r, method="bruteforce", encoded=True))

@@ -1,4 +1,4 @@
-"""Table-free oracles for the permutation routes and the modulus search.
+"""Table-free oracles for the permutation routes and the modulus search, and the old orbit walk.
 
 For the routes: the binomial as a polynomial, brute force, the Wan-Lidl
 criterion and the character criterion. A polynomial is a dict exponent ->
@@ -6,6 +6,10 @@ FieldElement, exponents below q, with a nonzero coefficient at every
 exponent but perhaps 0. These run on FieldElement arithmetic alone, so they
 never read a field's logarithm tables, and share no code with the routes
 they check. The tests hand them well-formed input; they check none.
+
+orbit_leaders and orbit_union are the walk the routes made on every call
+before permtest's orbit table read it once per field and r: the oracle the
+table is held to.
 """
 
 from math import gcd
@@ -104,6 +108,44 @@ def criterion_encodings(spec, n, r):
         if t not in ((e1 - e2) % 3, (e2 - e3) % 3, (e3 - e1) % 3):
             out.append(a.encode())
     return out
+
+
+def orbit_leaders(p, d):
+    """The least member of each orbit of j -> p j on Z/d, ascending: every j when p = 1 mod d."""
+    if (p - 1) % d == 0:
+        return range(d)
+    seen = bytearray(d)
+    leaders = []
+    for j in range(d):
+        if not seen[j]:
+            leaders.append(j)
+            c = j
+            while not seen[c]:
+                seen[c] = 1
+                c = c * p % d
+    return leaders
+
+
+def orbit_union(spec, tables, r, hits, zero_passes):
+    """The encodings, ascending, of the orbits led by alpha^j for j < d in hits, and of a = 0 if it passes.
+
+    With d = (q-1)/r, the orbit of alpha^j under a -> a^p and a -> omega a
+    is alpha^(c + d u) for c on the orbit of j under c -> p c mod d and u < r.
+    """
+    p, d = spec.p, (spec.q - 1) // r
+    members = []
+    for j in hits:
+        c = j
+        while True:
+            members.append(c)
+            c = c * p % d
+            if c == j:
+                break
+    exp, steps = tables.exp, [d * u for u in range(r)]
+    found = [exp[c + du] for c in members for du in steps]
+    if zero_passes:
+        found.append(0)
+    return sorted(found)
 
 
 def ascending_modulus(p, k):

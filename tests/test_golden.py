@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from math import gcd
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -165,33 +164,33 @@ ITEMS = {
 
 
 def aset_blocks(q_max: int):
-    """(q, r, spec) for every (q, r) block with q <= q_max, by q then r; spec is a fresh twin, so its tables die with it."""
+    """(q, r, spec, firsts) for every (q, r) block with q <= q_max, by q then r.
+
+    spec is a fresh twin, so its tables die with it; firsts maps each class
+    of n (n mod r) to its least n, which fixes the class's a-set.
+    """
     from permbinom.fields import FieldSpec, make_field
     from permbinom.permtest import field_admits
     from permbinom.primes import prime_power_decompose, prime_powers_upto
+    from permbinom.sweep import valid_exponents
 
     for q in prime_powers_upto(q_max):
         p, k = prime_power_decompose(q)
         spec = FieldSpec(p, k, make_field(p, k).modulus)
         for r in (2, 3):
             if field_admits(q, r):
-                yield q, r, spec
+                firsts: dict[int, int] = {}
+                for n in valid_exponents(q, r):
+                    firsts.setdefault(n % r, n)
+                yield q, r, spec, firsts
 
 
-def aset_lines(spec, r: int, method: str):
-    """One line per class of n (n mod r) in the block: the class, then its a-set's sorted encodings, by the least n of the class."""
+def aset_digest(spec, r: int, firsts: dict[int, int], method: str) -> str:
+    """sha256 over one line per class of n: the class, then the sorted encodings of its a-set."""
     from permbinom.permtest import enumerate_perm_binomials
-    from permbinom.sweep import valid_exponents
 
-    firsts: dict[int, int] = {}
-    for n in valid_exponents(spec.q, r):
-        firsts.setdefault(n % r, n)
-    for c, n in sorted(firsts.items()):
-        yield f"{c} {sorted(enumerate_perm_binomials(spec, n, r, method, encoded=True))}"
-
-
-def aset_digest(spec, r: int, method: str) -> str:
-    return hashlib.sha256("".join(line + "\n" for line in aset_lines(spec, r, method)).encode()).hexdigest()
+    lines = (f"{c} {sorted(enumerate_perm_binomials(spec, n, r, method, encoded=True))}\n" for c, n in sorted(firsts.items()))
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def aset_key(q: int, r: int) -> str:
@@ -219,11 +218,11 @@ def test_golden_digests_hold():
 def test_every_a_set_up_to_q_4096_holds_by_each_route():
     pinned = json.loads(ASETS.read_text())
     differing, blocks, classes = [], [], 0
-    for q, r, spec in aset_blocks(ASET_Q_MAX):
+    for q, r, spec, firsts in aset_blocks(ASET_Q_MAX):
         blocks.append(aset_key(q, r))
-        classes += len({n % r for n in range(1, q) if gcd(n, (q - 1) // r) == 1})
+        classes += len(firsts)
         methods = ("wanlidl", "bruteforce", "criterion") if q <= CRITERION_ASET_Q_MAX else ("wanlidl", "bruteforce")
-        differing += [(aset_key(q, r), m) for m in methods if aset_digest(spec, r, m) != pinned.get(aset_key(q, r))]
+        differing += [(aset_key(q, r), m) for m in methods if aset_digest(spec, r, firsts, m) != pinned.get(aset_key(q, r))]
     assert blocks == list(pinned), "golden_asets.json names other blocks; regenerate with --write"
     assert (len(blocks), classes) == (895, 1692)
     assert not differing, f"first differing (block, route): {differing[0]} ({len(differing)} in all)"
@@ -236,11 +235,11 @@ def test_the_a_set_digests_catch_a_swapped_zech_pair_and_another_modulus():
     spec = FieldSpec(5, 3, make_field(5, 3).modulus)
     zech = spec.scan_tables().zech
     zech[0], zech[1] = zech[1], zech[0]  # log 2 and log(1 + alpha); not every swap moves an a-set
-    assert all(aset_digest(spec, 2, m) != pinned[aset_key(125, 2)] for m in ("wanlidl", "bruteforce"))
+    assert all(aset_digest(spec, 2, {1: 1}, m) != pinned[aset_key(125, 2)] for m in ("wanlidl", "bruteforce"))
     # F_9 by x^2 + x + 2, not the x^2 + 1 make_field picks: the same counts, other encodings
     other = make_field(3, 2, (2, 1, 1))
     assert other.modulus != make_field(3, 2).modulus
-    assert all(aset_digest(other, 2, m) != pinned[aset_key(9, 2)] for m in ("wanlidl", "bruteforce", "criterion"))
+    assert all(aset_digest(other, 2, {1: 1}, m) != pinned[aset_key(9, 2)] for m in ("wanlidl", "bruteforce", "criterion"))
 
 
 if __name__ == "__main__":
@@ -248,5 +247,6 @@ if __name__ == "__main__":
         sys.exit("usage: python3 tests/test_golden.py --write")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     GOLDEN.write_text(json.dumps(digests(), indent=2) + "\n")
-    ASETS.write_text(json.dumps({aset_key(q, r): aset_digest(spec, r, "wanlidl") for q, r, spec in aset_blocks(ASET_Q_MAX)}, indent=2) + "\n")
+    asets = {aset_key(q, r): aset_digest(spec, r, firsts, "wanlidl") for q, r, spec, firsts in aset_blocks(ASET_Q_MAX)}
+    ASETS.write_text(json.dumps(asets, indent=2) + "\n")
     print(f"wrote {GOLDEN} and {ASETS}")

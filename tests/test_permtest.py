@@ -1,5 +1,7 @@
 """Permutation routes against each other and against raw-integer brute force, and the oracles of reference.py against each other."""
 
+import random
+from array import array
 from math import gcd
 
 import pytest
@@ -9,11 +11,20 @@ import permbinom.permtest as permtest
 from permbinom.characters import cubic_char, cubic_roots_of_unity, quadratic_char
 from permbinom.counts import closed_count_r2, closed_count_r3
 from permbinom.errors import BadFieldForCubicError, EvenCharacteristicError, GcdViolationError, UnknownChoiceError
-from permbinom.fields import NO_LOG, FieldElement, FieldSpec, make_field
+from permbinom.fields import NO_LOG, FieldElement, FieldSpec, FieldTables, make_field
 from permbinom.permtest import enumerate_perm_binomials, field_admits
 from permbinom.primes import prime_power_decompose, prime_powers_upto
 from permbinom.sweep import valid_exponents
-from reference import binomial_polynomial, compute_index_form, criterion_encodings, evaluate_poly, is_permutation_bruteforce, wan_lidl_check
+from reference import (
+    binomial_polynomial,
+    compute_index_form,
+    criterion_encodings,
+    evaluate_poly,
+    is_permutation_bruteforce,
+    orbit_leaders,
+    orbit_union,
+    wan_lidl_check,
+)
 
 
 def _raw_binomial_survivors(q, n, r):
@@ -57,7 +68,8 @@ def test_criterion_tests_one_a_per_orbit(monkeypatch):
     enumerate_perm_binomials(make_field(73), 1, 2)
     assert calls["quadratic"] == 36 + 1
     # F_{2^12}, r = 3: 120 orbits of j -> 2 j mod 1365, plus a = 0, three characters each
-    assert len(permtest._orbit_leaders(2, 1365)) == 120
+    f4096 = make_field(2, 12)
+    assert len(permtest._orbit_table(f4096, f4096.scan_tables(), 3).leaders) == len(orbit_leaders(2, 1365)) == 120
     enumerate_perm_binomials(make_field(2, 12), 1, 3)
     assert 0 < calls["cubic"] <= 3 * (120 + 1)
 
@@ -348,3 +360,31 @@ def test_criterion_matches_the_table_free_oracle_up_to_343():
                 assert got == criterion_encodings(spec, n, r), f"first differing cell (q, n, r) = {(q, n, r)}"
                 cells += 1
     assert cells == 229
+
+
+def test_the_orbit_table_matches_the_old_walk_up_to_q_4096():
+    # the logs 0 .. q - 2 stand in for exp, so each orbit reads as its logs, and no field builds its tables
+    rng = random.Random(0)
+    blocks = 0
+    for q in prime_powers_upto(1 << 12):
+        p, k = prime_power_decompose(q)
+        twin = FieldSpec(p, k, make_field(p, k).modulus)
+        logs = FieldTables(array("l", range(q - 1)), None, None)
+        for r in (2, 3):
+            if not field_admits(q, r):
+                continue
+            d = (q - 1) // r
+            table = permtest._orbit_table(twin, logs, r)
+            leaders = orbit_leaders(p, d)
+            assert sorted(table.leaders) == list(leaders), (q, r)
+            if (p - 1) % d:  # orbits longer than r, each held to the walk; else every c is an orbit of its own
+                for j in table.leaders:
+                    assert table.orbit(table.encodings.index(j)) == orbit_union(twin, logs, r, [j], False), (q, r, j)
+            else:
+                assert table.groups == [(0, d, r)], (q, r)
+            for zero_passes in (False, True):
+                flags = [rng.random() < 0.5 for _ in table.leaders]
+                hits = [j for j, flag in zip(table.leaders, flags) if flag]
+                assert table.union(flags, zero_passes) == orbit_union(twin, logs, r, hits, zero_passes), (q, r)
+            blocks += 1
+    assert blocks == 895

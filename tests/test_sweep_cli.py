@@ -5,13 +5,14 @@ import math
 import os
 import re
 import subprocess
+from collections import Counter
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from permbinom import cli, counts, selftest, sweep
+from permbinom import cli, counts, fields, permtest, selftest, sweep
 from permbinom.curves import pi_trace
 from permbinom.errors import DivisibilityViolationError, EnumerationGuardError, SweepConfigError, int_text
 from permbinom.fields import make_field
@@ -195,6 +196,39 @@ def test_sweep_records_a_divisibility_failure_per_cell(monkeypatch):
     check = AcceptanceSuite(q_max=13).run_check("r3-sweep")
     assert not check.passed
     assert check.detail == "divisibility-by-9 assertion fired 12 times, first at q=4 n=1"
+
+
+def test_the_sweep_asks_the_closed_count_once_per_class(monkeypatch):
+    # the count reads n only mod r: (-1)^n at r = 2, and at r = 3 e1 (q - 3n mod 9) and e2 (3 | n)
+    calls = Counter()
+
+    def counted(r, real):
+        def wrapper(*args):
+            q = args[0] ** args[1] if r == 3 else args[0]  # closed_count_r2(q, n), closed_count_r3(p, k, n)
+            calls[q, r, args[-1] % r] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(counts, "closed_count_r2", counted(2, counts.closed_count_r2))
+    monkeypatch.setattr(counts, "closed_count_r3", counted(3, counts.closed_count_r3))
+    result = run_verify_sweep(SweepConfig(q_max=128))
+    assert len(result.cells) == 1606 and not result.failures
+    assert calls == Counter({(c["q"], c["r"], c["n"] % c["r"]): 1 for c in result.cells})
+    assert [sum(n for (_, r, _), n in calls.items() if r == want) for want in (2, 3)] == [54, 54]
+
+
+def test_the_sweep_builds_one_orbit_table_per_block(monkeypatch):
+    # fresh fields, so no table survives from another test; every block runs the criterion, and brute force up to q = 100
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    built = []
+    real = permtest._OrbitTable
+    monkeypatch.setattr(permtest, "_OrbitTable", lambda *fields_: built.append(fields_[0]) or real(*fields_))
+    result = run_verify_sweep(SweepConfig(q_max=128))
+    blocks = {(c["q"], c["r"]) for c in result.cells}
+    tables = {(spec.q, r): table for spec in fields._FIELD_CACHE.values() for r, table in spec._orbits.items()}
+    assert len(built) == len(blocks) == 57 and set(tables) == blocks
+    assert all(table.zech_rows for (q, _), table in tables.items() if q <= sweep.BRUTE_FULL_MAX)
 
 
 def test_sweep_records_a_count_outside_both_bound_pairs(monkeypatch):

@@ -17,7 +17,7 @@ from permbinom.errors import BadFieldForCubicError, EnumerationGuardError, Unkno
 from permbinom.fields import NO_LOG, FieldSpec, add_logs, element_order, make_field
 from permbinom.permtest import ROUTES, enumerate_perm_binomials
 from permbinom.primes import prime_power_decompose, prime_powers_upto
-from reference import binomial_polynomial, compute_index_form, is_permutation_bruteforce, wan_lidl_check
+from reference import binomial_polynomial, compute_index_form, criterion_encodings, is_permutation_bruteforce, wan_lidl_check
 
 # (p, k, modulus); the last is F_16 under x^4 + x^3 + 1 instead of the default x^4 + x + 1
 FIELDS = [
@@ -156,6 +156,33 @@ def test_criterion_never_reads_zech(p, k, modulus):
         assert ROUTES["criterion"](spec, poisoned, n, r) == found, (n, r)
     # the poison shows in a route that reads zech
     assert any(ROUTES["bruteforce"](spec, poisoned, n, r) != found for (n, r), found in expected.items())
+
+
+def test_two_moduli_of_f9_never_share_an_orbit_table():
+    # x^2 + 1, which make_field picks, and x^2 + x + 2 (--modulus 2,1,1): one p and d, other encodings
+    default, other = make_field(3, 2), make_field(3, 2, (2, 1, 1))
+    assert default.modulus == (1, 0, 1) and default is not other
+    for spec in (default, other):
+        for method in ("criterion", "bruteforce"):
+            assert enumerate_perm_binomials(spec, 1, 2, method, encoded=True) == criterion_encodings(spec, 1, 2)
+    mine, theirs = default._orbits[2], other._orbits[2]
+    assert mine is not theirs and mine.tables is default.scan_tables() and theirs.tables is other.scan_tables()
+    assert mine.encodings != theirs.encodings
+
+
+@pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
+def test_a_twin_with_rotated_tables_gets_an_orbit_table_of_its_own(p, k, modulus):
+    # the rotation of test_element_arithmetic_never_reads_the_tables, on a twin whose equal field has run the criterion
+    spec, twin = make_field(p, k, modulus), FieldSpec(p, k, modulus)
+    r = 2 if p != 2 else 3
+    want = enumerate_perm_binomials(spec, 1, r, encoded=True)
+    exp = twin.scan_tables().exp
+    exp[:] = exp[1:] + exp[:1]
+    enumerate_perm_binomials(twin, 1, r, encoded=True)
+    mine, theirs = spec._orbits[r], twin._orbits[r]
+    assert mine is not theirs and theirs.tables is twin.scan_tables()
+    assert list(theirs.encodings) == [exp[mine.tables.log[a]] for a in mine.encodings]  # read off the rotated exp
+    assert enumerate_perm_binomials(spec, 1, r, encoded=True) == want
 
 
 @pytest.mark.parametrize("p,k,modulus", FIELDS, ids=IDS)
