@@ -185,8 +185,9 @@ def _criterion_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -
     The test is exact, so its a-set is the permutation a-set, a union of
     orbits of a -> a^p and a -> omega a (omega^r = 1). It runs at a = 0 and
     at a = alpha^j for each leader j of the orbit table, as brute force
-    does, and the table expands each passing j to its orbit. {-1, -xi, -xi^2} is
-    itself such a union, so an excluded representative excludes its orbit.
+    does, and the table expands each passing j to its orbit. {-1, -xi,
+    -xi^2} is itself such a union, so an excluded representative excludes
+    its orbit.
     At r = 2 a leader's a^2 = alpha^(2j) is read off exp, decoded as a is,
     so no leader pays a product; a = 0 is squared as an ordinary element.
     """
@@ -259,8 +260,8 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     if not orbits.zech_rows:
         z = array("l", tables.zech)
         z[_minus_one_log(spec)] = 2 * q1
-        # row t at j is zech[j - d t], read as zech[j + d u] with u = -t mod r
-        orbits.zech_rows.extend(array("l", [z[j + d * (-t % r)] for j in orbits.leaders]) for t in range(r))
+        # row t at j is zech[j - d t], read as zech[j + d u] with u = -t mod r; stored whole, in one assignment
+        orbits.zech_rows[:] = [array("l", [z[j + d * (-t % r)] for j in orbits.leaders]) for t in range(r)]
     if r == 2:
         (m0, m1), (z0, z1) = masks, orbits.zech_rows
         flags = [(m0 >> s0 | m1 >> s1) & full == full for s0, s1 in zip(z0, z1)]

@@ -5,8 +5,8 @@ import math
 import os
 import re
 import subprocess
-from collections import Counter
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,7 +223,7 @@ def test_the_sweep_builds_one_orbit_table_per_block(monkeypatch):
     monkeypatch.setattr(fields, "_FIELD_CACHE", {})
     built = []
     real = permtest._OrbitTable
-    monkeypatch.setattr(permtest, "_OrbitTable", lambda *fields_: built.append(fields_[0]) or real(*fields_))
+    monkeypatch.setattr(permtest, "_OrbitTable", lambda *args: built.append(args[0]) or real(*args))
     result = run_verify_sweep(SweepConfig(q_max=128))
     blocks = {(c["q"], c["r"]) for c in result.cells}
     tables = {(spec.q, r): table for spec in fields._FIELD_CACHE.values() for r, table in spec._orbits.items()}
