@@ -98,8 +98,8 @@ class _OrbitTable(NamedTuple):
     least member of the orbit of j mod d under c -> p c mod d, t below its
     size s and u < r. A group (start, end, s r) of orbits of size s spans
     leaders[start:end] and, after the groups before it, their s r encodings
-    each, ordered by u, then t, then leader: flags[start:end], one per
-    orbit, repeated s r times flags each of them.
+    each, ordered by u, then t, then leader, so that flags[start:end], one
+    per orbit, repeated s r times flags every encoding of the group.
     """
 
     tables: FieldTables  # what it was read from: other tables, even of the same field, get a table of their own
@@ -228,8 +228,9 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     image, and makes the rotation a right shift). a passes iff the r
     shifted masks cover those bits. Where alpha^(d t) + a = 0, another
     root of f, the shift is 2(q-1), which empties the mask. Mask t is mask
-    0 rotated by -(n + d) t, and mask 0's bits -n r m for m < d are one
-    progression, written with a running index.
+    0 rotated by -(n + d) t, and mask 0's bits -n r m for m < d are the
+    multiples of g = r gcd(n, d), as n m mod d runs over those of
+    gcd(n, d): twice over, mask 0 is (2^(2(q-1)) - 1)/(2^g - 1).
 
     The a-set is a union of orbits of a -> a^p and a -> omega a with
     omega^r = 1: f_a(c x) = c^(n+d) f_(a c^-d)(x), and f_(a^p) is f_a
@@ -244,14 +245,8 @@ def _brute_survivors(spec: FieldSpec, tables: FieldTables, n: int, r: int) -> li
     q1 = spec.q - 1
     d = q1 // r
     full = (1 << q1) - 1
-    buf = bytearray(b"0") * q1  # buf[i] is bit q1 - 1 - i of int(buf, 2)
-    i, step = q1 - 1, n * r % q1
-    for _ in range(d):
-        buf[i] = 49  # ord("1")
-        i += step
-        if i >= q1:
-            i -= q1
-    mask0 = int(buf * 2, 2)
+    g = r * gcd(n, d)
+    mask0 = ((1 << 2 * q1) - 1) // ((1 << g) - 1)
     masks = []
     for t in range(r):
         mask = (mask0 >> (n + d) * t % q1) & full
